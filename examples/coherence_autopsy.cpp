@@ -13,7 +13,7 @@
 #include <string>
 
 #include "ksr/machine/ksr_machine.hpp"
-#include "ksr/sim/trace.hpp"
+#include "ksr/obs/tracer.hpp"
 #include "ksr/sync/barrier.hpp"
 
 int main(int argc, char** argv) {
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   machine::KsrMachine m(machine::MachineConfig::ksr1(procs));
   auto barrier = sync::make_barrier(m, it->second);
-  sim::Tracer tracer;
+  obs::Tracer tracer;
 
   // Warm-up episode untraced, then trace exactly one episode.
   m.run([&](machine::Cpu& cpu) { barrier->arrive(cpu); });

@@ -43,7 +43,7 @@ class KsrMachine final : public CoherentMachine {
   }
   [[nodiscard]] net::SlottedRing* level1_ring() noexcept { return ring1_.get(); }
 
-  void attach_tracer(sim::Tracer* tracer) override {
+  void attach_tracer(obs::Tracer* tracer) override {
     // The base builds per-domain shards on multi-domain machines; each ring
     // logs to its owning domain's tracer so every record is written by the
     // thread advancing that ring's engine.

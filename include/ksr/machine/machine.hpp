@@ -12,9 +12,9 @@
 #include "ksr/machine/cpu.hpp"
 #include "ksr/mem/heap.hpp"
 #include "ksr/obs/topo.hpp"
+#include "ksr/obs/tracer.hpp"
 #include "ksr/sim/engine.hpp"
 #include "ksr/sim/parallel_engine.hpp"
-#include "ksr/sim/trace.hpp"
 
 namespace ksr::ckpt {
 class Writer;
@@ -140,13 +140,13 @@ class Machine {
   /// attached tracer's capacity and category mask; they rely on the builtin
   /// category/event ids, so runtime-interned custom names must only be
   /// logged through the primary tracer (host-side region markers do).
-  virtual void attach_tracer(sim::Tracer* tracer);
-  [[nodiscard]] sim::Tracer* tracer() const noexcept { return tracer_; }
+  virtual void attach_tracer(obs::Tracer* tracer);
+  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
   /// The tracer domain `d`'s components must log to: the attached tracer
   /// for domain 0 (and for single-domain machines), domain d's private
   /// shard otherwise. Null whenever no tracer is attached.
-  [[nodiscard]] sim::Tracer* tracer_of(unsigned d) const noexcept {
+  [[nodiscard]] obs::Tracer* tracer_of(unsigned d) const noexcept {
     if (d == 0 || tracer_shards_.empty()) return tracer_;
     return tracer_shards_[d - 1].get();
   }
@@ -154,7 +154,7 @@ class Machine {
   /// Shorthand for tracer_of(domain_of_cell(cell)) — the sync primitives
   /// and per-cpu stall sites log through this so a record is always written
   /// by the thread advancing the logging cell's domain.
-  [[nodiscard]] sim::Tracer* tracer_for_cell(unsigned cell) const noexcept {
+  [[nodiscard]] obs::Tracer* tracer_for_cell(unsigned cell) const noexcept {
     return tracer_of(domain_of_cell(cell));
   }
 
@@ -241,7 +241,7 @@ class Machine {
   sim::ParallelEngine par_;
   sim::Engine& engine_;  // = par_.domain(0); keeps subclass call sites flat
   mem::Heap heap_;
-  sim::Tracer* tracer_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
   // Mode-B observer shards for domains 1..D-1 (domain 0 logs straight to
   // tracer_); empty on single-domain machines or with no tracer attached.
   std::vector<std::unique_ptr<obs::Tracer>> tracer_shards_;

@@ -55,9 +55,12 @@ IsResult run_is(machine::Machine& m, const IsConfig& cfg);
 /// The key sequence the kernel sorts (exposed for tests).
 [[nodiscard]] std::vector<std::uint32_t> make_keys(const IsConfig& cfg);
 
-/// Split-phase IS for checkpoint/warm-start flows (docs/CHECKPOINT.md).
+/// The IS kernel's state, and its split-phase form for checkpoint/warm-start
+/// flows (docs/CHECKPOINT.md).
 ///
-/// The same kernel as run_is, split at the warm-up barrier: the untimed
+/// run_is is this class run in one piece: one Machine::run() whose fibers
+/// do the warm-up and then the seven ranking phases on the warm-up barrier.
+/// The split form cuts the same bodies at the warm-up barrier: the untimed
 /// warm-up (key distribution + count zeroing) is one Machine::run(), the
 /// seven timed ranking phases are a second run(). Between the two the
 /// machine is quiescent, so a checkpoint can be captured there — or a fresh
@@ -88,6 +91,16 @@ class IsSplit {
   [[nodiscard]] IsResult run_ranked();
 
  private:
+  friend IsResult run_is(machine::Machine& m, const IsConfig& cfg);
+
+  /// One cell's warm-up, ending at the warm-up barrier.
+  void warmup(machine::Cpu& cpu);
+  /// One cell's seven ranking phases on `barrier`; returns the cell's timed
+  /// seconds. Cell 0 also records the serial phase in serial_seconds_.
+  double rank(machine::Cpu& cpu, sync::Barrier& barrier);
+  /// Slowest cell's time plus the host-side check that the ranks sort.
+  [[nodiscard]] IsResult result(const std::vector<double>& cell_seconds) const;
+
   machine::Machine& m_;
   IsConfig cfg_;
   std::size_t n_ = 0;
@@ -101,6 +114,7 @@ class IsSplit {
   mem::SharedArray<std::uint32_t> keyden_t_;
   sync::Padded<std::uint32_t> tmp_sum_;
   std::unique_ptr<sync::Barrier> warm_barrier_;
+  double serial_seconds_ = 0.0;
 };
 
 }  // namespace ksr::nas

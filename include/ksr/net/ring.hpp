@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "ksr/obs/tracer.hpp"
 #include "ksr/sim/engine.hpp"
 #include "ksr/sim/time.hpp"
-#include "ksr/sim/trace.hpp"
 
 // Slotted, pipelined, unidirectional ring (paper §2).
 //
@@ -130,7 +130,7 @@ class SlottedRing {
   void restore_stats(const Stats& s) noexcept { stats_ = s; }
 
   /// Attach a tracer ("ring" category: inject with its slot wait, deliver).
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
+  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
@@ -168,7 +168,7 @@ class SlottedRing {
   std::string name_;
   std::vector<SubRing> subrings_;
   Stats stats_;
-  sim::Tracer* tracer_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace ksr::net

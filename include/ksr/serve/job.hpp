@@ -2,11 +2,19 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "ksr/machine/config.hpp"
 #include "ksr/serve/json.hpp"
 
+namespace ksr::machine {
+class Machine;
+}  // namespace ksr::machine
+
 // A serve job = MachineConfig knobs + workload name/params + seed +
-// optional checkpoint preset (docs/SERVING.md). Every simulation in this
+// optional checkpoint preset (docs/SERVING.md). It is the repo's one run
+// description: `ksrsim kernel/sweep/submit`, the daemon, campaigns and
+// ksrfuzz's machines all build from a JobSpec. Every simulation in this
 // repo is bit-deterministic — the same spec produces the same
 // events_dispatched fingerprint and the same result values at any --jobs /
 // --sim-threads — so a content hash of (spec, code version) is a *perfect*
@@ -18,11 +26,12 @@ namespace ksr::serve {
 /// kernel schedules, machine timing): every cached result keyed under the
 /// old version becomes unreachable and re-runs on first request. The
 /// pinned-fingerprint stage of scripts/bench_host.sh --check is the tripwire
-/// that tells you a bump is due.
-inline constexpr std::uint32_t kCodeVersion = 1;
+/// that tells you a bump is due. Version 2: events_dispatched counts every
+/// domain of a multi-domain machine, not domain 0 only.
+inline constexpr std::uint32_t kCodeVersion = 2;
 
 struct JobSpec {
-  // --- machine knobs (ksrsim's make_config vocabulary) ---
+  // --- machine knobs (machine_config() vocabulary) ---
   std::string machine = "ksr1";  // ksr1|ksr2|symmetry|butterfly
   unsigned procs = 8;
   unsigned scale = 1;            // MachineConfig::scaled_by
@@ -32,10 +41,10 @@ struct JobSpec {
   unsigned cells_per_domain = 0; // 0 = single domain
 
   // --- workload ---
-  std::string workload = "cg";   // ep|cg|is|sp|bt
+  std::string workload = "cg";   // a workloads() name: ep|cg|is|sp|bt
   std::uint64_t seed = 0;        // 0 = the kernel's published default seed
-  // Size parameters; 0 (or false) means the ksrsim kernel-command default
-  // for that workload. Unused parameters for a workload are ignored at
+  // Size parameters; 0 (or false) means the workload's registry default
+  // (Workload::sizes). Unused parameters for a workload are ignored at
   // execution but still keyed — two spellings of the same job may occupy
   // two cache slots (conservative), a shared slot can never collide.
   unsigned log2_keys = 0;        // is
@@ -45,15 +54,22 @@ struct JobSpec {
   unsigned nnz_per_row = 0;      // cg
   unsigned iters = 0;            // cg/sp/bt
   unsigned log2_pairs = 0;       // ep
-  // Checkpoint preset (is only): restore the machine from this image and
-  // run the timed split-phase ranking instead of the warm-up
-  // (docs/CHECKPOINT.md). The *contents* of the file are folded into the
-  // cache key, so the preset is itself content-addressed.
+  // Checkpoint preset (workloads with a Workload::warmup, i.e. is):
+  // restore the machine from this image and run the timed phases instead
+  // of the warm-up (docs/CHECKPOINT.md). The *contents* of the file are
+  // folded into the cache key, so the preset is itself content-addressed.
   std::string restore_from;
 
   /// Empty string when the spec is well-formed, else a diagnostic. Validates
   /// the vocabulary and builds the MachineConfig once to run its validate().
   [[nodiscard]] std::string validate() const;
+
+  /// The machine this spec names: the preset (ksr1|ksr2|symmetry|butterfly)
+  /// with scale, snarf, fuzz seed and topology applied. `sim_threads` is
+  /// execution policy, so it is an argument, not a field. Throws
+  /// std::invalid_argument for an unknown machine name.
+  [[nodiscard]] machine::MachineConfig machine_config(
+      unsigned sim_threads) const;
 
   /// Canonical fixed-field-order serialization — the byte string the cache
   /// key hashes. Includes every field (plus the FNV-1a of the checkpoint
@@ -78,12 +94,46 @@ struct CacheKey {
 [[nodiscard]] CacheKey derive_key(const JobSpec& spec,
                                   std::uint32_t code_version = kCodeVersion);
 
+/// One row of the workload registry. Adding a workload is adding a row.
+struct Workload {
+  /// A JobSpec size field and the value it takes when the spec leaves it 0.
+  struct Size {
+    const char* field;  // JobSpec / JSON field name
+    unsigned JobSpec::*member;
+    unsigned value;
+  };
+  const char* name;
+  std::vector<Size> sizes;
+  /// Run the kernel on `m` (sizes already resolved) and append its result
+  /// fields to `result`. A spec with restore_from restores the warm-up
+  /// boundary instead of simulating the warm-up.
+  void (*run)(machine::Machine& m, const JobSpec& spec, Json& result);
+  /// The untimed warm-up alone, ending at the quiescent boundary where a
+  /// restore_from checkpoint is captured; null when there is none.
+  void (*warmup)(machine::Machine& m, const JobSpec& spec) = nullptr;
+};
+
+/// The registry: ep, cg, is, sp, bt, in that order.
+[[nodiscard]] const std::vector<Workload>& workloads();
+
 struct JobOutcome {
-  std::uint64_t events = 0;  // the determinism fingerprint
+  std::uint64_t events = 0;  // whole-machine events_dispatched fingerprint
   std::string result;        // deterministic result JSON (the cached bytes)
 };
 
-/// Run the job on a freshly built machine. `sim_threads` is server
+/// Run `spec`'s workload on `m`, a machine built from spec.machine_config()
+/// with whatever tracer, checker or observer the caller attached. Those
+/// never perturb the simulation, so the bytes equal execute(spec).result.
+/// Throws on an unknown workload or a checkpoint mismatch.
+[[nodiscard]] JobOutcome run_workload(const JobSpec& spec,
+                                      machine::Machine& m);
+
+/// The spec's Workload::warmup on `m`, leaving it at the quiescent boundary
+/// where a checkpoint for restore_from is captured. Throws when the
+/// workload has no warm-up boundary.
+void run_warmup(const JobSpec& spec, machine::Machine& m);
+
+/// Validate, build a fresh machine, run_workload(). `sim_threads` is server
 /// execution policy — results are bit-identical for any value
 /// (docs/PARALLEL.md). Throws on invalid specs or checkpoint mismatches.
 [[nodiscard]] JobOutcome execute(const JobSpec& spec, unsigned sim_threads = 1);

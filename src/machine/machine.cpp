@@ -46,7 +46,7 @@ sim::ParallelEngine::Config Machine::domain_plan(const MachineConfig& cfg) {
   return pc;
 }
 
-void Machine::attach_tracer(sim::Tracer* tracer) {
+void Machine::attach_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   tracer_shards_.clear();
   if (tracer_ == nullptr || !multi_domain()) return;

@@ -152,7 +152,7 @@ CgResult run_cg(machine::Machine& m, const CgConfig& cfg) {
 
   CgResult out;
   out.nnz = s.values.size();
-  double t_max = 0;
+  std::vector<double> cell_seconds(nproc, 0.0);  // no cross-thread writes
 
   m.run([&](machine::Cpu& cpu) {
     const unsigned me = cpu.id();
@@ -280,11 +280,10 @@ CgResult run_cg(machine::Machine& m, const CgConfig& cfg) {
       barrier->arrive(cpu);
     }
 
-    const double dt = cpu.seconds() - t0;
-    if (dt > t_max) t_max = dt;
+    cell_seconds[me] = cpu.seconds() - t0;
   });
 
-  out.seconds = t_max;
+  out.seconds = *std::max_element(cell_seconds.begin(), cell_seconds.end());
   out.final_residual = std::sqrt(scalars.value(0));
   return out;
 }

@@ -1,5 +1,6 @@
 #include "ksr/nas/ep.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ksr/sync/atomic.hpp"
@@ -96,7 +97,7 @@ EpResult run_ep(machine::Machine& m, const EpConfig& cfg) {
   auto barrier = sync::make_barrier(m, sync::BarrierKind::kSystem);
 
   EpResult result;
-  double t_end = 0;
+  std::vector<double> cell_seconds(nproc, 0.0);  // no cross-thread writes
 
   m.run([&](machine::Cpu& cpu) {
     const unsigned me = cpu.id();
@@ -139,10 +140,11 @@ EpResult run_ep(machine::Machine& m, const EpConfig& cfg) {
       }
     }
     barrier->arrive(cpu);
-    if (cpu.seconds() - t0 > t_end) t_end = cpu.seconds() - t0;
+    cell_seconds[me] = cpu.seconds() - t0;
   });
 
-  result.seconds = t_end;
+  result.seconds =
+      *std::max_element(cell_seconds.begin(), cell_seconds.end());
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "ksr/nas/ft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -130,7 +131,7 @@ FtResult run_ft(machine::Machine& m, const FtConfig& cfg) {
 
   auto barrier = sync::make_barrier(m, sync::BarrierKind::kSystem);
   FtResult out;
-  double t_max = 0;
+  std::vector<double> cell_seconds(nproc, 0.0);  // no cross-thread writes
   double checksum = 0;
 
   m.run([&](machine::Cpu& cpu) {
@@ -200,11 +201,10 @@ FtResult run_ft(machine::Machine& m, const FtConfig& cfg) {
     }
     barrier->arrive(cpu);
 
-    const double dt = cpu.seconds() - t0;
-    if (dt > t_max) t_max = dt;
+    cell_seconds[me] = cpu.seconds() - t0;
   });
 
-  out.seconds = t_max;
+  out.seconds = *std::max_element(cell_seconds.begin(), cell_seconds.end());
   (void)checksum;
 
   // Round-trip error and a simple magnitude checksum, host-side.

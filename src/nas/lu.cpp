@@ -1,5 +1,6 @@
 #include "ksr/nas/lu.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -89,7 +90,7 @@ LuResult run_lu(machine::Machine& m, const LuConfig& cfg) {
   sync::Padded<std::uint32_t> upper_done(m, "lu.hi", nproc);
 
   LuResult out;
-  double t_max = 0;
+  std::vector<double> cell_seconds(nproc, 0.0);  // no cross-thread writes
 
   m.run([&](machine::Cpu& cpu) {
     const unsigned me = cpu.id();
@@ -168,12 +169,12 @@ LuResult run_lu(machine::Machine& m, const LuConfig& cfg) {
       barrier->arrive(cpu);
     }
 
-    const double dt = cpu.seconds() - t0;
-    if (dt > t_max) t_max = dt;
+    cell_seconds[me] = cpu.seconds() - t0;
   });
 
-  out.total_seconds = t_max;
-  out.seconds_per_iteration = t_max / cfg.iterations;
+  out.total_seconds =
+      *std::max_element(cell_seconds.begin(), cell_seconds.end());
+  out.seconds_per_iteration = out.total_seconds / cfg.iterations;
   double checksum = 0;
   for (std::size_t i = 0; i < g.array_stride; ++i) {
     checksum += g.mem.value(i);

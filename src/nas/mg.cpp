@@ -1,5 +1,6 @@
 #include "ksr/nas/mg.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -334,7 +335,7 @@ MgResult run_mg(machine::Machine& m, const MgConfig& cfg) {
     out.initial_residual = std::sqrt(s);
   }
 
-  double t_max = 0;
+  std::vector<double> cell_seconds(nproc, 0.0);  // no cross-thread writes
   m.run([&](machine::Cpu& cpu) {
     // Warm-up: own my slabs at every level.
     for (unsigned l = 1; l <= levels; ++l) {
@@ -352,14 +353,13 @@ MgResult run_mg(machine::Machine& m, const MgConfig& cfg) {
     MgContext ctx{cpu, L, cfg, *barrier, nproc, cpu.id()};
     for (unsigned c = 0; c < cfg.v_cycles; ++c) ctx.vcycle(levels);
 
-    const double dt = cpu.seconds() - t0;
-    if (dt > t_max) t_max = dt;
+    cell_seconds[cpu.id()] = cpu.seconds() - t0;
 
     // Final residual, computed in simulation (cell 0 reduces host-side
     // below from tmp).
     ctx.residual(L[levels]);
   });
-  out.seconds = t_max;
+  out.seconds = *std::max_element(cell_seconds.begin(), cell_seconds.end());
 
   double s = 0, checksum = 0;
   const std::size_t n = L[levels].n;

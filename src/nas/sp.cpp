@@ -170,7 +170,7 @@ SpResult run_sp(machine::Machine& m, const SpConfig& cfg) {
 
   auto barrier = sync::make_barrier(m, sync::BarrierKind::kSystem);
   SpResult out;
-  double t_total_max = 0;
+  std::vector<double> cell_seconds(nproc, 0.0);  // no cross-thread writes
 
   m.run([&](machine::Cpu& cpu) {
     const unsigned me = cpu.id();
@@ -231,12 +231,12 @@ SpResult run_sp(machine::Machine& m, const SpConfig& cfg) {
       barrier->arrive(cpu);
     }
 
-    const double dt = cpu.seconds() - t0;
-    if (dt > t_total_max) t_total_max = dt;
+    cell_seconds[me] = cpu.seconds() - t0;
   });
 
-  out.total_seconds = t_total_max;
-  out.seconds_per_iteration = t_total_max / cfg.iterations;
+  out.total_seconds =
+      *std::max_element(cell_seconds.begin(), cell_seconds.end());
+  out.seconds_per_iteration = out.total_seconds / cfg.iterations;
   double checksum = 0;
   for (std::size_t i = 0; i < n3; ++i) {
     checksum += g.mem.value(g.idx(kU, 0, 0, 0) + i);

@@ -1,6 +1,7 @@
 #include "ksr/serve/job.hpp"
 
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 #include "ksr/ckpt/checkpoint.hpp"
@@ -15,47 +16,183 @@ namespace ksr::serve {
 
 namespace {
 
-bool known_machine(const std::string& m) {
-  return m == "ksr1" || m == "ksr2" || m == "symmetry" || m == "butterfly";
-}
+struct MachinePreset {
+  const char* name;
+  machine::MachineConfig (*make)(unsigned nproc);
+};
 
-bool known_workload(const std::string& w) {
-  return w == "ep" || w == "cg" || w == "is" || w == "sp" || w == "bt";
-}
+constexpr MachinePreset kMachines[] = {
+    {"ksr1", &machine::MachineConfig::ksr1},
+    {"ksr2", &machine::MachineConfig::ksr2},
+    {"symmetry", &machine::MachineConfig::symmetry},
+    {"butterfly", &machine::MachineConfig::butterfly},
+};
 
-machine::MachineConfig build_config(const JobSpec& s, unsigned sim_threads) {
-  machine::MachineConfig cfg = machine::MachineConfig::ksr1(s.procs);
-  if (s.machine == "ksr2") cfg = machine::MachineConfig::ksr2(s.procs);
-  if (s.machine == "symmetry") cfg = machine::MachineConfig::symmetry(s.procs);
-  if (s.machine == "butterfly") {
-    cfg = machine::MachineConfig::butterfly(s.procs);
+template <typename Table>
+auto find_named(const Table& table, const std::string& name)
+    -> decltype(&*std::begin(table)) {
+  for (const auto& e : table) {
+    if (name == e.name) return &e;
   }
-  if (s.scale > 1) cfg = cfg.scaled_by(s.scale);
-  if (!s.snarf) cfg.read_snarfing = false;
-  cfg.sched_fuzz_seed = s.fuzz_seed;
-  cfg.sim_threads = sim_threads;
-  if (s.cells_per_leaf != 0) cfg.cells_per_leaf = s.cells_per_leaf;
-  cfg.cells_per_domain = s.cells_per_domain;
-  return cfg;
+  return nullptr;
+}
+
+/// "unknown <what> '<name>' (expected a|b|c)", listing the table's names.
+template <typename Table>
+std::string unknown(const char* what, const std::string& name,
+                    const Table& table) {
+  std::string s = std::string("unknown ") + what + " '" + name +
+                  "' (expected ";
+  for (const auto& e : table) {
+    s += e.name;
+    s += '|';
+  }
+  s.back() = ')';
+  return s;
+}
+
+// ---- The workload registry rows. Each run function reads resolved sizes.
+
+void run_ep_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  nas::EpConfig c;
+  c.log2_pairs = s.log2_pairs;
+  if (s.seed != 0) c.seed = s.seed;
+  const nas::EpResult res = run_ep(m, c);
+  r.set("seconds", Json::real(res.seconds));
+  r.set("accepted", Json::uint(res.accepted));
+  r.set("sum_x", Json::real(res.sum_x));
+  r.set("sum_y", Json::real(res.sum_y));
+}
+
+void run_cg_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  nas::CgConfig c;
+  c.n = s.n;
+  c.nnz_per_row = s.nnz_per_row;
+  c.iterations = s.iters;
+  if (s.seed != 0) c.seed = s.seed;
+  const nas::CgResult res = run_cg(m, c);
+  r.set("seconds", Json::real(res.seconds));
+  r.set("initial_residual", Json::real(res.initial_residual));
+  r.set("final_residual", Json::real(res.final_residual));
+  r.set("nnz", Json::uint(res.nnz));
+}
+
+nas::IsConfig is_config(const JobSpec& s) {
+  nas::IsConfig c;
+  c.log2_keys = s.log2_keys;
+  c.log2_buckets = s.log2_buckets;
+  c.pad_buckets = s.pad_buckets;
+  if (s.seed != 0) c.seed = s.seed;
+  return c;
+}
+
+void warm_up_is(machine::Machine& m, const JobSpec& s) {
+  nas::IsSplit(m, is_config(s)).run_warmup();
+}
+
+void run_is_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  nas::IsResult res;
+  if (s.restore_from.empty()) {
+    res = run_is(m, is_config(s));
+  } else {
+    // Split-phase flow (docs/CHECKPOINT.md): restore the warm-up boundary
+    // instead of simulating the warm-up, then run the timed phases.
+    nas::IsSplit split(m, is_config(s));
+    m.restore_from(s.restore_from);
+    res = split.run_ranked();
+  }
+  r.set("seconds", Json::real(res.seconds));
+  r.set("ranks_valid", Json::boolean(res.ranks_valid));
+  r.set("serial_phase_seconds", Json::real(res.serial_phase_seconds));
+}
+
+void run_sp_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  nas::SpConfig c;
+  c.n = s.n;
+  c.iterations = s.iters;
+  const nas::SpResult res = run_sp(m, c);
+  r.set("seconds", Json::real(res.total_seconds));
+  r.set("seconds_per_iteration", Json::real(res.seconds_per_iteration));
+  r.set("checksum", Json::real(res.checksum));
+}
+
+void run_bt_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  nas::BtConfig c;
+  c.n = s.n;
+  c.iterations = s.iters;
+  const nas::BtResult res = run_bt(m, c);
+  r.set("seconds", Json::real(res.total_seconds));
+  r.set("seconds_per_iteration", Json::real(res.seconds_per_iteration));
+  r.set("checksum", Json::real(res.checksum));
+}
+
+/// `spec` with every size field its workload uses resolved to the
+/// registry default when left at 0. Throws on an unknown workload.
+JobSpec resolved(const JobSpec& spec, const Workload** entry) {
+  *entry = find_named(workloads(), spec.workload);
+  if (*entry == nullptr) {
+    throw std::invalid_argument(unknown("workload", spec.workload,
+                                        workloads()));
+  }
+  JobSpec s = spec;
+  for (const Workload::Size& size : (*entry)->sizes) {
+    if (s.*size.member == 0) s.*size.member = size.value;
+  }
+  return s;
 }
 
 }  // namespace
 
+const std::vector<Workload>& workloads() {
+  static const std::vector<Workload> table = {
+      {"ep", {{"log2_pairs", &JobSpec::log2_pairs, 13}}, &run_ep_job},
+      {"cg",
+       {{"n", &JobSpec::n, 1000},
+        {"nnz_per_row", &JobSpec::nnz_per_row, 24},
+        {"iters", &JobSpec::iters, 4}},
+       &run_cg_job},
+      {"is",
+       {{"log2_keys", &JobSpec::log2_keys, 15},
+        {"log2_buckets", &JobSpec::log2_buckets, 10}},
+       &run_is_job,
+       &warm_up_is},
+      {"sp", {{"n", &JobSpec::n, 16}, {"iters", &JobSpec::iters, 2}},
+       &run_sp_job},
+      {"bt", {{"n", &JobSpec::n, 10}, {"iters", &JobSpec::iters, 2}},
+       &run_bt_job},
+  };
+  return table;
+}
+
+machine::MachineConfig JobSpec::machine_config(unsigned sim_threads) const {
+  const MachinePreset* preset = find_named(kMachines, machine);
+  if (preset == nullptr) {
+    throw std::invalid_argument(unknown("machine", machine, kMachines));
+  }
+  machine::MachineConfig cfg = preset->make(procs);
+  if (scale > 1) cfg = cfg.scaled_by(scale);
+  if (!snarf) cfg.read_snarfing = false;
+  cfg.sched_fuzz_seed = fuzz_seed;
+  cfg.sim_threads = sim_threads;
+  if (cells_per_leaf != 0) cfg.cells_per_leaf = cells_per_leaf;
+  cfg.cells_per_domain = cells_per_domain;
+  return cfg;
+}
+
 std::string JobSpec::validate() const {
-  if (!known_machine(machine)) {
-    return "unknown machine '" + machine +
-           "' (expected ksr1|ksr2|symmetry|butterfly)";
+  if (find_named(kMachines, machine) == nullptr) {
+    return unknown("machine", machine, kMachines);
   }
-  if (!known_workload(workload)) {
-    return "unknown workload '" + workload + "' (expected ep|cg|is|sp|bt)";
-  }
+  const Workload* w = find_named(workloads(), workload);
+  if (w == nullptr) return unknown("workload", workload, workloads());
   if (procs == 0) return "procs must be >= 1";
   if (scale == 0) return "scale must be >= 1";
-  if (!restore_from.empty() && workload != "is") {
-    return "restore_from applies only to the split-phase 'is' workload";
+  if (!restore_from.empty() && w->warmup == nullptr) {
+    return "restore_from needs a workload with a warm-up checkpoint "
+           "boundary; '" + workload + "' has none";
   }
   try {
-    build_config(*this, 1).validate();
+    machine_config(1).validate();
   } catch (const std::exception& e) {
     return e.what();
   }
@@ -213,78 +350,36 @@ CacheKey derive_key(const JobSpec& spec, std::uint32_t code_version) {
       reinterpret_cast<const std::byte*>(bytes.data()), bytes.size())};
 }
 
-JobOutcome execute(const JobSpec& spec, unsigned sim_threads) {
-  const std::string bad = spec.validate();
-  if (!bad.empty()) throw std::runtime_error("job: " + bad);
-  auto m = machine::make_machine(build_config(spec, sim_threads));
-
+JobOutcome run_workload(const JobSpec& spec, machine::Machine& m) {
+  const Workload* w = nullptr;
+  const JobSpec s = resolved(spec, &w);
   Json r = Json::object();
-  r.set("workload", Json::str(spec.workload));
-  r.set("machine", Json::str(spec.machine));
-  r.set("procs", Json::uint(spec.procs));
-  // Kernel dispatch mirrors ksrsim's kernel command — same defaults, same
-  // split-phase checkpoint flow — so a served job's fingerprint is directly
-  // comparable with a `ksrsim kernel` run of the same flags.
-  if (spec.workload == "ep") {
-    nas::EpConfig c;
-    c.log2_pairs = spec.log2_pairs != 0 ? spec.log2_pairs : 13;
-    if (spec.seed != 0) c.seed = spec.seed;
-    const nas::EpResult res = run_ep(*m, c);
-    r.set("seconds", Json::real(res.seconds));
-    r.set("accepted", Json::uint(res.accepted));
-    r.set("sum_x", Json::real(res.sum_x));
-    r.set("sum_y", Json::real(res.sum_y));
-  } else if (spec.workload == "cg") {
-    nas::CgConfig c;
-    c.n = spec.n != 0 ? spec.n : 1000;
-    c.nnz_per_row = spec.nnz_per_row != 0 ? spec.nnz_per_row : 24;
-    c.iterations = spec.iters != 0 ? spec.iters : 4;
-    if (spec.seed != 0) c.seed = spec.seed;
-    const nas::CgResult res = run_cg(*m, c);
-    r.set("seconds", Json::real(res.seconds));
-    r.set("initial_residual", Json::real(res.initial_residual));
-    r.set("final_residual", Json::real(res.final_residual));
-    r.set("nnz", Json::uint(res.nnz));
-  } else if (spec.workload == "is") {
-    nas::IsConfig c;
-    c.log2_keys = spec.log2_keys != 0 ? spec.log2_keys : 15;
-    c.log2_buckets = spec.log2_buckets != 0 ? spec.log2_buckets : 10;
-    c.pad_buckets = spec.pad_buckets;
-    if (spec.seed != 0) c.seed = spec.seed;
-    nas::IsResult res;
-    if (!spec.restore_from.empty()) {
-      nas::IsSplit split(*m, c);
-      m->restore_from(spec.restore_from);
-      res = split.run_ranked();
-    } else {
-      res = run_is(*m, c);
-    }
-    r.set("seconds", Json::real(res.seconds));
-    r.set("ranks_valid", Json::boolean(res.ranks_valid));
-    r.set("serial_phase_seconds", Json::real(res.serial_phase_seconds));
-  } else if (spec.workload == "sp") {
-    nas::SpConfig c;
-    c.n = spec.n != 0 ? spec.n : 16;
-    c.iterations = spec.iters != 0 ? spec.iters : 2;
-    const nas::SpResult res = run_sp(*m, c);
-    r.set("seconds", Json::real(res.total_seconds));
-    r.set("seconds_per_iteration", Json::real(res.seconds_per_iteration));
-    r.set("checksum", Json::real(res.checksum));
-  } else {  // bt
-    nas::BtConfig c;
-    c.n = spec.n != 0 ? spec.n : 10;
-    c.iterations = spec.iters != 0 ? spec.iters : 2;
-    const nas::BtResult res = run_bt(*m, c);
-    r.set("seconds", Json::real(res.total_seconds));
-    r.set("seconds_per_iteration", Json::real(res.seconds_per_iteration));
-    r.set("checksum", Json::real(res.checksum));
-  }
-
+  r.set("workload", Json::str(s.workload));
+  r.set("machine", Json::str(s.machine));
+  r.set("procs", Json::uint(s.procs));
+  w->run(m, s, r);
   JobOutcome out;
-  out.events = m->engine().events_dispatched();
+  out.events = m.parallel_engine().events_dispatched();
   r.set("events_dispatched", Json::uint(out.events));
   out.result = r.dump();
   return out;
+}
+
+void run_warmup(const JobSpec& spec, machine::Machine& m) {
+  const Workload* w = nullptr;
+  const JobSpec s = resolved(spec, &w);
+  if (w->warmup == nullptr) {
+    throw std::invalid_argument("workload '" + s.workload +
+                                "' has no warm-up checkpoint boundary");
+  }
+  w->warmup(m, s);
+}
+
+JobOutcome execute(const JobSpec& spec, unsigned sim_threads) {
+  const std::string bad = spec.validate();
+  if (!bad.empty()) throw std::runtime_error("job: " + bad);
+  auto m = machine::make_machine(spec.machine_config(sim_threads));
+  return run_workload(spec, *m);
 }
 
 }  // namespace ksr::serve

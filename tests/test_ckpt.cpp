@@ -186,6 +186,47 @@ TEST(CkptRoundTrip, ConfigMismatchRejected) {
   EXPECT_THROW(m.restore(image), std::runtime_error);
 }
 
+// ----------------------------------------------------- pinned preset image
+//
+// The 64-cell IS machine at its warm-up boundary (scale 64, 2^11 keys,
+// 2^7 buckets, one sim thread) — the checkpoint preset a served job
+// restores from. Every payload field is fixed-width little-endian and the
+// directory shards serialize sorted, so the image bytes are a pure function
+// of the build's simulated semantics: a moved event count or payload
+// fingerprint is a determinism or serialization regression (bump
+// ckpt::kVersion only for a deliberate format change).
+
+TEST(CkptPreset, Is64WarmImageIsPinnedAndRestoresAudited) {
+  const MachineConfig mc = machine_cfg(64, 1);
+  std::vector<std::byte> image;
+  {
+    KsrMachine donor(mc);
+    nas::IsSplit split(donor, small_is());
+    split.run_warmup();
+    EXPECT_EQ(donor.parallel_engine().events_dispatched(), 31286u);
+    image = donor.checkpoint();
+  }
+  ASSERT_GT(image.size(), ckpt::kHeaderBytes);
+  const std::uint64_t payload_fnv =
+      ckpt::fnv1a(image.data() + ckpt::kHeaderBytes,
+                  image.size() - ckpt::kHeaderBytes);
+  EXPECT_EQ(payload_fnv, 0x4456488a24c04d93ull);
+  std::uint64_t header_fnv = 0;  // header bytes 20-27, little-endian
+  for (std::size_t i = 0; i < 8; ++i) {
+    header_fnv |= std::to_integer<std::uint64_t>(image[20 + i]) << (8 * i);
+  }
+  EXPECT_EQ(header_fnv, payload_fnv);
+
+  KsrMachine m(mc);
+  nas::IsSplit split(m, small_is());
+  m.restore(image);
+  check::InvariantChecker checker(m);
+  m.attach_checker(&checker);
+  checker.audit_all();
+  EXPECT_TRUE(split.run_ranked().ranks_valid);
+  checker.audit_all();
+}
+
 // ------------------------------------------------------- image validation
 
 std::vector<std::byte> capture_small_image() {

@@ -24,7 +24,11 @@
 #include <thread>
 #include <vector>
 
+#include "ksr/check/checker.hpp"
 #include "ksr/ckpt/checkpoint.hpp"
+#include "ksr/machine/coherent_machine.hpp"
+#include "ksr/machine/factory.hpp"
+#include "ksr/obs/tracer.hpp"
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/core.hpp"
 #include "ksr/serve/server.hpp"
@@ -90,6 +94,82 @@ TEST(ServeJson, RejectsMalformedInput) {
     (void)Json::parse(bad, &err);
     EXPECT_FALSE(err.empty()) << "accepted: '" << bad << "'";
   }
+}
+
+// ------------------------------------------------------ one run path
+
+/// A small spec for registry entry `w` (sizes picked per workload).
+JobSpec small_job(const std::string& w) {
+  if (w == "is") return small_is();
+  if (w == "cg") return small_cg();
+  JobSpec s;
+  s.workload = w;
+  s.procs = 2;
+  s.scale = 64;
+  if (w == "ep") {
+    s.log2_pairs = 9;
+  } else {  // sp, bt
+    s.n = w == "sp" ? 8 : 6;
+    s.iters = 1;
+  }
+  return s;
+}
+
+TEST(ServeRegistry, RunWorkloadWithObserversMatchesExecuteForEveryEntry) {
+  ASSERT_EQ(workloads().size(), 5u);
+  for (const Workload& w : workloads()) {
+    const JobSpec spec = small_job(w.name);
+    ASSERT_TRUE(spec.validate().empty()) << w.name << ": " << spec.validate();
+    auto m = machine::make_machine(spec.machine_config(1));
+    auto& cm = dynamic_cast<machine::CoherentMachine&>(*m);
+    check::InvariantChecker checker(cm);
+    cm.attach_checker(&checker);
+    obs::Tracer tracer;
+    m->attach_tracer(&tracer);
+    const JobOutcome local = run_workload(spec, *m);
+    checker.audit_all();
+    EXPECT_GT(tracer.size(), 0u) << w.name;
+    // Tracer and checker never perturb the run: `ksrsim kernel` bytes (this
+    // path) equal the served job's bytes.
+    const JobOutcome served = execute(spec);
+    EXPECT_EQ(local.result, served.result) << w.name;
+    EXPECT_EQ(local.events, served.events) << w.name;
+  }
+}
+
+TEST(ServeRegistry, UnknownNamesListTheTable) {
+  JobSpec s = small_is();
+  s.machine = "ksr9";
+  EXPECT_NE(s.validate().find("(expected ksr1|ksr2|symmetry|butterfly)"),
+            std::string::npos);
+  EXPECT_THROW((void)s.machine_config(1), std::invalid_argument);
+  s = small_is();
+  s.workload = "mg";
+  EXPECT_NE(s.validate().find("(expected ep|cg|is|sp|bt)"),
+            std::string::npos);
+}
+
+TEST(ServeFingerprint, ModeBJobCountsEveryDomain) {
+  JobSpec spec;
+  spec.workload = "is";
+  spec.procs = 64;
+  spec.scale = 64;
+  spec.cells_per_domain = 32;
+  spec.log2_keys = 11;
+  spec.log2_buckets = 7;
+  auto m = machine::make_machine(spec.machine_config(1));
+  ASSERT_EQ(m->domains(), 2u);
+  const JobOutcome out = run_workload(spec, *m);
+  EXPECT_EQ(out.events, m->parallel_engine().events_dispatched());
+  EXPECT_GT(out.events, m->engine().events_dispatched());
+  std::string err;
+  const Json r = Json::parse(out.result, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  std::uint64_t reported = 0;
+  ASSERT_TRUE(r.find("events_dispatched")->as_u64(&reported));
+  EXPECT_EQ(reported, out.events);
+  EXPECT_TRUE(r.find("ranks_valid")->as_bool());
+  EXPECT_EQ(execute(spec).result, out.result);
 }
 
 // ------------------------------------------------------------ cache keys

@@ -31,6 +31,7 @@
 #include "ksr/nas/is.hpp"
 #include "ksr/obs/analyze.hpp"
 #include "ksr/obs/tracer.hpp"
+#include "ksr/serve/job.hpp"
 #include "ksr/sync/barrier.hpp"
 #include "ksr/sync/locks.hpp"
 #include "ksr/sync/padded.hpp"
@@ -84,7 +85,7 @@ std::string g_trace_out = "ksrfuzz"; // output path prefix
 struct RunOutcome {
   bool ok = true;
   std::string detail;             // failure diagnostic when !ok
-  std::uint64_t events = 0;       // engine events dispatched (determinism)
+  std::uint64_t events = 0;       // whole-machine events (determinism)
   std::string ckpt_file;          // checkpoint written by this run, if any
   check::InvariantChecker::Stats stats;
   std::unique_ptr<obs::Tracer> tracer;   // --trace/--report: the run's trace
@@ -147,13 +148,13 @@ bool parse_u64(const char* s, std::uint64_t* out) {
 std::unique_ptr<machine::Machine> make_fuzz_machine(std::uint64_t seed,
                                                     unsigned procs,
                                                     unsigned scale = 1) {
-  machine::MachineConfig cfg = machine::MachineConfig::ksr1(procs);
-  if (scale > 1) cfg = cfg.scaled_by(scale);
-  cfg.sched_fuzz_seed = seed;
-  cfg.sim_threads = g_sim_threads;
-  if (g_cells_per_leaf != 0) cfg.cells_per_leaf = g_cells_per_leaf;
-  cfg.cells_per_domain = g_cells_per_domain;
-  return machine::make_machine(cfg);
+  serve::JobSpec spec;  // the ksr1 preset, as a served job would build it
+  spec.procs = procs;
+  spec.scale = scale;
+  spec.fuzz_seed = seed;
+  spec.cells_per_leaf = g_cells_per_leaf;
+  spec.cells_per_domain = g_cells_per_domain;
+  return machine::make_machine(spec.machine_config(g_sim_threads));
 }
 
 // Fig. 3 style: every cell hammers one hardware lock (get_subpage /
@@ -195,7 +196,7 @@ RunOutcome run_locks(std::uint64_t seed, unsigned procs) {
                  std::to_string(want) + " (lost update under HardwareLock)";
   }
   capture_obs(out, *m);
-  out.events = m->engine().events_dispatched();
+  out.events = m->parallel_engine().events_dispatched();
   out.stats = checker.stats();
   return out;
 }
@@ -250,7 +251,7 @@ RunOutcome run_barriers(std::uint64_t seed, unsigned procs) {
     out.detail = mismatch;
   }
   capture_obs(out, *m);
-  out.events = m->engine().events_dispatched();
+  out.events = m->parallel_engine().events_dispatched();
   out.stats = checker.stats();
   return out;
 }
@@ -307,7 +308,7 @@ RunOutcome run_is(std::uint64_t seed, unsigned procs) {
     out.detail = e.what();
   }
   capture_obs(out, *m);
-  out.events = m->engine().events_dispatched();
+  out.events = m->parallel_engine().events_dispatched();
   out.stats = checker.stats();
   return out;
 }

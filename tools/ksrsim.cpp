@@ -12,6 +12,7 @@
 //   ksrsim campaign  presets/campaigns/fig8_quick.json --store ksrsim_store
 //
 // Run `ksrsim help` for the full reference.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,11 +30,6 @@
 #include "ksr/ckpt/checkpoint.hpp"
 #include "ksr/host/sweep_runner.hpp"
 #include "ksr/machine/factory.hpp"
-#include "ksr/nas/bt.hpp"
-#include "ksr/nas/cg.hpp"
-#include "ksr/nas/ep.hpp"
-#include "ksr/nas/is.hpp"
-#include "ksr/nas/sp.hpp"
 #include "ksr/obs/session.hpp"
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/server.hpp"
@@ -60,13 +57,12 @@ class Args {
         {"episodes", 1}, {"ops", 1},          {"read-pct", 1},
         {"name", 1},     {"n", 1},            {"nnz-per-row", 1},
         {"iters", 1},    {"log2-pairs", 1},   {"log2-keys", 1},
-        {"log2-buckets", 1}, {"no-padding", 1}, {"no-prefetch", 1},
-        {"pad-buckets", 1},
+        {"log2-buckets", 1}, {"pad-buckets", 1},
         {"jobs", 1},     {"trace", 1},        {"trace-out", 1},
         {"trace-cap", 1}, {"report", 1},      {"metrics-csv", 1},
         {"topo-report", 1},
         {"fuzz-seed", 1},    {"check", 0},    {"sim-threads", 1},
-        {"leaf-rings", 1},   {"cells-per-leaf", 1}, {"cells-per-domain", 1},
+        {"cells-per-leaf", 1}, {"cells-per-domain", 1},
         {"checkpoint-at", 1}, {"restore-from", 1},
         {"socket", 1},       {"store", 1},    {"out", 1},
         {"manifest", 1},     {"op", 1},       {"seed", 1}};
@@ -201,28 +197,37 @@ obs::Session make_session(const Args& args, const std::string& cmd) {
   return obs::Session(std::move(s), "ksrsim_" + cmd);
 }
 
-machine::MachineConfig make_config(const Args& args, unsigned procs) {
-  const std::string name = args.get("machine", "ksr1");
-  machine::MachineConfig cfg = machine::MachineConfig::ksr1(procs);
-  if (name == "ksr2") cfg = machine::MachineConfig::ksr2(procs);
-  if (name == "symmetry") cfg = machine::MachineConfig::symmetry(procs);
-  if (name == "butterfly") cfg = machine::MachineConfig::butterfly(procs);
-  const unsigned scale = args.get_u("scale", 1);
-  if (scale > 1) cfg = cfg.scaled_by(scale);
-  if (args.has("no-snarf")) cfg.read_snarfing = false;
-  cfg.sched_fuzz_seed = args.get_u64("fuzz-seed", 0);
-  cfg.sim_threads = args.get_u("sim-threads", 1);
-  // Topology overrides: shape the ring hierarchy independently of --procs
-  // (128-cell and larger machines need more than the preset's two leaves).
-  const unsigned cpl = args.get_u("cells-per-leaf", 0);
-  if (cpl != 0) cfg.cells_per_leaf = cpl;
-  const unsigned lr = args.get_u("leaf-rings", 0);
-  if (lr != 0 && cfg.cells_per_leaf != 0) {
-    // --leaf-rings is sugar: it fixes nproc = rings x cells_per_leaf.
-    cfg.nproc = lr * cfg.cells_per_leaf;
-  }
-  cfg.cells_per_domain = args.get_u("cells-per-domain", 0);
-  return cfg;
+/// Translate the flag vocabulary into a serve::JobSpec, the one run
+/// description: `ksrsim kernel` runs it locally, `ksrsim submit` sends it to
+/// the daemon, and probe/barrier/lock take their machine from it. Size
+/// fields left at 0 resolve to the workload's registry defaults.
+serve::JobSpec spec_from_args(const Args& args, unsigned procs) {
+  serve::JobSpec s;
+  s.machine = args.get("machine", "ksr1");
+  s.procs = procs;
+  s.scale = args.get_u("scale", 1);
+  s.snarf = !args.has("no-snarf");
+  s.fuzz_seed = args.get_u64("fuzz-seed", 0);
+  s.cells_per_leaf = args.get_u("cells-per-leaf", 0);
+  s.cells_per_domain = args.get_u("cells-per-domain", 0);
+  s.workload = args.get("name", "cg");
+  s.seed = args.get_u64("seed", 0);
+  s.log2_keys = args.get_u("log2-keys", 0);
+  s.log2_buckets = args.get_u("log2-buckets", 0);
+  s.pad_buckets = args.has("pad-buckets");
+  s.n = args.get_u("n", 0);
+  s.nnz_per_row = args.get_u("nnz-per-row", 0);
+  s.iters = args.get_u("iters", 0);
+  s.log2_pairs = args.get_u("log2-pairs", 0);
+  s.restore_from = args.get("restore-from");
+  return s;
+}
+
+/// The machine the common flags name, at `procs` cells.
+std::unique_ptr<machine::Machine> make_machine(const Args& args,
+                                               unsigned procs) {
+  return machine::make_machine(
+      spec_from_args(args, procs).machine_config(args.get_u("sim-threads", 1)));
 }
 
 // With --check, attach the ALLCACHE invariant checker for the lifetime of
@@ -271,7 +276,7 @@ class CheckScope {
 
 int cmd_probe(const Args& args) {
   const unsigned procs = args.get_u("procs", 2);
-  auto m = machine::make_machine(make_config(args, std::max(procs, 2u)));
+  auto m = make_machine(args, std::max(procs, 2u));
   CheckScope check(args, *m);
   obs::Session session = make_session(args, "probe");
   obs::JobObs jo = session.job();
@@ -330,7 +335,7 @@ int cmd_barrier(const Args& args) {
   }
   const unsigned procs = args.get_u("procs", 16);
   const int episodes = static_cast<int>(args.get_u("episodes", 25));
-  auto m = machine::make_machine(make_config(args, procs));
+  auto m = make_machine(args, procs);
   CheckScope check(args, *m);
   auto barrier = sync::make_barrier(*m, it->second);
   obs::Session session = make_session(args, "barrier");
@@ -365,7 +370,7 @@ int cmd_lock(const Args& args) {
   const int ops = static_cast<int>(args.get_u("ops", 50));
   const std::string kind = args.get("kind", "hw");
   const unsigned read_pct = args.get_u("read-pct", 0);
-  auto m = machine::make_machine(make_config(args, procs));
+  auto m = make_machine(args, procs);
   CheckScope check(args, *m);
   obs::Session session = make_session(args, "lock");
   obs::JobObs jo = session.job();
@@ -433,109 +438,83 @@ int cmd_lock(const Args& args) {
 }
 
 struct KernelRun {
-  double seconds = 0.0;
-  std::uint64_t events = 0;  // determinism fingerprint (events_dispatched)
+  serve::JobOutcome out;  // result bytes + whole-machine events_dispatched
   std::uint64_t quanta = 0;
   obs::JobObs obs;
 };
 
+/// Build the spec's machine, attach --check and the observability session,
+/// and run the workload: the served job's path with observers attached.
 KernelRun run_kernel_once(const obs::Session& session, const Args& args,
-                          const std::string& name, unsigned procs) {
-  auto m = machine::make_machine(make_config(args, procs));
+                          const serve::JobSpec& spec) {
+  auto m = machine::make_machine(
+      spec.machine_config(args.get_u("sim-threads", 1)));
   CheckScope check(args, *m);
   KernelRun r;
   r.obs = session.job();
   r.obs.attach(*m);
-  if (name == "ep") {
-    nas::EpConfig c;
-    c.log2_pairs = args.get_u("log2-pairs", 13);
-    r.seconds = run_ep(*m, c).seconds;
-  } else if (name == "cg") {
-    nas::CgConfig c;
-    c.n = args.get_u("n", 1000);
-    c.nnz_per_row = args.get_u("nnz-per-row", 24);
-    c.iterations = args.get_u("iters", 4);
-    r.seconds = run_cg(*m, c).seconds;
-  } else if (name == "is") {
-    nas::IsConfig c;
-    c.log2_keys = args.get_u("log2-keys", 15);
-    c.log2_buckets = args.get_u("log2-buckets", 10);
-    c.pad_buckets = args.has("pad-buckets");
-    const std::string save = args.get("checkpoint-at");
-    const std::string load = args.get("restore-from");
-    if (!save.empty() || !load.empty()) {
-      // Split-phase flow (docs/CHECKPOINT.md): capture a checkpoint at the
-      // warm-up boundary, or skip the warm-up entirely by restoring one.
-      // The restoring invocation must pass the same machine flags
-      // (--procs/--scale/--sim-threads/...) as the capturing one.
-      nas::IsSplit split(*m, c);
-      if (!load.empty()) {
-        m->restore_from(load);
-      } else {
-        split.run_warmup();
-        m->checkpoint_to(save);
-        std::cerr << "checkpoint written to " << save << " ("
-                  << m->engine().events_dispatched()
-                  << " events at capture)\n";
-      }
-      r.seconds = split.run_ranked().seconds;
-    } else {
-      r.seconds = run_is(*m, c).seconds;
-    }
-  } else if (name == "sp") {
-    nas::SpConfig c;
-    c.n = args.get_u("n", 16);
-    c.iterations = args.get_u("iters", 2);
-    c.padded_layout = !args.has("no-padding");
-    c.use_prefetch = !args.has("no-prefetch");
-    r.seconds = run_sp(*m, c).total_seconds;
-  } else if (name == "bt") {
-    nas::BtConfig c;
-    c.n = args.get_u("n", 10);
-    c.iterations = args.get_u("iters", 2);
-    r.seconds = run_bt(*m, c).total_seconds;
-  } else {
-    throw std::runtime_error("unknown kernel '" + name + "'");
-  }
-  if (name != "is" &&
-      (args.has("checkpoint-at") || args.has("restore-from"))) {
-    std::cerr << "warning: --checkpoint-at/--restore-from only apply to "
-                 "--name is (the split-phase kernel); ignored\n";
-  }
+  r.out = serve::run_workload(spec, *m);
   r.obs.finish();
-  r.events = m->engine().events_dispatched();
   r.quanta = m->parallel_engine().quanta();
   return r;
 }
 
+/// spec_from_args plus validation; throws with the spec's diagnostic.
+serve::JobSpec checked_spec(const Args& args, unsigned procs) {
+  serve::JobSpec spec = spec_from_args(args, procs);
+  const std::string at = args.get("checkpoint-at");
+  if (!at.empty()) {
+    if (!spec.restore_from.empty()) {
+      throw std::invalid_argument(
+          "--checkpoint-at and --restore-from are mutually exclusive");
+    }
+    spec.restore_from = at;  // the timed run restores what the warm-up wrote
+  }
+  const std::string bad = spec.validate();
+  if (!bad.empty()) throw std::invalid_argument(bad);
+  return spec;
+}
+
 int cmd_kernel(const Args& args) {
-  const std::string name = args.get("name", "cg");
-  const unsigned procs = args.get_u("procs", 8);
+  const serve::JobSpec spec = checked_spec(args, args.get_u("procs", 8));
+  const unsigned sim_threads = args.get_u("sim-threads", 1);
   obs::Session session = make_session(args, "kernel");
   const auto wall0 = std::chrono::steady_clock::now();
-  KernelRun r = run_kernel_once(session, args, name, procs);
+  const std::string at = args.get("checkpoint-at");
+  if (!at.empty()) {
+    // Split-phase flow (docs/CHECKPOINT.md): simulate the warm-up on a
+    // donor machine, checkpoint it, then run the spec restoring from it —
+    // bit-identical to the uninterrupted split run.
+    auto donor = machine::make_machine(spec.machine_config(sim_threads));
+    serve::run_warmup(spec, *donor);
+    donor->checkpoint_to(at);
+    std::cerr << "checkpoint written to " << at << " ("
+              << donor->parallel_engine().events_dispatched()
+              << " events at capture)\n";
+  }
+  KernelRun r = run_kernel_once(session, args, spec);
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - wall0)
                            .count();
   if (session.active()) {
-    session.collect(std::move(r.obs), name + " p=" + std::to_string(procs));
+    session.collect(std::move(r.obs),
+                    spec.workload + " p=" + std::to_string(spec.procs));
   }
   // Same [host] line the bench binaries emit (bench/report.py HOST_RE):
-  // events_dispatched is the determinism fingerprint.
+  // events_dispatched is the whole-machine determinism fingerprint.
   std::fprintf(stderr,
                "[host] bench=ksrsim_kernel events_dispatched=%llu "
                "wall_ms=%lld sim_threads=%u quanta=%llu\n",
-               static_cast<unsigned long long>(r.events),
-               static_cast<long long>(wall_ms), args.get_u("sim-threads", 1),
+               static_cast<unsigned long long>(r.out.events),
+               static_cast<long long>(wall_ms), sim_threads,
                static_cast<unsigned long long>(r.quanta));
-  std::printf("%s on %u procs: %.5f simulated seconds\n", name.c_str(), procs,
-              r.seconds);
+  // The result object: the exact bytes a served job of this spec caches.
+  std::printf("%s\n", r.out.result.c_str());
   session.close();
   return session.ok() ? 0 : 1;
 }
 
 int cmd_sweep(const Args& args) {
-  const std::string name = args.get("name", "cg");
   if (args.has("checkpoint-at") || args.has("restore-from")) {
     // Every sweep point has a different machine config, and a checkpoint
     // only restores onto the exact capturing config; one shared path would
@@ -556,26 +535,29 @@ int cmd_sweep(const Args& args) {
   std::vector<std::function<KernelRun()>> jobs;
   jobs.reserve(procs.size());
   for (unsigned p : procs) {
-    jobs.emplace_back([&args, &session, name, p] {
-      return run_kernel_once(session, args, name, p);
+    jobs.emplace_back([&args, &session, spec = checked_spec(args, p)] {
+      return run_kernel_once(session, args, spec);
     });
   }
   const auto wall0 = std::chrono::steady_clock::now();
-  std::vector<KernelRun> seconds = runner.run(jobs);
+  std::vector<KernelRun> runs = runner.run(jobs);
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - wall0)
                            .count();
   std::vector<std::pair<unsigned, double>> measured;
   std::uint64_t events = 0;
   std::uint64_t quanta = 0;
+  const std::string name = args.get("name", "cg");
   for (std::size_t i = 0; i < procs.size(); ++i) {
     if (session.active()) {
-      session.collect(std::move(seconds[i].obs),
+      session.collect(std::move(runs[i].obs),
                       name + " p=" + std::to_string(procs[i]));
     }
-    measured.emplace_back(procs[i], seconds[i].seconds);
-    events += seconds[i].events;
-    quanta += seconds[i].quanta;
+    std::string err;
+    const serve::Json result = serve::Json::parse(runs[i].out.result, &err);
+    measured.emplace_back(procs[i], result.find("seconds")->as_double());
+    events += runs[i].out.events;
+    quanta += runs[i].quanta;
   }
   std::fprintf(stderr,
                "[host] bench=ksrsim_sweep events_dispatched=%llu "
@@ -604,32 +586,6 @@ int cmd_sweep(const Args& args) {
 }
 
 // ----------------------------------------------------- serving commands
-
-/// Translate the kernel-command flag vocabulary into a serve::JobSpec, so
-/// `ksrsim submit --name is --procs 16 --scale 64` describes exactly the
-/// job `ksrsim kernel` would run locally. Size fields left at 0 resolve to
-/// the kernel defaults inside serve::execute.
-serve::JobSpec spec_from_args(const Args& args) {
-  serve::JobSpec s;
-  s.machine = args.get("machine", "ksr1");
-  s.procs = args.get_u("procs", 8);
-  s.scale = args.get_u("scale", 1);
-  s.snarf = !args.has("no-snarf");
-  s.fuzz_seed = args.get_u64("fuzz-seed", 0);
-  s.cells_per_leaf = args.get_u("cells-per-leaf", 0);
-  s.cells_per_domain = args.get_u("cells-per-domain", 0);
-  s.workload = args.get("name", "cg");
-  s.seed = args.get_u64("seed", 0);
-  s.log2_keys = args.get_u("log2-keys", 0);
-  s.log2_buckets = args.get_u("log2-buckets", 0);
-  s.pad_buckets = args.has("pad-buckets");
-  s.n = args.get_u("n", 0);
-  s.nnz_per_row = args.get_u("nnz-per-row", 0);
-  s.iters = args.get_u("iters", 0);
-  s.log2_pairs = args.get_u("log2-pairs", 0);
-  s.restore_from = args.get("restore-from");
-  return s;
-}
 
 int cmd_serve(const Args& args) {
   serve::SocketServer::Options opt;
@@ -671,7 +627,7 @@ int cmd_submit(const Args& args) {
   if (op == "submit") {
     serve::Json j = serve::Json::object();
     j.set("op", serve::Json::str("submit"));
-    j.set("job", spec_from_args(args).to_json());
+    j.set("job", spec_from_args(args, args.get_u("procs", 8)).to_json());
     req = j.dump();
   } else if (op == "ping" || op == "stats" || op == "shutdown") {
     req = "{\"op\":\"" + op + "\"}";
@@ -730,7 +686,20 @@ int cmd_campaign(const Args& args) {
 }
 
 int cmd_help() {
-  std::puts(
+  // The kernel vocabulary and size defaults come from the workload registry.
+  std::string names;
+  std::string sizes;
+  for (const serve::Workload& w : serve::workloads()) {
+    names += std::string(names.empty() ? "" : "|") + w.name;
+    sizes += std::string("  ") + w.name + " ";
+    for (const serve::Workload::Size& size : w.sizes) {
+      std::string flag = size.field;
+      std::replace(flag.begin(), flag.end(), '_', '-');
+      sizes += " --" + flag + " " + std::to_string(size.value);
+    }
+    sizes += "\n";
+  }
+  std::printf(
       "ksrsim — drive the simulated KSR-1 from the command line\n"
       "\n"
       "commands:\n"
@@ -739,7 +708,11 @@ int cmd_help() {
       "  lock     time a lock               [--kind hw|rw|tas|tas-backoff|\n"
       "                                       ticket|anderson|mcs-queue\n"
       "                                       --read-pct N --ops N]\n"
-      "  kernel   run one NAS kernel        [--name ep|cg|is|sp|bt --procs P]\n"
+      "  kernel   run one NAS kernel and print its result object (the bytes\n"
+      "           a served job of the same flags caches)\n"
+      "                                     [--name %s --procs P]\n",
+      names.c_str());
+  std::puts(
       "  sweep    scaling table             [--name K --procs 1,2,4,...\n"
       "                                       --jobs N  shard the sweep over\n"
       "                                       N host threads (default: one\n"
@@ -790,10 +763,11 @@ int cmd_help() {
       "                       heatmap; byte-stable across --jobs and\n"
       "                       --sim-threads; see also tools/ksrtop)\n"
       "\n"
-      "kernel size flags: --log2-pairs (ep), --n/--nnz-per-row/--iters (cg),\n"
-      "  --log2-keys/--log2-buckets (is, --pad-buckets pads per-cpu bucket\n"
-      "  portions to sub-page boundaries), --n/--iters/--no-padding/\n"
-      "  --no-prefetch (sp), --n/--iters (bt)\n"
+      "kernel inputs: --seed N (0 = the kernel's published seed),\n"
+      "  --pad-buckets (is: pad per-cpu bucket portions to sub-page\n"
+      "  boundaries), and the size flags below (0 = the default shown):");
+  std::fputs(sizes.c_str(), stdout);
+  std::puts(
       "\n"
       "checkpointing (kernel --name is only; docs/CHECKPOINT.md):\n"
       "  --checkpoint-at FILE  run the split-phase IS kernel and write a\n"
