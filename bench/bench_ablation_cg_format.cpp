@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ablation_cg_format");
+  obs::Session session(opt.obs, "ablation_cg_format");
   print_header("Sparse matrix format: column-major + locks vs row-major",
                "Figs. 6 & 7 and the parallelisation discussion of §3.3.1");
 

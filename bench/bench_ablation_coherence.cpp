@@ -95,7 +95,7 @@ void false_sharing(obs::Session& session, const BenchOptions& opt) {
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ablation_coherence");
+  obs::Session session(opt.obs, "ablation_coherence");
   const int episodes = opt.quick ? 5 : 20;
   print_header("Ablation: read-snarfing, poststore and false sharing",
                "mechanism checks for Sections 2, 3.2.2 and 3.3.3");

@@ -64,7 +64,7 @@ Load all_remote_load(obs::Session& session, unsigned nproc, unsigned slots,
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ablation_ring");
+  obs::Session session(opt.obs, "ablation_ring");
   print_header("Ablation: ring slot count and saturation",
                "design-choice ablation for Section 3.1's network results");
 

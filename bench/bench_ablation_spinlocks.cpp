@@ -63,7 +63,7 @@ void sweep(obs::Session& session, const std::string& title,
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ablation_spinlocks");
+  obs::Session session(opt.obs, "ablation_spinlocks");
   const int ops = opt.quick ? 15 : 60;
   print_header("Extension: classic spin-lock alternatives on the KSR-1",
                "the Anderson [1] / MCS [13] lock studies on this machine");

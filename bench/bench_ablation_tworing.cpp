@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ablation_tworing");
+  obs::Session session(opt.obs, "ablation_tworing");
   print_header("Extension: NAS kernels across the level-1 ring boundary",
                "the Section 4 prediction, beyond the paper's barrier data");
 

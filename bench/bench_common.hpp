@@ -24,21 +24,6 @@ using host::SweepRunner;
 using study::BenchOptions;
 using study::TextTable;
 
-/// Build the obs::Session options from the shared bench CLI flags. `name`
-/// (the bench name) seeds the default trace filename.
-inline obs::Session make_obs_session(const BenchOptions& o,
-                                     const std::string& name) {
-  obs::SessionOptions s;
-  s.trace = o.trace;
-  s.categories = o.trace_cats;
-  s.trace_out = o.trace_out;
-  s.metrics_csv = o.metrics_csv;
-  s.report = o.report;
-  s.topo_report = o.topo_report;
-  if (o.trace_cap != 0) s.trace_capacity = o.trace_cap;
-  return obs::Session(std::move(s), name);
-}
-
 /// RAII observability for machines built on the main thread: attaches a
 /// JobObs to `m` for the current scope and streams it into the session on
 /// destruction. Declare it right after the machine (so it is destroyed — and
@@ -94,7 +79,7 @@ class HostMetrics {
       : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
 
   void add(machine::Machine& m) {
-    events_ += m.engine().events_dispatched();
+    events_ += m.parallel_engine().events_dispatched();
     quanta_ += m.parallel_engine().quanta();
   }
 

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ext_bt");
+  obs::Session session(opt.obs, "ext_bt");
   print_header("Extension: Block Tridiagonal application scalability",
                "reference [6]; contrast with Table 3 (SP)");
 

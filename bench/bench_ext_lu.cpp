@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ext_lu");
+  obs::Session session(opt.obs, "ext_lu");
   print_header("Extension: LU (SSOR) application scalability",
                "the third NAS application; pipelined wavefront structure");
 

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "ext_mg_ft");
+  obs::Session session(opt.obs, "ext_mg_ft");
   print_header("Extension: MG and FT kernel scalability",
                "the two NAS kernels beyond the paper's three");
 

@@ -227,7 +227,7 @@ void stride_experiments(obs::Session& session, const BenchOptions& opt) {
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "fig2_latency");
+  obs::Session session(opt.obs, "fig2_latency");
   print_header("Read/Write latencies vs processors",
                "Fig. 2 and the stride experiments of Section 3.1");
 

@@ -84,7 +84,7 @@ Run run_rw(const obs::Session& session, unsigned nproc, int ops,
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "fig3_locks");
+  obs::Session session(opt.obs, "fig3_locks");
   SweepRunner runner(opt.jobs);
   // Paper: "for 500 operations". Scaled default keeps the event count sane;
   // --full uses the paper's 500.

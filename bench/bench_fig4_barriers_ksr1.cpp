@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
   HostMetrics host("fig4_barriers_ksr1");
-  obs::Session session = make_obs_session(opt, "fig4_barriers_ksr1");
+  obs::Session session(opt.obs, "fig4_barriers_ksr1");
   SweepRunner runner(opt.jobs);
   host.set_jobs(runner.jobs());
   host.set_sim_threads(opt.sim_threads);
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         c.obs.attach(m);
         c.seconds = barrier_episode_seconds(m, kind, episodes);
         c.obs.finish();
-        c.events = m.engine().events_dispatched();
+        c.events = m.parallel_engine().events_dispatched();
         c.quanta = m.parallel_engine().quanta();
         return c;
       });

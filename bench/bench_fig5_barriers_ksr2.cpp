@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "fig5_barriers_ksr2");
+  obs::Session session(opt.obs, "fig5_barriers_ksr2");
   SweepRunner runner(opt.jobs);
   const int episodes = opt.quick ? 5 : 20;
   print_header("Barrier performance on the 64-node KSR-2 (two-level ring)",

@@ -80,17 +80,10 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   bool scale_out = false;
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--scale-out") {
-      scale_out = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  const BenchOptions opt =
-      BenchOptions::parse(static_cast<int>(args.size()), args.data());
+  const BenchOptions opt = BenchOptions::parse(
+      argc, argv,
+      {{"scale-out", &scale_out,
+        "the 128-1088-cell ring-of-rings extrapolation"}});
   if (opt.warm_start && opt.cold_start) {
     std::cerr << "bench_fig8_speedup: --warm-start and --cold-start are "
                  "mutually exclusive\n";
@@ -103,8 +96,8 @@ int main(int argc, char** argv) {
                  "ignored\n";
   }
   HostMetrics host(scale_out ? "fig8_scaleout" : "fig8_speedup");
-  obs::Session session = make_obs_session(
-      opt, scale_out ? "fig8_scaleout" : "fig8_speedup");
+  obs::Session session(opt.obs,
+                       scale_out ? "fig8_scaleout" : "fig8_speedup");
   SweepRunner runner(opt.jobs);
   host.set_jobs(runner.jobs());
   host.set_sim_threads(opt.sim_threads);
@@ -146,7 +139,7 @@ int main(int argc, char** argv) {
       r.obs.attach(m);
       r.seconds = run_cg(m, cg).seconds;
       r.obs.finish();
-      r.events = m.engine().events_dispatched();
+      r.events = m.parallel_engine().events_dispatched();
       r.quanta = m.parallel_engine().quanta();
       if (scale_out) capture_point(r, m);
       return r;
@@ -159,7 +152,7 @@ int main(int argc, char** argv) {
         r.obs.attach(m);
         r.seconds = run_is(m, is).seconds;
         r.obs.finish();
-        r.events = m.engine().events_dispatched();
+        r.events = m.parallel_engine().events_dispatched();
         r.quanta = m.parallel_engine().quanta();
         if (scale_out) capture_point(r, m);
         return r;
@@ -203,7 +196,7 @@ int main(int argc, char** argv) {
         }
         r.seconds = split.run_ranked().seconds;
         r.obs.finish();
-        r.events = m.engine().events_dispatched();
+        r.events = m.parallel_engine().events_dispatched();
         r.quanta = m.parallel_engine().quanta();
         if (scale_out) capture_point(r, m);
       }
@@ -221,7 +214,7 @@ int main(int argc, char** argv) {
         }
         r.seconds_np = split.run_ranked().seconds;
         r.obs_np.finish();
-        r.events += m.engine().events_dispatched();
+        r.events += m.parallel_engine().events_dispatched();
         r.quanta += m.parallel_engine().quanta();
       }
       return r;

@@ -46,7 +46,7 @@ void compare(obs::Session& session, const std::string& tag,
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "sec323_arch_compare");
+  obs::Session session(opt.obs, "sec323_arch_compare");
   const int episodes = opt.quick ? 5 : 20;
   print_header("Barriers across architectures: Symmetry bus & Butterfly MIN",
                "Section 3.2.3");

@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "sec33_ep");
+  obs::Session session(opt.obs, "sec33_ep");
   print_header("Embarrassingly Parallel kernel scalability",
                "Section 3.3 (EP), first paragraph");
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "table1_cg");
+  obs::Session session(opt.obs, "table1_cg");
   SweepRunner runner(opt.jobs);
   print_header("Conjugate Gradient scalability",
                "Table 1 and Fig. 8 (CG), Section 3.3.1");

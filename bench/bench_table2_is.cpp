@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
   HostMetrics host("table2_is");
-  obs::Session session = make_obs_session(opt, "table2_is");
+  obs::Session session(opt.obs, "table2_is");
   SweepRunner runner(opt.jobs);
   host.set_jobs(runner.jobs());
   host.set_sim_threads(opt.sim_threads);
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                             ? static_cast<double>(total.inject_wait_ns) /
                                   static_cast<double>(total.ring_requests)
                             : 0.0;
-      pt.events = m.engine().events_dispatched();
+      pt.events = m.parallel_engine().events_dispatched();
       pt.quanta = m.parallel_engine().quanta();
       return pt;
     });
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       pt.obs_pf.attach(m1);
       pt.with_pf = run_is(m1, cfg).seconds;
       pt.obs_pf.finish();
-      pt.events = m1.engine().events_dispatched();
+      pt.events = m1.parallel_engine().events_dispatched();
       pt.quanta = m1.parallel_engine().quanta();
       nas::IsConfig c2 = cfg;
       c2.use_prefetch = false;
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
       pt.obs_nopf.attach(m2);
       pt.without = run_is(m2, c2).seconds;
       pt.obs_nopf.finish();
-      pt.events += m2.engine().events_dispatched();
+      pt.events += m2.parallel_engine().events_dispatched();
       pt.quanta += m2.parallel_engine().quanta();
       return pt;
     });

@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "table3_sp");
+  obs::Session session(opt.obs, "table3_sp");
   print_header("Scalar Pentadiagonal application scalability",
                "Table 3, Section 3.3.3");
 

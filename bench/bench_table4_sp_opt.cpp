@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   using namespace ksr::bench;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session = make_obs_session(opt, "table4_sp_opt");
+  obs::Session session(opt.obs, "table4_sp_opt");
   print_header("Scalar Pentadiagonal optimization ladder (30 processors)",
                "Table 4, Section 3.3.3");
 

@@ -14,6 +14,7 @@
 #include "ksr/obs/metrics.hpp"
 #include "ksr/obs/topo.hpp"
 #include "ksr/obs/tracer.hpp"
+#include "ksr/util/flags.hpp"
 
 // Observability wiring shared by the bench binaries and ksrsim.
 //
@@ -43,6 +44,30 @@ struct SessionOptions {
   // Per-job record capacity (40 B each). Overflow is counted, not silent.
   // Overridable via --trace-cap.
   std::size_t trace_capacity = 1u << 18;
+
+  /// The observability flag rows every bench binary and ksrsim share
+  /// (ksr/util/flags.hpp), bound to this struct's fields.
+  [[nodiscard]] std::vector<util::Flag> flags() {
+    return {
+        {.name = "trace",
+         .target = &categories,
+         .help = "[=cat,...]  trace ring,coherence,sync,stall (default all)",
+         .seen = &trace,
+         .optional = true},
+        {.name = "trace-out",
+         .target = &trace_out,
+         .help = "FILE  trace output: .json (Perfetto) or .csv",
+         .seen = &trace},
+        {.name = "trace-cap",
+         .target = &trace_capacity,
+         .help = "N  records per job buffer (default 2^18)",
+         .min = 1},
+        {"metrics-csv", &metrics_csv, "FILE  sampled metrics time series"},
+        {"report", &report, "FILE  ksrprof profile (sharing, sync, stalls)"},
+        {"topo-report", &topo_report,
+         "FILE  topology report (+ FILE.matrix.csv heatmap)"},
+    };
+  }
 };
 
 /// Per-simulation observability handle. Default-constructed it is inert

@@ -6,6 +6,7 @@
 
 #include "ksr/machine/config.hpp"
 #include "ksr/serve/json.hpp"
+#include "ksr/util/flags.hpp"
 
 namespace ksr::machine {
 class Machine;
@@ -81,6 +82,13 @@ struct JobSpec {
   /// Populate from a JSON object (unknown keys are errors — a typo'd knob
   /// must not silently run with defaults). Fields absent keep defaults.
   static bool from_json(const Json& j, JobSpec* out, std::string* err);
+
+  /// One command-line row per field, bound to this spec: `--machine`,
+  /// `--procs`, ... (the JSON name with '_' -> '-'), plus `--name` for
+  /// workload and `--no-snarf` clearing snarf.
+  [[nodiscard]] std::vector<util::Flag> flags();
+
+  bool operator==(const JobSpec&) const = default;
 };
 
 struct CacheKey {
@@ -98,7 +106,6 @@ struct CacheKey {
 struct Workload {
   /// A JobSpec size field and the value it takes when the spec leaves it 0.
   struct Size {
-    const char* field;  // JobSpec / JSON field name
     unsigned JobSpec::*member;
     unsigned value;
   };

@@ -53,11 +53,7 @@
 //     covers this path).
 //   * domains == 1, threads > 1 — the single domain runs to completion on
 //     a worker thread in one quantum (no Δ constraint exists without a
-//     second domain). This is what a coherent machine under --sim-threads
-//     uses today: the ALLCACHE directory is machine-global functional
-//     state with zero-latency invalidation, so cells cannot yet be split
-//     across domains without changing the simulated protocol (see
-//     docs/PARALLEL.md for the distributed-directory plan that lifts this).
+//     second domain).
 //   * an empty domain simply arrives at every barrier without dispatching.
 namespace ksr::sim {
 

@@ -1,17 +1,15 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <cstdio>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ksr/util/parse.hpp"
+#include "ksr/obs/session.hpp"
+#include "ksr/util/flags.hpp"
 
 // Plain-text / CSV table rendering for the bench harnesses. Every bench
 // binary prints the same rows the paper's table or figure reports, plus an
@@ -87,157 +85,60 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Shared bench-binary CLI: `--csv` switches the output format,
-/// `--quick`/`--full` pick a scale, and `--jobs N` shards the sweep over N
-/// host threads (0 = one per hardware core; results are bit-identical for
-/// any value — see ksr/host/sweep_runner.hpp). `--sim-threads N` additionally
-/// threads each *single* simulation through the conservative-quantum
-/// ParallelEngine (docs/PARALLEL.md); also bit-identical for any value.
-///
-/// Observability (see docs/OBSERVABILITY.md): `--trace[=cat,...]` captures a
-/// structured event trace, `--trace-out FILE` picks its output (.json =
-/// Chrome/Perfetto trace events, .csv = merged CSV; default
-/// <bench>_trace.json), `--trace-cap N` sizes the per-job record buffer
-/// (default 2^18; overflow is counted, never silent), `--metrics-csv FILE`
-/// writes the sampled machine-wide metrics time series, `--report FILE`
-/// writes a ksrprof simulated-time profile (sharing patterns, sync critical
-/// paths, stall attribution — no trace file needed), and `--topo-report FILE`
-/// writes the byte-stable topology report (per-level ring utilization,
-/// directory-shard pressure, boundary channels, leaf-to-leaf traffic; plus
-/// FILE.matrix.csv, the heatmap CSV). None of these change simulated timing
-/// or the events_dispatched fingerprints — enforced by test and
-/// bench_host.sh.
-///
-/// Unrecognized arguments warn on stderr (fail-soft: a typo like `--job=4`
-/// must not silently run with defaults).
+/// Shared bench-binary CLI, one row per flag (ksr/util/flags.hpp):
+/// `--csv` switches the output format, `--quick`/`--full` pick a scale,
+/// `--jobs N` shards the sweep over N host threads and `--sim-threads N`
+/// threads each single simulation through the conservative-quantum
+/// ParallelEngine (docs/PARALLEL.md); results are bit-identical for any
+/// value of either. The observability rows (obs::SessionOptions::flags,
+/// docs/OBSERVABILITY.md) never change simulated timing or the
+/// events_dispatched fingerprints — enforced by test and bench_host.sh.
+/// Unknown or malformed arguments warn on stderr and keep the defaults.
 struct BenchOptions {
   bool csv = false;
   bool quick = false;       // reduced sizes for smoke runs
   bool full = false;        // paper-like sizes (slow)
   unsigned jobs = 0;        // host shards; 0 = hardware concurrency
-  bool trace = false;       // capture a structured event trace
-  std::string trace_cats;   // category filter; empty = all
-  std::string trace_out;    // trace output path; empty = default
-  std::string metrics_csv;  // metrics time-series path; empty = off
-  std::string report;       // ksrprof profile report path; empty = off
-  std::string topo_report;  // topology report path; empty = off
-  std::size_t trace_cap = 0;  // records per job buffer; 0 = default
-  unsigned sim_threads = 1;   // host threads per simulation (docs/PARALLEL.md)
+  unsigned sim_threads = 1;  // host threads per simulation
+  obs::SessionOptions obs;  // --trace ... --topo-report
 
   // Checkpoint/warm-start flags (docs/CHECKPOINT.md). Benches that support
-  // the split-phase flow honour them; others warn and ignore:
-  //   --warm-start      sweep points sharing a warm-up prefix fork from one
-  //                     in-memory checkpoint instead of re-simulating it
-  //   --cold-start      the same split-phase sweep without forking (the
-  //                     byte-identical reference for --warm-start)
-  //   --checkpoint-at P write each donor checkpoint to <P>.p<procs>.ckpt
-  //   --restore-from P  load donor checkpoints from a previous
-  //                     --checkpoint-at run instead of simulating warm-ups
+  // the split-phase flow honour them; others ignore them.
   bool warm_start = false;
   bool cold_start = false;
   std::string checkpoint_at;  // donor checkpoint path prefix; empty = off
   std::string restore_from;   // donor checkpoint path prefix; empty = off
 
-  static void parse_trace_cap(BenchOptions* o, const char* s) {
-    std::uint64_t v = 0;
-    if (!util::parse_u64(s, &v) || v == 0) {
-      std::cerr << "warning: ignoring invalid --trace-cap value '" << s
-                << "' (expected a positive record count)\n";
-    } else {
-      o->trace_cap = static_cast<std::size_t>(v);
-    }
+  /// The shared rows, bound to this struct.
+  std::vector<util::Flag> flags() {
+    std::vector<util::Flag> rows = {
+        {"csv", &csv, "CSV output"},
+        {"quick", &quick, "reduced sizes for smoke runs"},
+        {"full", &full, "paper-like sizes (slow)"},
+        {"jobs", &jobs, "N  host shards (0 = one per core)"},
+        {"sim-threads", &sim_threads, "N  host threads per simulation"},
+        {"warm-start", &warm_start,
+         "fork sweep points sharing a warm-up from one checkpoint"},
+        {"cold-start", &cold_start,
+         "the split-phase sweep without forking (the --warm-start "
+         "reference)"},
+        {"checkpoint-at", &checkpoint_at,
+         "P  write each donor checkpoint to <P>.p<procs>.ckpt"},
+        {"restore-from", &restore_from,
+         "P  load donor checkpoints instead of simulating warm-ups"},
+    };
+    const std::vector<util::Flag> obs_rows = obs.flags();
+    rows.insert(rows.end(), obs_rows.begin(), obs_rows.end());
+    return rows;
   }
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// Parse the shared rows plus a bench's `extra` rows.
+  static BenchOptions parse(int argc, char** argv,
+                            std::vector<util::Flag> extra = {}) {
     BenchOptions o;
-    // The one strict parser every tool shares (ksr/util/parse.hpp): rejects
-    // empty, partial, negative, and overflowing tokens in one place.
-    auto parse_unsigned = [](const char* s, const char* flag, unsigned* out) {
-      std::uint64_t v = 0;
-      if (!util::parse_u64(s, &v) ||
-          v > std::numeric_limits<unsigned>::max()) {
-        std::cerr << "warning: ignoring invalid " << flag << " value '" << s
-                  << "' (expected a non-negative integer)\n";
-      } else {
-        *out = static_cast<unsigned>(v);
-      }
-    };
-    auto parse_jobs = [&o, &parse_unsigned](const char* s) {
-      parse_unsigned(s, "--jobs", &o.jobs);
-    };
-    auto parse_sim_threads = [&o, &parse_unsigned](const char* s) {
-      parse_unsigned(s, "--sim-threads", &o.sim_threads);
-    };
-    // "--flag=VALUE" match; returns the value through `out`.
-    auto eq_value = [](const std::string& a, const std::string& flag,
-                       std::string* out) {
-      if (a.size() <= flag.size() + 1 || a.compare(0, flag.size(), flag) != 0 ||
-          a[flag.size()] != '=') {
-        return false;
-      }
-      *out = a.substr(flag.size() + 1);
-      return true;
-    };
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      std::string v;
-      if (a == "--csv") {
-        o.csv = true;
-      } else if (a == "--quick") {
-        o.quick = true;
-      } else if (a == "--full") {
-        o.full = true;
-      } else if (a == "--jobs" && i + 1 < argc) {
-        parse_jobs(argv[++i]);
-      } else if (eq_value(a, "--jobs", &v)) {
-        parse_jobs(v.c_str());
-      } else if (a == "--sim-threads" && i + 1 < argc) {
-        parse_sim_threads(argv[++i]);
-      } else if (eq_value(a, "--sim-threads", &v)) {
-        parse_sim_threads(v.c_str());
-      } else if (a == "--trace") {
-        o.trace = true;
-      } else if (eq_value(a, "--trace", &v)) {
-        o.trace = true;
-        o.trace_cats = v;
-      } else if (a == "--trace-out" && i + 1 < argc) {
-        o.trace = true;
-        o.trace_out = argv[++i];
-      } else if (eq_value(a, "--trace-out", &v)) {
-        o.trace = true;
-        o.trace_out = v;
-      } else if (a == "--metrics-csv" && i + 1 < argc) {
-        o.metrics_csv = argv[++i];
-      } else if (eq_value(a, "--metrics-csv", &v)) {
-        o.metrics_csv = v;
-      } else if (a == "--report" && i + 1 < argc) {
-        o.report = argv[++i];
-      } else if (eq_value(a, "--report", &v)) {
-        o.report = v;
-      } else if (a == "--topo-report" && i + 1 < argc) {
-        o.topo_report = argv[++i];
-      } else if (eq_value(a, "--topo-report", &v)) {
-        o.topo_report = v;
-      } else if (a == "--trace-cap" && i + 1 < argc) {
-        parse_trace_cap(&o, argv[++i]);
-      } else if (eq_value(a, "--trace-cap", &v)) {
-        parse_trace_cap(&o, v.c_str());
-      } else if (a == "--warm-start") {
-        o.warm_start = true;
-      } else if (a == "--cold-start") {
-        o.cold_start = true;
-      } else if (a == "--checkpoint-at" && i + 1 < argc) {
-        o.checkpoint_at = argv[++i];
-      } else if (eq_value(a, "--checkpoint-at", &v)) {
-        o.checkpoint_at = v;
-      } else if (a == "--restore-from" && i + 1 < argc) {
-        o.restore_from = argv[++i];
-      } else if (eq_value(a, "--restore-from", &v)) {
-        o.restore_from = v;
-      } else {
-        std::cerr << "warning: ignoring unknown argument '" << a << "'\n";
-      }
-    }
+    std::vector<util::Flag> rows = o.flags();
+    rows.insert(rows.end(), extra.begin(), extra.end());
+    (void)util::parse_flags(argc, argv, 1, rows);
     // jobs sweep shards × sim_threads engine threads all run at once; warn
     // when that oversubscribes the host. Results are bit-identical either
     // way — only wall time suffers.

@@ -70,7 +70,10 @@ class CoherentCpu final : public Cpu {
   [[nodiscard]] static constexpr std::uint32_t witness_of(mem::Sva a) noexcept {
     return 1u + static_cast<std::uint32_t>(a % mem::kSubPageBytes);
   }
-  sim::Duration transport_round_trip(mem::SubPageId sp, unsigned target_leaf);
+  /// One request leg on the ring to `target_leaf`: block for the round
+  /// trip, count it, and attribute its slot-contention wait (kEvInjectWait)
+  /// — the same accounting in mode A and on both mode-B paths.
+  void ring_leg(mem::SubPageId sp, unsigned target_leaf);
   void fill_subcache(mem::Sva a);
 
   CoherentMachine& cm_;
@@ -202,15 +205,21 @@ void CoherentCpu::load_line(mem::SubPageId sp, bool need_write,
   }
 }
 
-sim::Duration CoherentCpu::transport_round_trip(mem::SubPageId sp,
-                                                unsigned target_leaf) {
+void CoherentCpu::ring_leg(mem::SubPageId sp, unsigned target_leaf) {
   sim::Duration wait = 0;
   cm_.transport(id_, sp, target_leaf, [this, &wait](sim::Duration w) {
     wait = w;
     wake_at(eng().now());
   });
   block_until_woken();
-  return wait;
+  auto& c = cell();
+  ++c.pmon.ring_requests;
+  c.pmon.inject_wait_ns += wait;
+  if (obs::Tracer* tr = cm_.tracer_for_cell(id_); tr != nullptr && wait != 0) {
+    // Stall attribution: this cpu lost `wait` ns to slot contention.
+    tr->log(eng().now(), obs::kCatStall, obs::kEvInjectWait, sp, id_,
+            static_cast<std::int64_t>(wait));
+  }
 }
 
 void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
@@ -242,14 +251,7 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
       }
       crossed = target_leaf != cm_.leaf_of(id_);
 
-      const sim::Duration wait = transport_round_trip(sp, target_leaf);
-      ++c.pmon.ring_requests;
-      c.pmon.inject_wait_ns += wait;
-      if (obs::Tracer* tr = cm_.tracer_for_cell(id_); tr != nullptr && wait != 0) {
-        // Stall attribution: this cpu lost `wait` ns to slot contention.
-        tr->log(eng().now(), obs::kCatStall, obs::kEvInjectWait, sp,
-                id_, static_cast<std::int64_t>(wait));
-      }
+      ring_leg(sp, target_leaf);
 
       CoherentMachine::CommitResult res{};
       switch (kind) {
@@ -273,9 +275,7 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
       const unsigned home = cm_.home_leaf(sp);
       crossed = home != cm_.leaf_of(id_);
 
-      const sim::Duration wait = transport_round_trip(sp, home);
-      ++c.pmon.ring_requests;
-      c.pmon.inject_wait_ns += wait;
+      ring_leg(sp, home);
 
       const auto d = cm_.mb_decide(id_, sp, kind);
       ok = d.ok;
@@ -306,9 +306,7 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
       // before waking us, so per-channel FIFO order protects the grant
       // against any later revocation the home emits for us.
       crossed = true;
-      const sim::Duration wait = transport_round_trip(sp, cm_.leaf_of(id_));
-      ++c.pmon.ring_requests;
-      c.pmon.inject_wait_ns += wait;
+      ring_leg(sp, cm_.leaf_of(id_));
 
       CoherentMachine::MbReply rep;
       CoherentMachine* cm = &cm_;

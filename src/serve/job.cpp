@@ -1,8 +1,11 @@
 #include "ksr/serve/job.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "ksr/ckpt/checkpoint.hpp"
 #include "ksr/machine/factory.hpp"
@@ -26,6 +29,46 @@ constexpr MachinePreset kMachines[] = {
     {"ksr2", &machine::MachineConfig::ksr2},
     {"symmetry", &machine::MachineConfig::symmetry},
     {"butterfly", &machine::MachineConfig::butterfly},
+};
+
+// The JobSpec field table: the one list of fields behind canonical(),
+// to_json(), from_json() and flags(). Order is the canonical key order, so
+// a row must never move. The CLI flag is the JSON name with '_' -> '-'
+// unless spelled out; a "no-" flag clears its bool.
+struct Field {
+  const char* json;
+  const char* cli;  // nullptr = derived from `json`
+  std::variant<std::string JobSpec::*, unsigned JobSpec::*,
+               std::uint64_t JobSpec::*, bool JobSpec::*>
+      member;
+  const char* help;
+};
+
+const Field kFields[] = {
+    {"machine", nullptr, &JobSpec::machine,
+     "M  ksr1|ksr2|symmetry|butterfly (default ksr1)"},
+    {"procs", nullptr, &JobSpec::procs, "P  simulated cells"},
+    {"scale", nullptr, &JobSpec::scale, "N  shrink caches by N"},
+    {"snarf", "no-snarf", &JobSpec::snarf, "disable read-snarfing"},
+    {"fuzz_seed", nullptr, &JobSpec::fuzz_seed,
+     "N  perturb tie-breaks and ring phases (0 = reference)"},
+    {"cells_per_leaf", nullptr, &JobSpec::cells_per_leaf,
+     "N  cells per leaf ring (0 = the machine preset)"},
+    {"cells_per_domain", nullptr, &JobSpec::cells_per_domain,
+     "N  cells per simulation domain (0 = one domain)"},
+    {"workload", "name", &JobSpec::workload, "K  workload (sizes below)"},
+    {"seed", nullptr, &JobSpec::seed, "N  kernel input seed (0 = published)"},
+    {"log2_keys", nullptr, &JobSpec::log2_keys, "N  is: log2 key count"},
+    {"log2_buckets", nullptr, &JobSpec::log2_buckets,
+     "N  is: log2 bucket count"},
+    {"pad_buckets", nullptr, &JobSpec::pad_buckets,
+     "is: pad per-cpu buckets to sub-page boundaries"},
+    {"n", nullptr, &JobSpec::n, "N  cg/sp/bt: problem size"},
+    {"nnz_per_row", nullptr, &JobSpec::nnz_per_row, "N  cg: nonzeros per row"},
+    {"iters", nullptr, &JobSpec::iters, "N  cg/sp/bt: iterations"},
+    {"log2_pairs", nullptr, &JobSpec::log2_pairs, "N  ep: log2 pair count"},
+    {"restore_from", nullptr, &JobSpec::restore_from,
+     "FILE  start from this warm-up checkpoint (is only)"},
 };
 
 template <typename Table>
@@ -145,21 +188,16 @@ JobSpec resolved(const JobSpec& spec, const Workload** entry) {
 
 const std::vector<Workload>& workloads() {
   static const std::vector<Workload> table = {
-      {"ep", {{"log2_pairs", &JobSpec::log2_pairs, 13}}, &run_ep_job},
+      {"ep", {{&JobSpec::log2_pairs, 13}}, &run_ep_job},
       {"cg",
-       {{"n", &JobSpec::n, 1000},
-        {"nnz_per_row", &JobSpec::nnz_per_row, 24},
-        {"iters", &JobSpec::iters, 4}},
+       {{&JobSpec::n, 1000}, {&JobSpec::nnz_per_row, 24}, {&JobSpec::iters, 4}},
        &run_cg_job},
       {"is",
-       {{"log2_keys", &JobSpec::log2_keys, 15},
-        {"log2_buckets", &JobSpec::log2_buckets, 10}},
+       {{&JobSpec::log2_keys, 15}, {&JobSpec::log2_buckets, 10}},
        &run_is_job,
        &warm_up_is},
-      {"sp", {{"n", &JobSpec::n, 16}, {"iters", &JobSpec::iters, 2}},
-       &run_sp_job},
-      {"bt", {{"n", &JobSpec::n, 10}, {"iters", &JobSpec::iters, 2}},
-       &run_bt_job},
+      {"sp", {{&JobSpec::n, 16}, {&JobSpec::iters, 2}}, &run_sp_job},
+      {"bt", {{&JobSpec::n, 10}, {&JobSpec::iters, 2}}, &run_bt_job},
   };
   return table;
 }
@@ -212,59 +250,50 @@ std::string JobSpec::canonical() const {
     c += v;
     c += ';';
   };
-  auto add_u = [&add](const char* k, std::uint64_t v) {
-    add(k, std::to_string(v));
-  };
-  add("machine", machine);
-  add_u("procs", procs);
-  add_u("scale", scale);
-  add_u("snarf", snarf ? 1 : 0);
-  add_u("fuzz_seed", fuzz_seed);
-  add_u("cells_per_leaf", cells_per_leaf);
-  add_u("cells_per_domain", cells_per_domain);
-  add("workload", workload);
-  add_u("seed", seed);
-  add_u("log2_keys", log2_keys);
-  add_u("log2_buckets", log2_buckets);
-  add_u("pad_buckets", pad_buckets ? 1 : 0);
-  add_u("n", n);
-  add_u("nnz_per_row", nnz_per_row);
-  add_u("iters", iters);
-  add_u("log2_pairs", log2_pairs);
-  if (restore_from.empty()) {
-    add("ckpt", "-");
-  } else {
-    // Content-addressed: the preset's bytes, not its path, feed the key —
-    // moving the file changes nothing, regenerating it differently misses.
-    const std::vector<std::byte> image = ckpt::read_file(restore_from);
-    char buf[2 * 8 + 1];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      ckpt::fnv1a(image.data(), image.size())));
-    add("ckpt", buf);
+  for (const Field& f : kFields) {
+    std::visit(
+        [&](auto member) {
+          const auto& v = this->*member;
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            add(f.json, v ? "1" : "0");
+          } else if constexpr (!std::is_same_v<T, std::string>) {
+            add(f.json, std::to_string(v));
+          } else if (&v != &restore_from) {
+            add(f.json, v);
+          } else if (v.empty()) {
+            add("ckpt", "-");
+          } else {
+            // Content-addressed: the preset's bytes, not its path, feed
+            // the key — moving the file changes nothing, regenerating it
+            // differently misses.
+            const std::vector<std::byte> image = ckpt::read_file(v);
+            add("ckpt",
+                CacheKey{ckpt::fnv1a(image.data(), image.size())}.hex());
+          }
+        },
+        f.member);
   }
   return c;
 }
 
 Json JobSpec::to_json() const {
   Json j = Json::object();
-  j.set("machine", Json::str(machine));
-  j.set("procs", Json::uint(procs));
-  j.set("scale", Json::uint(scale));
-  j.set("snarf", Json::boolean(snarf));
-  j.set("fuzz_seed", Json::uint(fuzz_seed));
-  j.set("cells_per_leaf", Json::uint(cells_per_leaf));
-  j.set("cells_per_domain", Json::uint(cells_per_domain));
-  j.set("workload", Json::str(workload));
-  j.set("seed", Json::uint(seed));
-  j.set("log2_keys", Json::uint(log2_keys));
-  j.set("log2_buckets", Json::uint(log2_buckets));
-  j.set("pad_buckets", Json::boolean(pad_buckets));
-  j.set("n", Json::uint(n));
-  j.set("nnz_per_row", Json::uint(nnz_per_row));
-  j.set("iters", Json::uint(iters));
-  j.set("log2_pairs", Json::uint(log2_pairs));
-  j.set("restore_from", Json::str(restore_from));
+  for (const Field& f : kFields) {
+    std::visit(
+        [&](auto member) {
+          const auto& v = this->*member;
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            j.set(f.json, Json::boolean(v));
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            j.set(f.json, Json::str(v));
+          } else {
+            j.set(f.json, Json::uint(v));
+          }
+        },
+        f.member);
+  }
   return j;
 }
 
@@ -275,64 +304,54 @@ bool JobSpec::from_json(const Json& j, JobSpec* out, std::string* err) {
   }
   JobSpec s;
   for (const auto& [key, v] : j.members()) {
-    auto want_str = [&](std::string* field) {
-      if (!v.is_string()) {
-        *err = "field '" + key + "' must be a string";
-        return false;
-      }
-      *field = v.as_string();
-      return true;
-    };
-    auto want_bool = [&](bool* field) {
-      if (v.kind() != Json::Kind::kBool) {
-        *err = "field '" + key + "' must be a boolean";
-        return false;
-      }
-      *field = v.as_bool();
-      return true;
-    };
-    auto want_u64 = [&](std::uint64_t* field) {
-      if (!v.as_u64(field)) {
-        *err = "field '" + key + "' must be a non-negative integer";
-        return false;
-      }
-      return true;
-    };
-    auto want_u32 = [&](unsigned* field) {
-      std::uint64_t u = 0;
-      if (!v.as_u64(&u) || u > 0xffffffffull) {
-        *err = "field '" + key + "' must be a 32-bit non-negative integer";
-        return false;
-      }
-      *field = static_cast<unsigned>(u);
-      return true;
-    };
-    bool ok = true;
-    if (key == "machine") ok = want_str(&s.machine);
-    else if (key == "procs") ok = want_u32(&s.procs);
-    else if (key == "scale") ok = want_u32(&s.scale);
-    else if (key == "snarf") ok = want_bool(&s.snarf);
-    else if (key == "fuzz_seed") ok = want_u64(&s.fuzz_seed);
-    else if (key == "cells_per_leaf") ok = want_u32(&s.cells_per_leaf);
-    else if (key == "cells_per_domain") ok = want_u32(&s.cells_per_domain);
-    else if (key == "workload") ok = want_str(&s.workload);
-    else if (key == "seed") ok = want_u64(&s.seed);
-    else if (key == "log2_keys") ok = want_u32(&s.log2_keys);
-    else if (key == "log2_buckets") ok = want_u32(&s.log2_buckets);
-    else if (key == "pad_buckets") ok = want_bool(&s.pad_buckets);
-    else if (key == "n") ok = want_u32(&s.n);
-    else if (key == "nnz_per_row") ok = want_u32(&s.nnz_per_row);
-    else if (key == "iters") ok = want_u32(&s.iters);
-    else if (key == "log2_pairs") ok = want_u32(&s.log2_pairs);
-    else if (key == "restore_from") ok = want_str(&s.restore_from);
-    else {
+    const auto f = std::find_if(std::begin(kFields), std::end(kFields),
+                                [&](const Field& r) { return key == r.json; });
+    if (f == std::end(kFields)) {
       *err = "unknown job field '" + key + "'";
       return false;
     }
-    if (!ok) return false;
+    const char* want = std::visit(
+        [&](auto member) -> const char* {
+          auto& field = s.*member;
+          using T = std::decay_t<decltype(field)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            if (v.kind() != Json::Kind::kBool) return "a boolean";
+            field = v.as_bool();
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            if (!v.is_string()) return "a string";
+            field = v.as_string();
+          } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            if (!v.as_u64(&field)) return "a non-negative integer";
+          } else {
+            std::uint64_t u = 0;
+            if (!v.as_u64(&u) || u > 0xffffffffull) {
+              return "a 32-bit non-negative integer";
+            }
+            field = static_cast<unsigned>(u);
+          }
+          return nullptr;
+        },
+        f->member);
+    if (want != nullptr) {
+      *err = "field '" + key + "' must be " + want;
+      return false;
+    }
   }
   *out = s;
   return true;
+}
+
+std::vector<util::Flag> JobSpec::flags() {
+  std::vector<util::Flag> rows;
+  for (const Field& f : kFields) {
+    std::string name = f.cli != nullptr ? f.cli : f.json;
+    std::replace(name.begin(), name.end(), '_', '-');
+    util::Flag row{name, {}, f.help};
+    std::visit([&](auto member) { row.target = &(this->*member); }, f.member);
+    row.bool_value = name.rfind("no-", 0) != 0;
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 std::string CacheKey::hex() const {

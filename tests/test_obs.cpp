@@ -264,10 +264,10 @@ TEST(BenchOptions, ParsesObservabilityFlags) {
   const study::BenchOptions o =
       study::BenchOptions::parse(7, const_cast<char**>(argv));
   EXPECT_TRUE(o.quick);
-  EXPECT_TRUE(o.trace);
-  EXPECT_EQ(o.trace_cats, "ring,sync");
-  EXPECT_EQ(o.trace_out, "/tmp/t.json");
-  EXPECT_EQ(o.metrics_csv, "/tmp/m.csv");
+  EXPECT_TRUE(o.obs.trace);
+  EXPECT_EQ(o.obs.categories, "ring,sync");
+  EXPECT_EQ(o.obs.trace_out, "/tmp/t.json");
+  EXPECT_EQ(o.obs.metrics_csv, "/tmp/m.csv");
   EXPECT_EQ(o.jobs, 4u);
 }
 
@@ -275,11 +275,11 @@ TEST(BenchOptions, ParsesReportAndTraceCap) {
   const char* argv[] = {"bench", "--report=/tmp/r.txt", "--trace-cap", "4096"};
   const study::BenchOptions o =
       study::BenchOptions::parse(4, const_cast<char**>(argv));
-  EXPECT_EQ(o.report, "/tmp/r.txt");
-  EXPECT_EQ(o.trace_cap, 4096u);
+  EXPECT_EQ(o.obs.report, "/tmp/r.txt");
+  EXPECT_EQ(o.obs.trace_capacity, 4096u);
   // --report alone does not force trace *output*; the session captures
   // records internally and only writes the profile report.
-  EXPECT_FALSE(o.trace);
+  EXPECT_FALSE(o.obs.trace);
 }
 
 TEST(BenchOptions, RejectsZeroOrGarbageTraceCap) {
@@ -288,7 +288,8 @@ TEST(BenchOptions, RejectsZeroOrGarbageTraceCap) {
   const study::BenchOptions o =
       study::BenchOptions::parse(3, const_cast<char**>(argv));
   const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(o.trace_cap, 0u);  // both rejected, default kept
+  EXPECT_EQ(o.obs.trace_capacity,  // both rejected, default kept
+            obs::SessionOptions{}.trace_capacity);
   EXPECT_NE(err.find("--trace-cap"), std::string::npos);
 }
 
@@ -296,8 +297,8 @@ TEST(BenchOptions, TraceOutImpliesTracing) {
   const char* argv[] = {"bench", "--trace-out=/tmp/t.json"};
   const study::BenchOptions o =
       study::BenchOptions::parse(2, const_cast<char**>(argv));
-  EXPECT_TRUE(o.trace);
-  EXPECT_TRUE(o.trace_cats.empty());
+  EXPECT_TRUE(o.obs.trace);
+  EXPECT_TRUE(o.obs.categories.empty());
 }
 
 TEST(BenchOptions, UnknownArgumentsWarnButDoNotAbort) {

@@ -3,12 +3,22 @@
 // the serve/campaign JSON decoder. The predecessors were four divergent
 // strtoull wrappers, each with its own edge-case bugs (the classic: strtoull
 // silently wraps "-1" to UINT64_MAX); these tests pin the shared semantics.
+//
+// ksr/util/flags.hpp — the one command-line policy built on it: every row
+// of every flag table (BenchOptions, obs::SessionOptions, serve::JobSpec)
+// parses the same in both spellings, bool rows never swallow a token, and
+// bad input warns naming the flag while the default survives.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
 
+#include "ksr/serve/job.hpp"
+#include "ksr/study/table.hpp"
+#include "ksr/util/flags.hpp"
 #include "ksr/util/parse.hpp"
 
 namespace ksr::util {
@@ -120,6 +130,144 @@ TEST(ParseU64, WorksAtCompileTime) {
   }();
   static_assert(parsed == 123);
   EXPECT_EQ(parsed, 123u);
+}
+
+// ---------------------------------------------------------------- flag rows
+
+bool parse_args(const std::vector<Flag>& rows, std::vector<std::string> args,
+                std::string* positional = nullptr) {
+  std::vector<char*> argv{const_cast<char*>("tool")};
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_flags(static_cast<int>(argv.size()), argv.data(), 1, rows,
+                     positional);
+}
+
+/// The bound variable's value, rendered for comparison.
+std::string render(const Flag& f) {
+  return std::visit(
+      [](const auto* p) -> std::string {
+        using T = std::decay_t<decltype(*p)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return *p;
+        } else if constexpr (std::is_same_v<T, std::vector<unsigned>>) {
+          std::string s;
+          for (unsigned v : *p) s += std::to_string(v) + ",";
+          return s;
+        } else {
+          return std::to_string(*p);
+        }
+      },
+      f.target);
+}
+
+/// Every value row of T's table lands the same value as `--k v` and as
+/// `--k=v`, and the value differs from the default.
+template <typename T>
+void expect_both_spellings_agree() {
+  T defaults;
+  const std::vector<Flag> rows = defaults.flags();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Flag& row = rows[i];
+    if (std::holds_alternative<bool*>(row.target) || row.optional) continue;
+    const std::string v =
+        std::holds_alternative<std::vector<unsigned>*>(row.target) ? "3,5"
+        : std::holds_alternative<std::string*>(row.target)         ? "x.v"
+                                                                   : "7";
+    T spaced;
+    T joined;
+    const std::vector<Flag> a = spaced.flags();
+    const std::vector<Flag> b = joined.flags();
+    EXPECT_TRUE(parse_args(a, {"--" + row.name, v})) << row.name;
+    EXPECT_TRUE(parse_args(b, {"--" + row.name + "=" + v})) << row.name;
+    EXPECT_EQ(render(a[i]), render(b[i])) << row.name;
+    EXPECT_NE(render(a[i]), render(row)) << row.name << " kept its default";
+  }
+}
+
+TEST(Flags, EveryRowParsesTheSameInBothSpellings) {
+  expect_both_spellings_agree<study::BenchOptions>();
+  expect_both_spellings_agree<obs::SessionOptions>();
+  expect_both_spellings_agree<serve::JobSpec>();
+}
+
+TEST(Flags, BoolRowLeavesTheNextTokenPositional) {
+  // `ksrsim campaign --check manifest.json` used to read the manifest as
+  // --check's value and then find no manifest.
+  bool check = false;
+  std::string store;
+  std::string positional;
+  const std::vector<Flag> rows = {{"check", &check, "audit"},
+                                  {"store", &store, "DIR  store"}};
+  EXPECT_TRUE(
+      parse_args(rows, {"--check", "m.json", "--store", "s"}, &positional));
+  EXPECT_TRUE(check);
+  EXPECT_EQ(positional, "m.json");
+  EXPECT_EQ(store, "s");
+  // Without a positional slot the bare token is a warning, not a value.
+  check = false;
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_args(rows, {"--check", "m.json"}));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("'m.json'"),
+            std::string::npos);
+  EXPECT_TRUE(check);
+}
+
+TEST(Flags, OptionalValueOnlyAfterEquals) {
+  obs::SessionOptions o;
+  EXPECT_TRUE(parse_args(o.flags(), {"--trace=ring,sync"}));
+  EXPECT_TRUE(o.trace);
+  EXPECT_EQ(o.categories, "ring,sync");
+  obs::SessionOptions bare;
+  std::string positional;
+  EXPECT_TRUE(parse_args(bare.flags(), {"--trace", "ring"}, &positional));
+  EXPECT_TRUE(bare.trace);
+  EXPECT_TRUE(bare.categories.empty());
+  EXPECT_EQ(positional, "ring");
+}
+
+TEST(Flags, MalformedUintKeepsTheDefaultAndNamesTheFlag) {
+  unsigned jobs = 3;
+  unsigned procs = 8;
+  const std::vector<Flag> rows = {{"jobs", &jobs, "N"},
+                                  {"procs", &procs, "P", 1, 1088}};
+  for (const char* bad : {"4x", "-1", "", "99999999999"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse_args(rows, {"--jobs", bad})) << bad;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--jobs"), std::string::npos) << err;
+    EXPECT_EQ(jobs, 3u) << bad;
+  }
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_args(rows, {"--procs=0"}));  // below the row's min
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("[1, 1088]"),
+            std::string::npos);
+  EXPECT_EQ(procs, 8u);
+}
+
+TEST(Flags, UnknownFlagTakesItsBareValueWithIt) {
+  bool csv = false;
+  const std::vector<Flag> rows = {{"csv", &csv, "CSV"}};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_args(rows, {"--job", "4", "--csv"}));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("'--job'"), std::string::npos);
+  EXPECT_EQ(err.find("'4'"), std::string::npos) << err;
+  EXPECT_TRUE(csv);
+}
+
+TEST(Flags, ListRowSkipsBadEntries) {
+  std::vector<unsigned> procs = {1, 2};
+  const std::vector<Flag> rows = {{"procs", &procs, "P,..."}};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_args(rows, {"--procs", "1,junk,4"}));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "skipping invalid --procs list entry 'junk'"),
+            std::string::npos);
+  EXPECT_EQ(procs, (std::vector<unsigned>{1, 4}));
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_args(rows, {"--procs=x,y"}));
+  (void)testing::internal::GetCapturedStderr();
+  EXPECT_EQ(procs, (std::vector<unsigned>{1, 4}));  // none valid: kept
 }
 
 }  // namespace

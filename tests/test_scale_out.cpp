@@ -392,6 +392,9 @@ TEST(ScaleOut, ModeBTracedRunByteIdenticalAcrossSimThreads) {
   EXPECT_NE(a.topo_report.find("## directory shards"), std::string::npos);
   EXPECT_NE(a.topo_report.find("## boundary channels"), std::string::npos);
   EXPECT_NE(a.topo_report.find("## cross-ring traffic"), std::string::npos);
+  // Ring-leg stall attribution covers mode B: every remote acquire here
+  // takes a mode-B path, which once logged no inject-wait records at all.
+  EXPECT_NE(a.fp.trace_csv.find(",stall,inject-wait,"), std::string::npos);
   for (unsigned t : {2u, 4u}) {
     const TracedFp b = mode_b_128_traced(t);
     EXPECT_EQ(a.fp.events, b.fp.events) << "sim_threads=" << t;

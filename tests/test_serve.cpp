@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -210,6 +211,94 @@ TEST(ServeKey, SensitiveToEveryFieldAndVersionStamp) {
 
   // A code-version bump (simulated-semantics change) invalidates every key.
   EXPECT_NE(derive_key(base, kCodeVersion + 1).value, k0);
+}
+
+// One spec with every field off its default (restore_from aside where the
+// key would read the preset file).
+JobSpec every_field_set() {
+  JobSpec s;
+  s.machine = "ksr2";
+  s.procs = 16;
+  s.scale = 4;
+  s.snarf = false;
+  s.fuzz_seed = 1099511627776ull;  // > 2^32: a u64 field
+  s.cells_per_leaf = 8;
+  s.cells_per_domain = 16;
+  s.workload = "is";
+  s.seed = 5000000000ull;
+  s.log2_keys = 12;
+  s.log2_buckets = 8;
+  s.pad_buckets = true;
+  s.n = 300;
+  s.nnz_per_row = 7;
+  s.iters = 3;
+  s.log2_pairs = 11;
+  return s;
+}
+
+TEST(ServeKey, CanonicalStringAndKeyArePinned) {
+  // The bytes every store file was keyed under: the field table must
+  // reproduce them exactly, or every cached result silently misses.
+  const JobSpec s = every_field_set();
+  EXPECT_EQ(s.canonical(),
+            "machine=ksr2;procs=16;scale=4;snarf=0;fuzz_seed=1099511627776;"
+            "cells_per_leaf=8;cells_per_domain=16;workload=is;"
+            "seed=5000000000;log2_keys=12;log2_buckets=8;pad_buckets=1;"
+            "n=300;nnz_per_row=7;iters=3;log2_pairs=11;ckpt=-;");
+  EXPECT_EQ(derive_key(s).hex(), "b1e73e209d833647");
+  EXPECT_EQ(JobSpec{}.canonical(),
+            "machine=ksr1;procs=8;scale=1;snarf=1;fuzz_seed=0;"
+            "cells_per_leaf=0;cells_per_domain=0;workload=cg;seed=0;"
+            "log2_keys=0;log2_buckets=0;pad_buckets=0;n=0;nnz_per_row=0;"
+            "iters=0;log2_pairs=0;ckpt=-;");
+  EXPECT_EQ(derive_key(JobSpec{}).hex(), "92d822e80674cb93");
+}
+
+TEST(ServeSpec, JsonRoundTripsEveryField) {
+  JobSpec s = every_field_set();
+  s.restore_from = "preset.ckpt";
+  JobSpec back;
+  std::string err;
+  ASSERT_TRUE(JobSpec::from_json(s.to_json(), &back, &err)) << err;
+  EXPECT_EQ(back, s);
+  // Type errors name the field and its kind.
+  Json j = s.to_json();
+  j.set("procs", Json::uint(1ull << 33));
+  EXPECT_FALSE(JobSpec::from_json(j, &back, &err));
+  EXPECT_EQ(err, "field 'procs' must be a 32-bit non-negative integer");
+  j = s.to_json();
+  j.set("snarf", Json::uint(1));
+  EXPECT_FALSE(JobSpec::from_json(j, &back, &err));
+  EXPECT_EQ(err, "field 'snarf' must be a boolean");
+}
+
+TEST(ServeSpec, FlagsReachEveryJsonField) {
+  // ksrsim's spellings of all 17 fields -> JobSpec -> to_json().
+  const char* argv[] = {
+      "ksrsim",          "--machine",      "ksr2",   "--procs",
+      "16",              "--scale=4",      "--no-snarf",
+      "--fuzz-seed",     "1099511627776",  "--cells-per-leaf",
+      "8",               "--cells-per-domain=16", "--name",
+      "is",              "--seed",         "5000000000",
+      "--log2-keys",     "12",             "--log2-buckets",
+      "8",               "--pad-buckets",  "--n",
+      "300",             "--nnz-per-row",  "7",
+      "--iters",         "3",              "--log2-pairs",
+      "11",              "--restore-from", "preset.ckpt"};
+  JobSpec s;
+  ASSERT_TRUE(util::parse_flags(static_cast<int>(std::size(argv)),
+                                const_cast<char**>(argv), 1, s.flags()));
+  JobSpec want = every_field_set();
+  want.restore_from = "preset.ckpt";
+  EXPECT_EQ(s, want);
+  const Json j = s.to_json();
+  const Json defaults = JobSpec{}.to_json();
+  ASSERT_EQ(j.members().size(), 17u);
+  ASSERT_EQ(s.flags().size(), 17u);
+  for (std::size_t i = 0; i < j.members().size(); ++i) {
+    EXPECT_NE(j.members()[i].second.dump(), defaults.members()[i].second.dump())
+        << j.members()[i].first << " was not set by its flag";
+  }
 }
 
 TEST(ServeKey, CheckpointPresetIsContentAddressed) {

@@ -28,59 +28,67 @@
 #include "ksr/check/checker.hpp"
 #include "ksr/machine/coherent_machine.hpp"
 #include "ksr/machine/factory.hpp"
-#include "ksr/nas/is.hpp"
 #include "ksr/obs/analyze.hpp"
 #include "ksr/obs/tracer.hpp"
 #include "ksr/serve/job.hpp"
 #include "ksr/sync/barrier.hpp"
 #include "ksr/sync/locks.hpp"
 #include "ksr/sync/padded.hpp"
-#include "ksr/util/parse.hpp"
+#include "ksr/util/flags.hpp"
 
 namespace {
 
 using namespace ksr;
 
+// Every knob, one flag row each (ksr/util/flags.hpp). ksrfuzz is strict:
+// an unknown flag or a malformed or out-of-range value prints the usage.
 struct Options {
   std::string workload = "all";  // locks | barriers | is | all
   std::uint64_t seeds = 32;      // number of consecutive seeds to run
   std::uint64_t seed_base = 1;   // first seed (0 is the reference schedule)
   unsigned procs = 8;
   bool verbose = false;
+  // Outcomes — events, checker stats, semantic results — are bit-identical
+  // for any --sim-threads, so a failure found at one thread count replays
+  // at any other.
+  unsigned sim_threads = 1;
+  unsigned cells_per_leaf = 0;    // 0 keeps the ksr1 preset
+  unsigned cells_per_domain = 0;  // 0 = one domain
+  std::string checkpoint_at;      // IS: donor checkpoint path prefix
+  std::string restore_from;       // IS: restore instead of warming up
+  // Observability on failure (docs/OBSERVABILITY.md): tracing never
+  // perturbs the schedule, so the replay line stays valid either way.
+  bool trace = false;
+  bool report = false;
+  std::string trace_cats;             // category filter; empty = all
+  std::string trace_out = "ksrfuzz";  // output path prefix
+
+  std::vector<util::Flag> flags() {
+    return {
+        {"workload", &workload, "W  locks|barriers|is|all (default all)"},
+        {"seeds", &seeds, "N  consecutive seeds per workload (default 32)"},
+        {"seed-base", &seed_base, "S  first seed (default 1)"},
+        {"procs", &procs, "P  simulated cells (default 8)", 1, 1088},
+        {"sim-threads", &sim_threads, "T  host threads per simulation", 0,
+         1024},
+        {"cells-per-leaf", &cells_per_leaf, "C  cells per leaf ring", 0, 64},
+        {"cells-per-domain", &cells_per_domain,
+         "D  cells per simulation domain", 0, 1088},
+        {"verbose", &verbose, "one line per passing seed"},
+        {"checkpoint-at", &checkpoint_at,
+         "PREFIX  is: checkpoint warm-ups to PREFIX.s<seed>.ckpt"},
+        {"restore-from", &restore_from,
+         "FILE  is: restore FILE instead of warming up (--seeds 1)"},
+        {"trace", &trace, "on FAIL, write PREFIX.<w>.s<seed>.trace.csv"},
+        {"trace-cats", &trace_cats, "C,...  trace categories (default all)"},
+        {.name = "trace-out",
+         .target = &trace_out,
+         .help = "PREFIX  FAIL output prefix (default ksrfuzz)",
+         .seen = &trace},
+        {"report", &report, "on FAIL, write PREFIX.<w>.s<seed>.report.txt"},
+    };
+  }
 };
-
-// Host threads per simulation (--sim-threads, docs/PARALLEL.md). Outcomes —
-// events, checker stats, semantic results — are bit-identical for any value,
-// so a failure found at one thread count replays at any other.
-unsigned g_sim_threads = 1;
-
-// Ring-hierarchy shape overrides (--cells-per-leaf / --cells-per-domain,
-// docs/PARALLEL.md): 0 keeps the ksr1 preset. Multi-ring and multi-domain
-// coherent shapes exercise the sharded-directory and boundary-channel
-// paths under the checker.
-unsigned g_cells_per_leaf = 0;
-unsigned g_cells_per_domain = 0;
-
-// Checkpointing for the IS workload (docs/CHECKPOINT.md). --checkpoint-at P
-// switches IS to the split-phase kernel and writes <P>.s<seed>.ckpt at the
-// warm-up boundary of every seed; a FAIL replay line then includes
-// --restore-from so the violating schedule replays from just before the
-// contended ranking phases instead of from cold. --restore-from FILE skips
-// the warm-up by restoring (same --procs/--sim-threads/seed required; use
-// with --seeds 1).
-std::string g_checkpoint_at;
-std::string g_restore_from;
-
-// Observability on failure (--trace / --report, docs/OBSERVABILITY.md):
-// every run carries a tracer, and when a seed FAILs its trace of the
-// violating schedule is written to <prefix>.<workload>.s<seed>.trace.csv
-// (and/or a ksrprof profile to ....report.txt) so the diagnostic window is
-// captured without re-running. Tracing never perturbs the schedule, so the
-// replay line stays valid with or without these flags.
-bool g_trace = false;
-bool g_report = false;
-std::string g_trace_cats;            // category filter; empty = all
-std::string g_trace_out = "ksrfuzz"; // output path prefix
 
 struct RunOutcome {
   bool ok = true;
@@ -92,10 +100,10 @@ struct RunOutcome {
   std::vector<obs::RegionSpan> regions;  // heap map for report name lookup
 };
 
-std::unique_ptr<obs::Tracer> make_fuzz_tracer() {
-  if (!g_trace && !g_report) return nullptr;
+std::unique_ptr<obs::Tracer> make_fuzz_tracer(const Options& o) {
+  if (!o.trace && !o.report) return nullptr;
   auto t = std::make_unique<obs::Tracer>(std::size_t{1} << 18);
-  t->set_enabled_categories(g_trace_cats);
+  t->set_enabled_categories(o.trace_cats);
   return t;
 }
 
@@ -113,13 +121,13 @@ void capture_obs(RunOutcome& out, machine::Machine& m) {
 
 // On FAIL: dump the violating run's trace/report files and return the text
 // naming them for the FAIL block.
-std::string write_fail_obs(const RunOutcome& out, const std::string& w,
-                           std::uint64_t seed) {
+std::string write_fail_obs(const Options& o, const RunOutcome& out,
+                           const std::string& w, std::uint64_t seed) {
   if (!out.tracer) return {};
   std::string text;
   const std::string stem =
-      g_trace_out + "." + w + ".s" + std::to_string(seed);
-  if (g_trace) {
+      o.trace_out + "." + w + ".s" + std::to_string(seed);
+  if (o.trace) {
     const std::string path = stem + ".trace.csv";
     std::ofstream os(path);
     out.tracer->write_csv(os);
@@ -129,7 +137,7 @@ std::string write_fail_obs(const RunOutcome& out, const std::string& w,
     }
     text += "trace: " + path + "\n";
   }
-  if (g_report) {
+  if (o.report) {
     const std::string path = stem + ".report.txt";
     std::ofstream os(path);
     obs::write_report(os, obs::analyze(*out.tracer, out.regions));
@@ -138,36 +146,35 @@ std::string write_fail_obs(const RunOutcome& out, const std::string& w,
   return text;
 }
 
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr) return false;
-  return util::parse_u64(s, out);
+// One machine per run: fresh caches, fresh directory, fresh heap, and the
+// seed folded into both the event tie-breaking and the ring phases — the
+// ksr1 preset, as a served job of this spec would build it.
+serve::JobSpec fuzz_spec(const Options& o, std::uint64_t seed) {
+  serve::JobSpec spec;
+  spec.procs = o.procs;
+  spec.fuzz_seed = seed;
+  spec.cells_per_leaf = o.cells_per_leaf;
+  spec.cells_per_domain = o.cells_per_domain;
+  return spec;
 }
 
-// One machine per run: fresh caches, fresh directory, fresh heap, and the
-// seed folded into both the event tie-breaking and the ring phases.
-std::unique_ptr<machine::Machine> make_fuzz_machine(std::uint64_t seed,
-                                                    unsigned procs,
-                                                    unsigned scale = 1) {
-  serve::JobSpec spec;  // the ksr1 preset, as a served job would build it
-  spec.procs = procs;
-  spec.scale = scale;
-  spec.fuzz_seed = seed;
-  spec.cells_per_leaf = g_cells_per_leaf;
-  spec.cells_per_domain = g_cells_per_domain;
-  return machine::make_machine(spec.machine_config(g_sim_threads));
+std::unique_ptr<machine::Machine> make_fuzz_machine(
+    const Options& o, const serve::JobSpec& spec) {
+  return machine::make_machine(spec.machine_config(o.sim_threads));
 }
 
 // Fig. 3 style: every cell hammers one hardware lock (get_subpage /
 // release_subpage) and increments a shared counter under it. The Atomic
 // state, NACK-and-retry, and owner migration paths all light up. Semantic
 // check: the counter ends at exactly procs * ops.
-RunOutcome run_locks(std::uint64_t seed, unsigned procs) {
+RunOutcome run_locks(const Options& o, std::uint64_t seed) {
   RunOutcome out;
-  auto m = make_fuzz_machine(seed, procs);
+  const unsigned procs = o.procs;
+  auto m = make_fuzz_machine(o, fuzz_spec(o, seed));
   auto& cm = dynamic_cast<machine::CoherentMachine&>(*m);
   check::InvariantChecker checker(cm);
   cm.attach_checker(&checker);
-  out.tracer = make_fuzz_tracer();
+  out.tracer = make_fuzz_tracer(o);
   if (out.tracer) m->attach_tracer(out.tracer.get());
 
   constexpr std::uint32_t kOps = 24;
@@ -208,13 +215,14 @@ RunOutcome run_locks(std::uint64_t seed, unsigned procs) {
 // starts episode e+1. The MCS(M) kind uses the intentionally false-shared
 // packed flag word plus a poststore wake-up flag, the two riskiest protocol
 // paths the barrier suite has.
-RunOutcome run_barriers(std::uint64_t seed, unsigned procs) {
+RunOutcome run_barriers(const Options& o, std::uint64_t seed) {
   RunOutcome out;
-  auto m = make_fuzz_machine(seed, procs);
+  const unsigned procs = o.procs;
+  auto m = make_fuzz_machine(o, fuzz_spec(o, seed));
   auto& cm = dynamic_cast<machine::CoherentMachine&>(*m);
   check::InvariantChecker checker(cm);
   cm.attach_checker(&checker);
-  out.tracer = make_fuzz_tracer();
+  out.tracer = make_fuzz_tracer(o);
   if (out.tracer) m->attach_tracer(out.tracer.get());
 
   constexpr std::uint32_t kEpisodes = 12;
@@ -256,44 +264,50 @@ RunOutcome run_barriers(std::uint64_t seed, unsigned procs) {
   return out;
 }
 
-// NAS IS, class S sized down for a 32-seed smoke run: the bucket histogram
-// phase is all read-modify-write sharing, the ranking phase is lock plus
-// barrier plus prefetch traffic. Semantic check: run_is verifies the final
-// ranks itself (ranks_valid).
-RunOutcome run_is(std::uint64_t seed, unsigned procs) {
+// NAS IS, class S sized down for a 32-seed smoke run, through the serve
+// workload registry: the bucket histogram phase is all read-modify-write
+// sharing, the ranking phase is lock plus barrier plus prefetch traffic.
+// Caches are scaled down with the problem (as the NAS smoke tests do) so
+// the run also fuzzes capacity evictions (kPageEvict) and re-fetch paths.
+// Semantic check: the kernel verifies the final ranks (ranks_valid).
+//
+// --checkpoint-at runs the warm-up on a donor machine (audited by its own
+// checker), writes <prefix>.s<seed>.ckpt at the boundary, and runs the
+// contended ranking phases restored from it; a FAIL replay line then
+// restores from just before those phases instead of from cold.
+RunOutcome run_is(const Options& o, std::uint64_t seed) {
   RunOutcome out;
-  // Caches scaled down with the problem (as the NAS smoke tests do) so the
-  // run also fuzzes capacity evictions (kPageEvict) and re-fetch paths.
-  auto m = make_fuzz_machine(seed, procs, /*scale=*/64);
+  serve::JobSpec spec = fuzz_spec(o, seed);
+  spec.workload = "is";
+  spec.scale = 64;
+  spec.log2_keys = 11;
+  spec.log2_buckets = 7;
+  spec.restore_from = o.restore_from;
+  auto m = make_fuzz_machine(o, spec);
   auto& cm = dynamic_cast<machine::CoherentMachine&>(*m);
   check::InvariantChecker checker(cm);
   cm.attach_checker(&checker);
-  out.tracer = make_fuzz_tracer();
+  out.tracer = make_fuzz_tracer(o);
   if (out.tracer) m->attach_tracer(out.tracer.get());
 
-  nas::IsConfig cfg;
-  cfg.log2_keys = 11;
-  cfg.log2_buckets = 7;
-
   try {
-    nas::IsResult res;
-    if (!g_checkpoint_at.empty() || !g_restore_from.empty()) {
-      // Split-phase flow: checkpoint (or restore) at the warm-up boundary,
-      // then run the contended ranking phases.
-      nas::IsSplit split(*m, cfg);
-      if (!g_restore_from.empty()) {
-        m->restore_from(g_restore_from);
-      } else {
-        split.run_warmup();
-        out.ckpt_file = g_checkpoint_at + ".s" + std::to_string(seed) +
-                        ".ckpt";
-        m->checkpoint_to(out.ckpt_file);
-      }
-      res = split.run_ranked();
-    } else {
-      res = nas::run_is(*m, cfg);
+    if (!o.checkpoint_at.empty()) {
+      auto donor = make_fuzz_machine(o, spec);
+      auto& dcm = dynamic_cast<machine::CoherentMachine&>(*donor);
+      check::InvariantChecker donor_checker(dcm);
+      dcm.attach_checker(&donor_checker);
+      serve::run_warmup(spec, *donor);
+      donor_checker.audit_all();
+      out.stats = donor_checker.stats();
+      out.ckpt_file = o.checkpoint_at + ".s" + std::to_string(seed) + ".ckpt";
+      donor->checkpoint_to(out.ckpt_file);
+      spec.restore_from = out.ckpt_file;
     }
-    if (!res.ranks_valid) {
+    const serve::JobOutcome res = serve::run_workload(spec, *m);
+    std::string err;
+    const serve::Json result = serve::Json::parse(res.result, &err);
+    const serve::Json* valid = result.find("ranks_valid");
+    if (valid == nullptr || !valid->as_bool()) {
       out.ok = false;
       out.detail = "semantic: IS full_verify failed (ranks out of order)";
     }
@@ -309,49 +323,32 @@ RunOutcome run_is(std::uint64_t seed, unsigned procs) {
   }
   capture_obs(out, *m);
   out.events = m->parallel_engine().events_dispatched();
-  out.stats = checker.stats();
+  out.stats.transitions += checker.stats().transitions;
+  out.stats.audits += checker.stats().audits;
   return out;
 }
 
-RunOutcome run_workload(const std::string& w, std::uint64_t seed,
-                        unsigned procs) {
-  if (w == "locks") return run_locks(seed, procs);
-  if (w == "barriers") return run_barriers(seed, procs);
-  return run_is(seed, procs);
+RunOutcome run_workload(const Options& o, const std::string& w,
+                        std::uint64_t seed) {
+  if (w == "locks") return run_locks(o, seed);
+  if (w == "barriers") return run_barriers(o, seed);
+  return run_is(o, seed);
 }
 
 int usage(const char* argv0) {
+  Options defaults;
   std::fprintf(
       stderr,
-      "usage: %s [--workload locks|barriers|is|all] [--seeds N]\n"
-      "          [--seed-base S] [--procs P] [--sim-threads T]\n"
-      "          [--cells-per-leaf C] [--cells-per-domain D] [--verbose]\n"
-      "          [--checkpoint-at PREFIX] [--restore-from FILE]\n"
-      "          [--trace] [--trace-cats ring,coherence,sync,stall]\n"
-      "          [--trace-out PREFIX] [--report]\n"
+      "usage: %s [flags]\n"
       "\n"
       "Runs N consecutive schedule seeds (S, S+1, ...) of each workload on\n"
       "a KSR-1 machine with the ALLCACHE invariant checker attached.\n"
       "Seed 0 is the reference schedule the published fingerprints use;\n"
       "every nonzero seed is a distinct, exactly reproducible schedule.\n"
-      "\n"
-      "Replay a failure: --workload <w> --procs <p> --seed-base <seed> "
-      "--seeds 1\n"
-      "\n"
-      "--checkpoint-at PREFIX switches the IS workload to the split-phase\n"
-      "kernel and writes PREFIX.s<seed>.ckpt at each seed's warm-up\n"
-      "boundary; a FAIL replay line then includes --restore-from so the\n"
-      "violating schedule replays from just before the contended phases.\n"
-      "--restore-from FILE restores instead of warming up (same --procs /\n"
-      "--sim-threads / seed as the capture; use --seeds 1).\n"
-      "\n"
-      "--trace captures a structured event trace of every run and, on a\n"
-      "FAIL, writes the violating schedule's window to\n"
-      "PREFIX.<workload>.s<seed>.trace.csv (PREFIX from --trace-out,\n"
-      "default 'ksrfuzz'; --trace-cats filters categories). --report\n"
-      "additionally writes a ksrprof profile to ....report.txt. Tracing\n"
-      "never perturbs the schedule, so replay lines stay valid either way.\n",
-      argv0);
+      "A FAIL prints its exact replay command (--seed-base <seed> --seeds 1,\n"
+      "plus --restore-from when --checkpoint-at captured the seed).\n"
+      "\n%s",
+      argv0, util::flag_help(defaults.flags()).c_str());
   return 2;
 }
 
@@ -359,61 +356,7 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const char* val = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (a == "--workload" && val != nullptr) {
-      opt.workload = val;
-      ++i;
-    } else if (a == "--seeds" && val != nullptr) {
-      if (!parse_u64(val, &opt.seeds)) return usage(argv[0]);
-      ++i;
-    } else if (a == "--seed-base" && val != nullptr) {
-      if (!parse_u64(val, &opt.seed_base)) return usage(argv[0]);
-      ++i;
-    } else if (a == "--procs" && val != nullptr) {
-      std::uint64_t p = 0;
-      if (!parse_u64(val, &p) || p == 0 || p > 1088) return usage(argv[0]);
-      opt.procs = static_cast<unsigned>(p);
-      ++i;
-    } else if (a == "--sim-threads" && val != nullptr) {
-      std::uint64_t t = 0;
-      if (!parse_u64(val, &t) || t > 1024) return usage(argv[0]);
-      g_sim_threads = static_cast<unsigned>(t);
-      ++i;
-    } else if (a == "--cells-per-leaf" && val != nullptr) {
-      std::uint64_t c = 0;
-      if (!parse_u64(val, &c) || c > 64) return usage(argv[0]);
-      g_cells_per_leaf = static_cast<unsigned>(c);
-      ++i;
-    } else if (a == "--cells-per-domain" && val != nullptr) {
-      std::uint64_t d = 0;
-      if (!parse_u64(val, &d) || d > 1088) return usage(argv[0]);
-      g_cells_per_domain = static_cast<unsigned>(d);
-      ++i;
-    } else if (a == "--checkpoint-at" && val != nullptr) {
-      g_checkpoint_at = val;
-      ++i;
-    } else if (a == "--restore-from" && val != nullptr) {
-      g_restore_from = val;
-      ++i;
-    } else if (a == "--trace") {
-      g_trace = true;
-    } else if (a == "--trace-cats" && val != nullptr) {
-      g_trace_cats = val;
-      ++i;
-    } else if (a == "--trace-out" && val != nullptr) {
-      g_trace = true;
-      g_trace_out = val;
-      ++i;
-    } else if (a == "--report") {
-      g_report = true;
-    } else if (a == "--verbose") {
-      opt.verbose = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  if (!util::parse_flags(argc, argv, 1, opt.flags())) return usage(argv[0]);
 
   std::vector<std::string> workloads;
   if (opt.workload == "all") {
@@ -432,25 +375,26 @@ int main(int argc, char** argv) {
   for (const std::string& w : workloads) {
     for (std::uint64_t k = 0; k < opt.seeds; ++k) {
       const std::uint64_t seed = opt.seed_base + k;
-      const RunOutcome out = run_workload(w, seed, opt.procs);
+      const RunOutcome out = run_workload(opt, w, seed);
       ++runs;
       transitions += out.stats.transitions;
       audits += out.stats.audits;
       if (!out.ok) {
         ++failures;
         std::string topo;  // non-default topology knobs, for exact replay
-        if (g_cells_per_leaf != 0) {
-          topo += " --cells-per-leaf " + std::to_string(g_cells_per_leaf);
+        if (opt.cells_per_leaf != 0) {
+          topo += " --cells-per-leaf " + std::to_string(opt.cells_per_leaf);
         }
-        if (g_cells_per_domain != 0) {
-          topo += " --cells-per-domain " + std::to_string(g_cells_per_domain);
+        if (opt.cells_per_domain != 0) {
+          topo +=
+              " --cells-per-domain " + std::to_string(opt.cells_per_domain);
         }
         if (!out.ckpt_file.empty()) {
           // Replay from just before the contended phases: the checkpoint
           // captured at this seed's warm-up boundary.
           topo += " --restore-from " + out.ckpt_file;
         }
-        const std::string obs_files = write_fail_obs(out, w, seed);
+        const std::string obs_files = write_fail_obs(opt, out, w, seed);
         std::fprintf(stderr,
                      "FAIL workload=%s seed=%" PRIu64 " procs=%u\n%s\n"
                      "%s"

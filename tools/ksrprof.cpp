@@ -27,7 +27,7 @@
 
 #include "ksr/obs/analyze.hpp"
 #include "ksr/obs/tracer.hpp"
-#include "ksr/util/parse.hpp"
+#include "ksr/util/flags.hpp"
 
 namespace {
 
@@ -158,15 +158,17 @@ bool parse_csv(std::istream& is, ParsedCsv& out, std::string& err) {
   return true;
 }
 
-int usage() {
+int usage(const std::vector<ksr::util::Flag>& rows) {
   std::fprintf(
       stderr,
-      "usage: ksrprof TRACE.csv [--top N] [--out FILE] [--flame FILE]\n"
+      "usage: ksrprof TRACE.csv [flags]\n"
       "\n"
       "TRACE.csv is a --trace-out export (merged session CSV or a raw\n"
       "tracer dump). Writes a simulated-time profile: sharing-pattern\n"
       "classification per sub-page, barrier/lock critical paths, stall\n"
-      "attribution. --flame writes collapsed stacks for speedscope/inferno.\n");
+      "attribution.\n"
+      "\n%s",
+      ksr::util::flag_help(rows).c_str());
   return 2;
 }
 
@@ -177,28 +179,14 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string flame_path;
   obs::ReportOptions ropt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--top" && i + 1 < argc) {
-      ropt.top_n = static_cast<std::size_t>(to_u64(argv[++i], ropt.top_n));
-    } else if (a.rfind("--top=", 0) == 0) {
-      ropt.top_n = static_cast<std::size_t>(to_u64(a.substr(6), ropt.top_n));
-    } else if (a == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else if (a == "--flame" && i + 1 < argc) {
-      flame_path = argv[++i];
-    } else if (a.rfind("--flame=", 0) == 0) {
-      flame_path = a.substr(8);
-    } else if (!a.empty() && a[0] != '-' && input.empty()) {
-      input = a;
-    } else {
-      std::fprintf(stderr, "ksrprof: unknown argument '%s'\n", a.c_str());
-      return usage();
-    }
+  const std::vector<ksr::util::Flag> rows = {
+      {"top", &ropt.top_n, "N  rows per ranking table (default 10)"},
+      {"out", &out_path, "FILE  write the report to FILE (default stdout)"},
+      {"flame", &flame_path, "FILE  collapsed stacks for speedscope/inferno"},
+  };
+  if (!ksr::util::parse_flags(argc, argv, 1, rows, &input) || input.empty()) {
+    return usage(rows);
   }
-  if (input.empty()) return usage();
 
   std::ifstream is(input);
   if (!is) {

@@ -13,13 +13,11 @@
 //
 // Run `ksrsim help` for the full reference.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -38,196 +36,69 @@
 #include "ksr/sync/barrier.hpp"
 #include "ksr/sync/locks.hpp"
 #include "ksr/sync/spinlocks.hpp"
-#include "ksr/util/parse.hpp"
+#include "ksr/util/flags.hpp"
 
 namespace {
 
 using namespace ksr;  // NOLINT
 
-// ----------------------------------------------------------- flag parsing
+// ----------------------------------------------------------------- flags
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    // Union of the keys any command understands; a typo ("--job 4",
-    // "--proc 8") warns instead of silently running with defaults.
-    static const std::map<std::string, int> known = {
-        {"machine", 1},  {"procs", 1},        {"scale", 1},
-        {"no-snarf", 1}, {"csv", 1},          {"kind", 1},
-        {"episodes", 1}, {"ops", 1},          {"read-pct", 1},
-        {"name", 1},     {"n", 1},            {"nnz-per-row", 1},
-        {"iters", 1},    {"log2-pairs", 1},   {"log2-keys", 1},
-        {"log2-buckets", 1}, {"pad-buckets", 1},
-        {"jobs", 1},     {"trace", 1},        {"trace-out", 1},
-        {"trace-cap", 1}, {"report", 1},      {"metrics-csv", 1},
-        {"topo-report", 1},
-        {"fuzz-seed", 1},    {"check", 0},    {"sim-threads", 1},
-        {"cells-per-leaf", 1}, {"cells-per-domain", 1},
-        {"checkpoint-at", 1}, {"restore-from", 1},
-        {"socket", 1},       {"store", 1},    {"out", 1},
-        {"manifest", 1},     {"op", 1},       {"seed", 1}};
-    for (int i = 2; i < argc; ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) {
-        // First bare token is the positional argument (the campaign
-        // manifest path); anything further is still a likely typo.
-        if (positional_.empty()) {
-          positional_ = a;
-        } else {
-          std::cerr << "warning: ignoring unknown argument '" << a << "'\n";
-        }
-        continue;
-      }
-      std::string key = a.substr(2);
-      std::string val;
-      bool has_val = false;
-      const std::size_t eq = key.find('=');
-      if (eq != std::string::npos) {
-        val = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        has_val = true;
-      }
-      if (known.find(key) == known.end()) {
-        std::cerr << "warning: ignoring unknown argument '--" << key << "'\n";
-        if (!has_val && i + 1 < argc &&
-            std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          ++i;  // swallow the typo'd flag's value too
-        }
-        continue;
-      }
-      if (has_val) {
-        kv_[key] = val;
-      } else if (i + 1 < argc &&
-                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        kv_[key] = argv[++i];
-      } else {
-        kv_[key] = "1";
-      }
-    }
+/// Every knob a command reads, each bound to one flag row
+/// (ksr/util/flags.hpp): the JobSpec rows come from serve's field table,
+/// the observability rows from obs::SessionOptions, the rest are ksrsim's.
+struct Cli {
+  serve::JobSpec spec;
+  std::vector<unsigned> sweep_procs = {1, 2, 4, 8, 16};
+  obs::SessionOptions obs;
+  unsigned sim_threads = 1;
+  unsigned jobs = 0;
+  bool check = false;
+  bool csv = false;
+  std::string kind;
+  unsigned episodes = 25;
+  unsigned ops = 50;
+  unsigned read_pct = 0;
+  std::string checkpoint_at;
+  std::string socket = "ksrsim.sock";
+  std::string store;
+  std::string out;
+  std::string manifest;
+  std::string op = "submit";
+
+  std::vector<util::Flag> tool_rows() {
+    return {
+        {"sim-threads", &sim_threads,
+         "N  host threads per simulation (0 = one per core)"},
+        {"jobs", &jobs, "N  host shards (0 = one per core)"},
+        {"check", &check, "audit ALLCACHE invariants (docs/CHECKING.md)"},
+        {"csv", &csv, "CSV output where applicable"},
+        {"kind", &kind, "K  barrier (default tournament-m) or lock (hw)"},
+        {"episodes", &episodes, "E  barrier episodes (default 25)"},
+        {"ops", &ops, "N  lock operations per cell (default 50)"},
+        {"read-pct", &read_pct, "N  rw lock: percentage of reads"},
+        {"checkpoint-at", &checkpoint_at,
+         "FILE  kernel: checkpoint the warm-up, then restore it"},
+        {"socket", &socket, "PATH  daemon socket (default ksrsim.sock)"},
+        {"store", &store, "DIR  result store (default: in memory)"},
+        {"out", &out, "PREFIX  campaign output (default: its name)"},
+        {"manifest", &manifest, "FILE  campaign manifest (or bare argument)"},
+        {"op", &op, "OP  submit|ping|stats|shutdown (default submit)"},
+    };
   }
 
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& def = "") const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? def : it->second;
-  }
-  /// Strict parse of one non-negative integer token; false on malformed or
-  /// overflowing input (the shared tool parser — see ksr/util/parse.hpp).
-  [[nodiscard]] static bool parse_u64(const std::string& tok,
-                                      std::uint64_t* out) {
-    return util::parse_u64(tok, out);
-  }
-  [[nodiscard]] unsigned get_u(const std::string& key, unsigned def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    std::uint64_t v = 0;
-    if (!parse_u64(it->second, &v) ||
-        v > std::numeric_limits<unsigned>::max()) {
-      std::cerr << "warning: ignoring invalid --" << key << " value '"
-                << it->second << "' (expected a non-negative integer)\n";
-      return def;
+  std::vector<util::Flag> rows() {
+    std::vector<util::Flag> all = tool_rows();
+    for (const auto& group : {spec.flags(), obs.flags()}) {
+      all.insert(all.end(), group.begin(), group.end());
     }
-    return static_cast<unsigned>(v);
+    return all;
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    std::uint64_t v = 0;
-    if (!parse_u64(it->second, &v)) {
-      std::cerr << "warning: ignoring invalid --" << key << " value '"
-                << it->second << "' (expected a non-negative integer)\n";
-      return def;
-    }
-    return v;
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return kv_.count(key) > 0;
-  }
-  [[nodiscard]] std::vector<unsigned> get_list(const std::string& key,
-                                               std::vector<unsigned> def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    std::vector<unsigned> out;
-    std::stringstream ss(it->second);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      std::uint64_t v = 0;
-      if (!parse_u64(tok, &v) || v > std::numeric_limits<unsigned>::max()) {
-        std::cerr << "warning: skipping invalid --" << key << " list entry '"
-                  << tok << "' (expected a non-negative integer)\n";
-        continue;
-      }
-      out.push_back(static_cast<unsigned>(v));
-    }
-    if (out.empty()) {
-      std::cerr << "warning: --" << key
-                << " has no valid entries; using the default list\n";
-      return def;
-    }
-    return out;
-  }
-  /// First non-flag token after the command (e.g. the campaign manifest).
-  [[nodiscard]] const std::string& positional() const noexcept {
-    return positional_;
-  }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::string positional_;
 };
 
-/// Observability session from the common flags (see docs/OBSERVABILITY.md):
-/// `--trace [cat,...]` captures a structured trace, `--trace-out FILE` names
-/// the output (default ksrsim_<cmd>_trace.json), `--trace-cap N` sizes the
-/// per-job record buffer, `--metrics-csv FILE` the sampled metrics time
-/// series, `--report FILE` a ksrprof simulated-time profile,
-/// `--topo-report FILE` the byte-stable topology report (+ FILE.matrix.csv).
-obs::Session make_session(const Args& args, const std::string& cmd) {
-  obs::SessionOptions s;
-  s.trace = args.has("trace") || args.has("trace-out");
-  const std::string cats = args.get("trace");
-  if (cats != "1") s.categories = cats;  // bare --trace = all categories
-  s.trace_out = args.get("trace-out");
-  s.metrics_csv = args.get("metrics-csv");
-  s.report = args.get("report");
-  s.topo_report = args.get("topo-report");
-  const unsigned cap = args.get_u("trace-cap", 0);
-  if (cap != 0) s.trace_capacity = cap;
-  return obs::Session(std::move(s), "ksrsim_" + cmd);
-}
-
-/// Translate the flag vocabulary into a serve::JobSpec, the one run
-/// description: `ksrsim kernel` runs it locally, `ksrsim submit` sends it to
-/// the daemon, and probe/barrier/lock take their machine from it. Size
-/// fields left at 0 resolve to the workload's registry defaults.
-serve::JobSpec spec_from_args(const Args& args, unsigned procs) {
-  serve::JobSpec s;
-  s.machine = args.get("machine", "ksr1");
-  s.procs = procs;
-  s.scale = args.get_u("scale", 1);
-  s.snarf = !args.has("no-snarf");
-  s.fuzz_seed = args.get_u64("fuzz-seed", 0);
-  s.cells_per_leaf = args.get_u("cells-per-leaf", 0);
-  s.cells_per_domain = args.get_u("cells-per-domain", 0);
-  s.workload = args.get("name", "cg");
-  s.seed = args.get_u64("seed", 0);
-  s.log2_keys = args.get_u("log2-keys", 0);
-  s.log2_buckets = args.get_u("log2-buckets", 0);
-  s.pad_buckets = args.has("pad-buckets");
-  s.n = args.get_u("n", 0);
-  s.nnz_per_row = args.get_u("nnz-per-row", 0);
-  s.iters = args.get_u("iters", 0);
-  s.log2_pairs = args.get_u("log2-pairs", 0);
-  s.restore_from = args.get("restore-from");
-  return s;
-}
-
-/// The machine the common flags name, at `procs` cells.
-std::unique_ptr<machine::Machine> make_machine(const Args& args,
-                                               unsigned procs) {
-  return machine::make_machine(
-      spec_from_args(args, procs).machine_config(args.get_u("sim-threads", 1)));
+/// The machine the spec flags name.
+std::unique_ptr<machine::Machine> make_machine(const Cli& cli) {
+  return machine::make_machine(cli.spec.machine_config(cli.sim_threads));
 }
 
 // With --check, attach the ALLCACHE invariant checker for the lifetime of
@@ -240,8 +111,8 @@ bool g_check_failed = false;
 
 class CheckScope {
  public:
-  CheckScope(const Args& args, machine::Machine& m) {
-    if (!args.has("check")) return;
+  CheckScope(bool check, machine::Machine& m) {
+    if (!check) return;
     cm_ = dynamic_cast<machine::CoherentMachine*>(&m);
     if (cm_ == nullptr) {
       std::cerr << "warning: --check: this machine model has no coherence "
@@ -274,11 +145,11 @@ class CheckScope {
 
 // ------------------------------------------------------------- commands
 
-int cmd_probe(const Args& args) {
-  const unsigned procs = args.get_u("procs", 2);
-  auto m = make_machine(args, std::max(procs, 2u));
-  CheckScope check(args, *m);
-  obs::Session session = make_session(args, "probe");
+int cmd_probe(Cli& cli) {
+  cli.spec.procs = std::max(cli.spec.procs, 2u);
+  auto m = make_machine(cli);
+  CheckScope check(cli.check, *m);
+  obs::Session session(cli.obs, "ksrsim_probe");
   obs::JobObs jo = session.job();
   jo.attach(*m);
   auto arr = m->alloc<double>("probe", 4096);
@@ -317,7 +188,7 @@ int cmd_probe(const Args& args) {
   return session.ok() ? 0 : 1;
 }
 
-int cmd_barrier(const Args& args) {
+int cmd_barrier(Cli& cli) {
   static const std::map<std::string, sync::BarrierKind> kinds = {
       {"counter", sync::BarrierKind::kCounter},
       {"tree", sync::BarrierKind::kTree},
@@ -328,17 +199,17 @@ int cmd_barrier(const Args& args) {
       {"mcs", sync::BarrierKind::kMcs},
       {"mcs-m", sync::BarrierKind::kMcsM},
       {"system", sync::BarrierKind::kSystem}};
-  const auto it = kinds.find(args.get("kind", "tournament-m"));
+  const auto it = kinds.find(cli.kind.empty() ? "tournament-m" : cli.kind);
   if (it == kinds.end()) {
     std::fprintf(stderr, "unknown barrier kind\n");
     return 1;
   }
-  const unsigned procs = args.get_u("procs", 16);
-  const int episodes = static_cast<int>(args.get_u("episodes", 25));
-  auto m = make_machine(args, procs);
-  CheckScope check(args, *m);
+  const unsigned procs = cli.spec.procs;
+  const int episodes = static_cast<int>(cli.episodes);
+  auto m = make_machine(cli);
+  CheckScope check(cli.check, *m);
   auto barrier = sync::make_barrier(*m, it->second);
-  obs::Session session = make_session(args, "barrier");
+  obs::Session session(cli.obs, "ksrsim_barrier");
   obs::JobObs jo = session.job();
   jo.attach(*m);
   double total = 0;
@@ -365,14 +236,14 @@ int cmd_barrier(const Args& args) {
   return session.ok() ? 0 : 1;
 }
 
-int cmd_lock(const Args& args) {
-  const unsigned procs = args.get_u("procs", 8);
-  const int ops = static_cast<int>(args.get_u("ops", 50));
-  const std::string kind = args.get("kind", "hw");
-  const unsigned read_pct = args.get_u("read-pct", 0);
-  auto m = make_machine(args, procs);
-  CheckScope check(args, *m);
-  obs::Session session = make_session(args, "lock");
+int cmd_lock(Cli& cli) {
+  const unsigned procs = cli.spec.procs;
+  const int ops = static_cast<int>(cli.ops);
+  const std::string kind = cli.kind.empty() ? "hw" : cli.kind;
+  const unsigned read_pct = cli.read_pct;
+  auto m = make_machine(cli);
+  CheckScope check(cli.check, *m);
+  obs::Session session(cli.obs, "ksrsim_lock");
   obs::JobObs jo = session.job();
   jo.attach(*m);
   double t = 0;
@@ -445,11 +316,10 @@ struct KernelRun {
 
 /// Build the spec's machine, attach --check and the observability session,
 /// and run the workload: the served job's path with observers attached.
-KernelRun run_kernel_once(const obs::Session& session, const Args& args,
+KernelRun run_kernel_once(const obs::Session& session, const Cli& cli,
                           const serve::JobSpec& spec) {
-  auto m = machine::make_machine(
-      spec.machine_config(args.get_u("sim-threads", 1)));
-  CheckScope check(args, *m);
+  auto m = machine::make_machine(spec.machine_config(cli.sim_threads));
+  CheckScope check(cli.check, *m);
   KernelRun r;
   r.obs = session.job();
   r.obs.attach(*m);
@@ -459,10 +329,12 @@ KernelRun run_kernel_once(const obs::Session& session, const Args& args,
   return r;
 }
 
-/// spec_from_args plus validation; throws with the spec's diagnostic.
-serve::JobSpec checked_spec(const Args& args, unsigned procs) {
-  serve::JobSpec spec = spec_from_args(args, procs);
-  const std::string at = args.get("checkpoint-at");
+/// The spec flags at `procs` cells, validated; throws with the spec's
+/// diagnostic.
+serve::JobSpec checked_spec(const Cli& cli, unsigned procs) {
+  serve::JobSpec spec = cli.spec;
+  spec.procs = procs;
+  const std::string& at = cli.checkpoint_at;
   if (!at.empty()) {
     if (!spec.restore_from.empty()) {
       throw std::invalid_argument(
@@ -475,12 +347,12 @@ serve::JobSpec checked_spec(const Args& args, unsigned procs) {
   return spec;
 }
 
-int cmd_kernel(const Args& args) {
-  const serve::JobSpec spec = checked_spec(args, args.get_u("procs", 8));
-  const unsigned sim_threads = args.get_u("sim-threads", 1);
-  obs::Session session = make_session(args, "kernel");
+int cmd_kernel(Cli& cli) {
+  const serve::JobSpec spec = checked_spec(cli, cli.spec.procs);
+  const unsigned sim_threads = cli.sim_threads;
+  obs::Session session(cli.obs, "ksrsim_kernel");
   const auto wall0 = std::chrono::steady_clock::now();
-  const std::string at = args.get("checkpoint-at");
+  const std::string& at = cli.checkpoint_at;
   if (!at.empty()) {
     // Split-phase flow (docs/CHECKPOINT.md): simulate the warm-up on a
     // donor machine, checkpoint it, then run the spec restoring from it —
@@ -492,7 +364,7 @@ int cmd_kernel(const Args& args) {
               << donor->parallel_engine().events_dispatched()
               << " events at capture)\n";
   }
-  KernelRun r = run_kernel_once(session, args, spec);
+  KernelRun r = run_kernel_once(session, cli, spec);
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - wall0)
                            .count();
@@ -514,8 +386,8 @@ int cmd_kernel(const Args& args) {
   return session.ok() ? 0 : 1;
 }
 
-int cmd_sweep(const Args& args) {
-  if (args.has("checkpoint-at") || args.has("restore-from")) {
+int cmd_sweep(Cli& cli) {
+  if (!cli.checkpoint_at.empty() || !cli.spec.restore_from.empty()) {
     // Every sweep point has a different machine config, and a checkpoint
     // only restores onto the exact capturing config; one shared path would
     // either be overwritten per point or refuse every restore.
@@ -525,18 +397,17 @@ int cmd_sweep(const Args& args) {
                  "--warm-start for checkpointed sweeps\n";
     return 1;
   }
-  const std::vector<unsigned> procs =
-      args.get_list("procs", {1, 2, 4, 8, 16});
+  const std::vector<unsigned>& procs = cli.sweep_procs;
   // Every processor count is an independent simulation: shard them over
   // host threads (--jobs N, default one per core). Results merge in
   // submission order, so the table is bit-identical for any --jobs value.
-  host::SweepRunner runner(args.get_u("jobs", 0));
-  obs::Session session = make_session(args, "sweep");
+  host::SweepRunner runner(cli.jobs);
+  obs::Session session(cli.obs, "ksrsim_sweep");
   std::vector<std::function<KernelRun()>> jobs;
   jobs.reserve(procs.size());
   for (unsigned p : procs) {
-    jobs.emplace_back([&args, &session, spec = checked_spec(args, p)] {
-      return run_kernel_once(session, args, spec);
+    jobs.emplace_back([&cli, &session, spec = checked_spec(cli, p)] {
+      return run_kernel_once(session, cli, spec);
     });
   }
   const auto wall0 = std::chrono::steady_clock::now();
@@ -547,7 +418,7 @@ int cmd_sweep(const Args& args) {
   std::vector<std::pair<unsigned, double>> measured;
   std::uint64_t events = 0;
   std::uint64_t quanta = 0;
-  const std::string name = args.get("name", "cg");
+  const std::string& name = cli.spec.workload;
   for (std::size_t i = 0; i < procs.size(); ++i) {
     if (session.active()) {
       session.collect(std::move(runs[i].obs),
@@ -563,8 +434,7 @@ int cmd_sweep(const Args& args) {
                "[host] bench=ksrsim_sweep events_dispatched=%llu "
                "wall_ms=%lld jobs=%u sim_threads=%u quanta=%llu\n",
                static_cast<unsigned long long>(events),
-               static_cast<long long>(wall_ms), args.get_u("jobs", 0),
-               args.get_u("sim-threads", 1),
+               static_cast<long long>(wall_ms), cli.jobs, cli.sim_threads,
                static_cast<unsigned long long>(quanta));
   study::TextTable t({"procs", "time (s)", "speedup", "efficiency",
                       "serial fraction"});
@@ -576,7 +446,7 @@ int cmd_sweep(const Args& args) {
                           : study::TextTable::num(row.serial_fraction, 6)});
   }
   std::printf("%s scaling sweep:\n", name.c_str());
-  if (args.has("csv")) {
+  if (cli.csv) {
     t.print_csv();
   } else {
     t.print();
@@ -587,12 +457,12 @@ int cmd_sweep(const Args& args) {
 
 // ----------------------------------------------------- serving commands
 
-int cmd_serve(const Args& args) {
+int cmd_serve(Cli& cli) {
   serve::SocketServer::Options opt;
-  opt.socket_path = args.get("socket", "ksrsim.sock");
-  opt.core.store_dir = args.get("store");
-  opt.core.jobs = args.get_u("jobs", 0);
-  opt.core.sim_threads = args.get_u("sim-threads", 1);
+  opt.socket_path = cli.socket;
+  opt.core.store_dir = cli.store;
+  opt.core.jobs = cli.jobs;
+  opt.core.sim_threads = cli.sim_threads;
   serve::SocketServer server(opt);
   std::fprintf(stderr, "[serve] listening on %s (store=%s)\n",
                server.socket_path().c_str(),
@@ -609,7 +479,7 @@ int cmd_serve(const Args& args) {
                static_cast<unsigned long long>(c.inflight_dedup),
                static_cast<unsigned long long>(c.executed),
                static_cast<unsigned long long>(c.failures));
-  const std::string metrics_csv = args.get("metrics-csv");
+  const std::string& metrics_csv = cli.obs.metrics_csv;
   if (!metrics_csv.empty()) {
     // Same counter,value CSV shape as the obs metrics exporter.
     std::ostringstream os;
@@ -619,15 +489,14 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-int cmd_submit(const Args& args) {
-  const std::string path = args.get("socket", "ksrsim.sock");
-  const std::string op = args.get("op", "submit");
-  serve::Client client(path);
+int cmd_submit(Cli& cli) {
+  const std::string& op = cli.op;
+  serve::Client client(cli.socket);
   std::string req;
   if (op == "submit") {
     serve::Json j = serve::Json::object();
     j.set("op", serve::Json::str("submit"));
-    j.set("job", spec_from_args(args, args.get_u("procs", 8)).to_json());
+    j.set("job", cli.spec.to_json());
     req = j.dump();
   } else if (op == "ping" || op == "stats" || op == "shutdown") {
     req = "{\"op\":\"" + op + "\"}";
@@ -644,9 +513,8 @@ int cmd_submit(const Args& args) {
   return resp.rfind("{\"ok\":true", 0) == 0 ? 0 : 1;
 }
 
-int cmd_campaign(const Args& args) {
-  std::string manifest_path = args.get("manifest");
-  if (manifest_path.empty()) manifest_path = args.positional();
+int cmd_campaign(Cli& cli) {
+  const std::string& manifest_path = cli.manifest;
   if (manifest_path.empty()) {
     std::fprintf(stderr,
                  "ksrsim campaign: no manifest "
@@ -675,27 +543,32 @@ int cmd_campaign(const Args& args) {
     return 1;
   }
   serve::ServeCore::Options copt;
-  copt.store_dir = args.get("store");
-  copt.jobs = args.get_u("jobs", 0);
-  copt.sim_threads = args.get_u("sim-threads", 1);
+  copt.store_dir = cli.store;
+  copt.jobs = cli.jobs;
+  copt.sim_threads = cli.sim_threads;
   serve::ServeCore core(copt);
-  const std::string prefix = args.get("out", campaign.name);
+  const std::string prefix = cli.out.empty() ? campaign.name : cli.out;
   const serve::CampaignOutcome outcome =
       run_campaign(campaign, core, prefix);
   return outcome.failures == 0 ? 0 : 1;
 }
 
 int cmd_help() {
-  // The kernel vocabulary and size defaults come from the workload registry.
+  // The kernel vocabulary and size defaults come from the workload
+  // registry, the flag spellings from the spec's rows.
+  Cli cli;
+  const std::vector<util::Flag> spec_rows = cli.spec.flags();
   std::string names;
   std::string sizes;
   for (const serve::Workload& w : serve::workloads()) {
     names += std::string(names.empty() ? "" : "|") + w.name;
     sizes += std::string("  ") + w.name + " ";
     for (const serve::Workload::Size& size : w.sizes) {
-      std::string flag = size.field;
-      std::replace(flag.begin(), flag.end(), '_', '-');
-      sizes += " --" + flag + " " + std::to_string(size.value);
+      const util::Flag::Target field = &(cli.spec.*size.member);
+      const auto row = std::find_if(
+          spec_rows.begin(), spec_rows.end(),
+          [&](const util::Flag& f) { return f.target == field; });
+      sizes += " --" + row->name + " " + std::to_string(size.value);
     }
     sizes += "\n";
   }
@@ -714,10 +587,7 @@ int cmd_help() {
       names.c_str());
   std::puts(
       "  sweep    scaling table             [--name K --procs 1,2,4,...\n"
-      "                                       --jobs N  shard the sweep over\n"
-      "                                       N host threads (default: one\n"
-      "                                       per core; output is identical\n"
-      "                                       for any N)]\n"
+      "                                       --jobs N]\n"
       "  serve    simulation-as-a-service daemon on an AF_UNIX socket\n"
       "           [--socket PATH --store DIR --jobs N --sim-threads N\n"
       "            --metrics-csv FILE]  (docs/SERVING.md; newline-delimited\n"
@@ -729,73 +599,54 @@ int cmd_help() {
       "           result cache, and write <out>.jsonl/<out>.csv\n"
       "           [MANIFEST.json --store DIR --out PREFIX --jobs N]\n"
       "\n"
-      "common flags:\n"
-      "  --machine ksr1|ksr2|symmetry|butterfly   (default ksr1)\n"
-      "  --scale N      shrink caches by N (pair with smaller problems)\n"
-      "  --no-snarf     disable read-snarfing\n"
-      "  --csv          CSV output where applicable\n"
-      "  --fuzz-seed N  perturb event tie-breaking and ring slot phases\n"
-      "                 (deterministic per seed; 0 = reference schedule;\n"
-      "                 see docs/CHECKING.md and tools/ksrfuzz)\n"
-      "  --sim-threads N  host threads advancing each single simulation\n"
-      "                 through the conservative-quantum engine (0 = one\n"
-      "                 per core; results are bit-identical for any N;\n"
-      "                 see docs/PARALLEL.md)\n"
-      "  --check        audit ALLCACHE protocol invariants at end of run\n"
-      "                 (every transition in -DKSR_CHECK=ON builds; see\n"
-      "                 docs/CHECKING.md)\n"
-      "\n"
-      "observability (docs/OBSERVABILITY.md; never perturbs simulated time):\n"
-      "  --trace [cat,...]    capture a structured event trace (categories:\n"
-      "                       ring,coherence,sync,stall; default all)\n"
-      "  --trace-out FILE     trace output (.json = Chrome/Perfetto trace\n"
-      "                       events, .csv = CSV; default\n"
-      "                       ksrsim_<cmd>_trace.json)\n"
-      "  --trace-cap N        records per job buffer (default 2^18;\n"
-      "                       overflow is counted in the drop footer)\n"
-      "  --metrics-csv FILE   sampled machine-wide metrics time series\n"
-      "  --report FILE        ksrprof simulated-time profile (sharing\n"
-      "                       patterns, sync critical paths, stalls); see\n"
-      "                       also tools/ksrprof for offline CSV analysis\n"
-      "  --topo-report FILE   topology report: per-level ring utilization,\n"
-      "                       directory-shard pressure, boundary channels,\n"
-      "                       leaf-to-leaf traffic (+ FILE.matrix.csv\n"
-      "                       heatmap; byte-stable across --jobs and\n"
-      "                       --sim-threads; see also tools/ksrtop)\n"
-      "\n"
-      "kernel inputs: --seed N (0 = the kernel's published seed),\n"
-      "  --pad-buckets (is: pad per-cpu bucket portions to sub-page\n"
-      "  boundaries), and the size flags below (0 = the default shown):");
-  std::fputs(sizes.c_str(), stdout);
-  std::puts(
-      "\n"
-      "checkpointing (kernel --name is only; docs/CHECKPOINT.md):\n"
-      "  --checkpoint-at FILE  run the split-phase IS kernel and write a\n"
-      "                        checkpoint of the quiesced machine at the\n"
-      "                        warm-up boundary before the timed phases\n"
-      "  --restore-from FILE   skip the warm-up: restore the machine from a\n"
-      "                        checkpoint (same machine flags required) and\n"
-      "                        run the timed phases bit-exactly");
+      "Flags take --k v or --k=v; bool flags never take a value; unknown\n"
+      "or malformed flags warn and keep the default. Results are\n"
+      "bit-identical for any --jobs and --sim-threads (docs/PARALLEL.md).");
+  std::printf("\nrun flags:\n%s", util::flag_help(cli.tool_rows()).c_str());
+  std::printf("\nmachine and kernel flags (the serve job fields):\n%s",
+              util::flag_help(spec_rows).c_str());
+  std::printf(
+      "\nobservability (docs/OBSERVABILITY.md; never perturbs simulated "
+      "time):\n%s",
+      util::flag_help(cli.obs.flags()).c_str());
+  std::printf("\nkernel sizes (0 = the default shown):\n%s", sizes.c_str());
   return 0;
 }
+
+struct Command {
+  const char* name;
+  int (*run)(Cli& cli);
+  unsigned procs;  // --procs default
+};
+
+constexpr Command kCommands[] = {
+    {"probe", &cmd_probe, 2},   {"barrier", &cmd_barrier, 16},
+    {"lock", &cmd_lock, 8},     {"kernel", &cmd_kernel, 8},
+    {"sweep", &cmd_sweep, 8},   {"serve", &cmd_serve, 8},
+    {"submit", &cmd_submit, 8}, {"campaign", &cmd_campaign, 8},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return cmd_help();
-  const std::string cmd = argv[1];
-  const Args args(argc, argv);
+  const std::string cmd = argc < 2 ? "help" : argv[1];
+  const auto c = std::find_if(std::begin(kCommands), std::end(kCommands),
+                              [&](const Command& k) { return cmd == k.name; });
+  if (c == std::end(kCommands)) return cmd_help();
+  Cli cli;
+  cli.spec.procs = c->procs;
+  std::vector<util::Flag> rows = cli.rows();
+  if (c->run == &cmd_sweep) {
+    // sweep takes a list of processor counts, one simulation each.
+    for (util::Flag& f : rows) {
+      if (f.name == "procs") f.target = &cli.sweep_procs;
+    }
+  }
+  // Fail-soft: a typo warns and the run goes on with the defaults.
+  (void)util::parse_flags(argc, argv, 2, rows,
+                          c->run == &cmd_campaign ? &cli.manifest : nullptr);
   try {
-    int rc = 0;
-    if (cmd == "probe") rc = cmd_probe(args);
-    else if (cmd == "barrier") rc = cmd_barrier(args);
-    else if (cmd == "lock") rc = cmd_lock(args);
-    else if (cmd == "kernel") rc = cmd_kernel(args);
-    else if (cmd == "sweep") rc = cmd_sweep(args);
-    else if (cmd == "serve") rc = cmd_serve(args);
-    else if (cmd == "submit") rc = cmd_submit(args);
-    else if (cmd == "campaign") rc = cmd_campaign(args);
-    else rc = cmd_help();
+    const int rc = c->run(cli);
     return g_check_failed && rc == 0 ? 1 : rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ksrsim: %s\n", e.what());

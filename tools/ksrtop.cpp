@@ -25,7 +25,7 @@
 #include <string_view>
 #include <vector>
 
-#include "ksr/util/parse.hpp"
+#include "ksr/util/flags.hpp"
 
 namespace {
 
@@ -206,15 +206,14 @@ int rank_matrix(const std::string& path, const std::string& job,
   return 0;
 }
 
-int usage() {
+int usage(const std::vector<ksr::util::Flag>& rows) {
   std::fprintf(stderr,
-               "usage: ksrtop REPORT [--job LABEL] [--top N] "
-               "[--matrix FILE.matrix.csv]\n"
+               "usage: ksrtop REPORT [flags]\n"
                "\n"
                "REPORT is a --topo-report file (ksrsim / bench binaries).\n"
-               "Default: one summary line per job. --job LABEL prints that\n"
-               "job's full report plus ring/shard rankings. --matrix ranks\n"
-               "the traffic heatmap's cross-leaf pairs.\n");
+               "Default: one summary line per job.\n"
+               "\n%s",
+               ksr::util::flag_help(rows).c_str());
   return 2;
 }
 
@@ -223,26 +222,17 @@ int usage() {
 int main(int argc, char** argv) {
   std::string report_path, job, matrix;
   std::size_t top_n = 10;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const char* val = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (a == "--job" && val != nullptr) {
-      job = val;
-      ++i;
-    } else if (a == "--top" && val != nullptr) {
-      top_n = static_cast<std::size_t>(to_u64(val));
-      if (top_n == 0) return usage();
-      ++i;
-    } else if (a == "--matrix" && val != nullptr) {
-      matrix = val;
-      ++i;
-    } else if (!a.empty() && a[0] != '-' && report_path.empty()) {
-      report_path = a;
-    } else {
-      return usage();
-    }
+  const std::vector<ksr::util::Flag> rows = {
+      {"job", &job,
+       "LABEL  print that job's full report plus ring/shard rankings"},
+      {"top", &top_n, "N  rows per ranking (default 10)", 1},
+      {"matrix", &matrix,
+       "FILE.matrix.csv  rank the traffic heatmap's cross-leaf pairs"},
+  };
+  if (!ksr::util::parse_flags(argc, argv, 1, rows, &report_path) ||
+      (report_path.empty() && matrix.empty())) {
+    return usage(rows);
   }
-  if (report_path.empty() && matrix.empty()) return usage();
 
   if (!report_path.empty()) {
     std::ifstream is(report_path);
