@@ -32,6 +32,8 @@ void BM_EngineEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventDispatch);
 
+// One fiber on an empty queue: every wait_until resumes the fiber itself,
+// so this measures the self path (no context switch at all).
 void BM_FiberSwitch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
@@ -43,6 +45,24 @@ void BM_FiberSwitch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_FiberSwitch);
+
+// N fibers stepping in lockstep: each wait_until(now() + 1) parks behind the
+// other fibers' resume events, so every yield hands off fiber to fiber.
+void BM_FiberHandoff(benchmark::State& state) {
+  const auto fibers = static_cast<int>(state.range(0));
+  constexpr int kSteps = 1000;
+  for (auto _ : state) {
+    sim::Engine eng;
+    for (int f = 0; f < fibers; ++f) {
+      eng.spawn([&eng] {
+        for (int i = 0; i < kSteps; ++i) eng.wait_until(eng.now() + 1);
+      });
+    }
+    eng.run();
+  }
+  state.SetItemsProcessed(state.iterations() * fibers * kSteps);
+}
+BENCHMARK(BM_FiberHandoff)->Arg(2)->Arg(32);
 
 void BM_ParallelEngineDispatch(benchmark::State& state) {
   // Conservative-quantum multi-domain dispatch (docs/PARALLEL.md): four

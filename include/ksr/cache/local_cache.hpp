@@ -2,11 +2,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "ksr/cache/state.hpp"
 #include "ksr/mem/geometry.hpp"
 #include "ksr/sim/rng.hpp"
+#include "ksr/sim/zeroed_array.hpp"
 
 // Second-level (local) cache model.
 //
@@ -198,7 +198,10 @@ class LocalCache {
 
   std::size_t ways_;
   std::size_t sets_;
-  std::vector<Frame> frames_;
+  // 288 KiB per cell at the full KSR-1 geometry, most of it never touched
+  // by a run: ZeroedArray keeps the untouched part out of resident memory
+  // and construction free of page faults. An all-zero Frame is empty.
+  sim::ZeroedArray<Frame> frames_;
   std::uint64_t gen_ = 0;
 };
 

@@ -102,6 +102,11 @@ struct CacheKey {
 [[nodiscard]] CacheKey derive_key(const JobSpec& spec,
                                   std::uint32_t code_version = kCodeVersion);
 
+/// The same key from an already computed spec.canonical(), which saves
+/// reading and hashing a checkpoint preset a second time.
+[[nodiscard]] CacheKey derive_key(std::string canonical,
+                                  std::uint32_t code_version);
+
 /// One row of the workload registry. Adding a workload is adding a row.
 struct Workload {
   /// A JobSpec size field and the value it takes when the spec leaves it 0.

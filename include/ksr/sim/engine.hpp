@@ -11,6 +11,7 @@
 #include "ksr/sim/event_heap.hpp"
 #include "ksr/sim/fiber_context.hpp"
 #include "ksr/sim/time.hpp"
+#include "ksr/sim/zeroed_array.hpp"
 
 #if !KSR_HAVE_FAST_FIBERS
 #include <ucontext.h>
@@ -24,10 +25,26 @@
 // at a time (the whole simulator is single-threaded), so simulated programs
 // need no host-level synchronization.
 //
-// Host fast path: events carry an InlineFn (no allocation for engine-sized
-// captures) in a 4-ary heap (see event_heap.hpp), and fiber switches use a
-// hand-rolled register swap instead of swapcontext when KSR_FAST_FIBERS is
-// on (see fiber_context.hpp). Neither changes simulated timing by a cycle.
+// Host fast path: callback events carry an InlineFn (no allocation for
+// engine-sized captures) in a two-lane 4-ary heap (see event_heap.hpp);
+// fiber-resume events (spawn, wake, wait_until) carry only the fiber id.
+// Fiber switches use a hand-rolled register swap instead of swapcontext when
+// KSR_FAST_FIBERS is on (see fiber_context.hpp). None of this changes
+// simulated timing by a cycle.
+//
+// An event is dispatched along one of three paths, all in the same
+// (time, seq) order and each counted once in events_dispatched():
+//   * scheduler — run_until() pops the event, drains due observers, and
+//     either invokes the callback or switches into the fiber;
+//   * self      — a parking fiber whose own wake sorts first keeps running
+//     (no switch at all);
+//   * handoff   — a parking fiber whose successor is another fiber's resume
+//     event switches straight into that fiber, skipping the scheduler.
+// The self and handoff paths are taken only when the scheduler would do
+// exactly the same: they are off for an event at or past the current
+// run_until() horizon, when an observer is due at or before the event, for
+// a callback event, and for a fiber that has already finished. A finishing
+// fiber always returns to the scheduler, which releases its stack.
 //
 // A fiber interacts with simulated time through three verbs:
 //   * wait_until(t) — park until simulated time t (local compute, fixed-cost
@@ -198,8 +215,7 @@ class Engine {
  private:
   struct Fiber {
     std::function<void()> body;
-    std::unique_ptr<std::byte[]> stack;
-    std::size_t stack_bytes = 0;
+    ZeroedArray<std::byte> stack;
 #if KSR_HAVE_FAST_FIBERS
     void* sp = nullptr;  // saved stack pointer while suspended
 #else
@@ -214,15 +230,20 @@ class Engine {
   // Heap entries are 24 bytes: the callback lives in a slab pool, addressed
   // by slot, so sifting moves small trivially-copyable records and never
   // touches (or moves) the callbacks themselves. Slots are recycled through
-  // a freelist — after warm-up the schedule path allocates nothing.
+  // a freelist — after warm-up the schedule path allocates nothing. A
+  // fiber-resume event owns no slot: `slot` holds kFiberTag | fiber id.
+  static constexpr std::uint32_t kFiberTag = 0x8000'0000u;
   struct Event {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
+  // (t, seq) as one 128-bit key: a branch-free compare lets the heap's
+  // min-child scan compile to conditional moves.
   struct EventEarlier {
     bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+      using Key = unsigned __int128;
+      return (Key{a.t} << 64 | a.seq) < (Key{b.t} << 64 | b.seq);
     }
   };
 
@@ -231,11 +252,21 @@ class Engine {
 #else
   static void trampoline(unsigned hi, unsigned lo);
 #endif
+  // Save the running context into `from` and enter `to` (nullptr stands for
+  // the scheduler on either side), starting `to` on its first entry.
+  void swap(Fiber* from, Fiber* to);
+  // Scheduler side: enter `f` and clean up whichever fiber comes back.
   void resume(Fiber& f);
-  void switch_to_scheduler();
+  // Fiber side: park the current fiber, after pushing its own resume event
+  // `own` if any, and run the next event by one of the three paths.
+  void handoff(const Event* own);
+  // (t, seq) key for a new main-lane event; throws if t < now().
+  Event keyed(Time t, std::uint32_t slot);
 
   Time now_ = 0;
+  Time horizon_ = 0;  // of the run_until() in progress
   std::uint64_t seq_ = 0;
+  std::uint64_t observer_seq_ = 0;  // see observe_at()
   std::uint64_t fuzz_seed_ = 0;  // see set_tie_break_seed()
   std::uint64_t dispatched_ = 0;
   // Callback slab: fixed-size chunks give every slot a stable address, so a

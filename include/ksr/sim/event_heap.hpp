@@ -45,21 +45,16 @@ class DaryHeap {
     }
     T tail = std::move(heap_[n]);
     heap_.pop_back();
-    // Sift the former tail down from the root hole.
-    std::size_t hole = 0;
-    for (;;) {
-      const std::size_t first = hole * Arity + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = first + Arity < n ? first + Arity : n;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (earlier_(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier_(heap_[best], tail)) break;
-      heap_[hole] = std::move(heap_[best]);
-      hole = best;
-    }
-    heap_[hole] = std::move(tail);
+    sift_down(0, std::move(tail));  // the former tail, from the root hole
+    return out;
+  }
+
+  /// push(v) followed by pop_top(), in one sift: returns `v` itself when it
+  /// sorts first, otherwise the old top, with `v` sifted down into its place.
+  T replace_top(T v) {
+    if (heap_.empty() || earlier_(v, heap_.front())) return v;
+    T out = std::move(heap_.front());
+    sift_down(0, std::move(v));
     return out;
   }
 
@@ -68,6 +63,24 @@ class DaryHeap {
   void reserve(std::size_t n) { heap_.reserve(n); }
 
  private:
+  // Fill the hole at `hole` with `v`, moving earlier children up.
+  void sift_down(std::size_t hole, T v) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      const std::size_t first = hole * Arity + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t last = first + Arity < n ? first + Arity : n;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (earlier_(heap_[c], heap_[best])) best = c;
+      }
+      if (!earlier_(heap_[best], v)) break;
+      heap_[hole] = std::move(heap_[best]);
+      hole = best;
+    }
+    heap_[hole] = std::move(v);
+  }
+
   void sift_up(std::size_t i) {
     if (i == 0) return;
     T v = std::move(heap_[i]);
@@ -131,14 +144,26 @@ class EventQueue {
     if (!heap_.empty() && earlier_(heap_.top(), run_[run_head_])) {
       return heap_.pop_top();
     }
-    T out = std::move(run_[run_head_++]);
-    // Reclaim the dead prefix once it dominates the lane (trivial memmove).
-    if (run_head_ >= 4096 && run_head_ * 2 >= run_.size()) {
-      run_.erase(run_.begin(),
-                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
-      run_head_ = 0;
+    return pop_run();
+  }
+
+  /// push(v) followed by pop_top(): returns `v` itself when it sorts first.
+  /// When the top sits in the heap lane and `v` cannot append to the sorted
+  /// lane, `v` takes the top's place in a single sift-down.
+  T replace_top(T v) {
+    if (empty() || earlier_(v, top())) return v;
+    const bool run_live = run_head_ != run_.size();
+    if (run_live &&
+        (heap_.empty() || !earlier_(heap_.top(), run_[run_head_]))) {
+      T out = pop_run();
+      push(std::move(v));
+      return out;
     }
-    return out;
+    if (run_live && !earlier_(v, run_.back())) {
+      run_.push_back(std::move(v));
+      return heap_.pop_top();
+    }
+    return heap_.replace_top(std::move(v));
   }
 
   void clear() noexcept {
@@ -153,6 +178,17 @@ class EventQueue {
   }
 
  private:
+  T pop_run() {
+    T out = std::move(run_[run_head_++]);
+    // Reclaim the dead prefix once it dominates the lane (trivial memmove).
+    if (run_head_ >= 4096 && run_head_ * 2 >= run_.size()) {
+      run_.erase(run_.begin(),
+                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+      run_head_ = 0;
+    }
+    return out;
+  }
+
   DaryHeap<T, Earlier, Arity> heap_;
   std::vector<T> run_;        // sorted lane: monotone appends, popped in front
   std::size_t run_head_ = 0;  // first live element of run_

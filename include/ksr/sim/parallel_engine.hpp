@@ -114,6 +114,10 @@ class ParallelEngine {
   /// serial engine's count when domains == 1).
   [[nodiscard]] std::uint64_t events_dispatched() const noexcept;
 
+  /// Latest simulated time across domains (equals the serial engine's now()
+  /// when domains == 1).
+  [[nodiscard]] Time now() const noexcept;
+
   /// Quantum barriers crossed during run() calls so far (host-side
   /// instrumentation; reported to BENCH_host.json as `quanta`).
   [[nodiscard]] std::uint64_t quanta() const noexcept { return quanta_; }

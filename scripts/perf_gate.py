@@ -29,6 +29,7 @@ import sys
 GATED = [
     "BM_EngineEventDispatch",
     "BM_FiberSwitch",
+    "BM_FiberHandoff",
     "BM_RingTransaction",
     "BM_CoherentReadHit",
 ]

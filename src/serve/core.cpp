@@ -28,7 +28,7 @@ ServeCore::Response ServeCore::submit(const JobSpec& spec) {
   CacheKey key;
   try {
     canonical = spec.canonical();  // reads the checkpoint preset, may throw
-    key = derive_key(spec, opt_.code_version);
+    key = derive_key(canonical, opt_.code_version);
   } catch (const std::exception& e) {
     resp.error = e.what();
     std::lock_guard<std::mutex> lk(inflight_mu_);

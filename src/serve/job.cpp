@@ -362,7 +362,10 @@ std::string CacheKey::hex() const {
 }
 
 CacheKey derive_key(const JobSpec& spec, std::uint32_t code_version) {
-  std::string bytes = spec.canonical();
+  return derive_key(spec.canonical(), code_version);
+}
+
+CacheKey derive_key(std::string bytes, std::uint32_t code_version) {
   bytes += "|code_version=" + std::to_string(code_version);
   bytes += "|ckpt_format=" + std::to_string(ckpt::kVersion);
   return CacheKey{ckpt::fnv1a(

@@ -4,10 +4,54 @@
 
 #include "ksr/sim/rng.hpp"
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
 namespace ksr::sim {
+
+namespace {
+
+/// Finished fibers' default-size stacks, recycled process-wide. Mapping a
+/// fresh stack, faulting its first pages in and unmapping it took about
+/// 10 us on a 4-vCPU x86-64 VM, the time of several hundred fiber
+/// switches. A recycled stack keeps the pages its earlier fibers touched,
+/// so the pool's resident memory follows the order in which fibers start
+/// and finish, which a simulation fixes. Its stale contents are never read.
+class StackPool {
+ public:
+  ZeroedArray<std::byte> take(std::size_t bytes) {
+    if (bytes == Engine::kDefaultStackBytes) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!free_.empty()) {
+        ZeroedArray<std::byte> s = std::move(free_.back());
+        free_.pop_back();
+        detail::unpoison(s.data(), s.size());
+        return s;
+      }
+    }
+    return ZeroedArray<std::byte>(bytes);
+  }
+
+  void give(ZeroedArray<std::byte>& stack) {
+    ZeroedArray<std::byte> s = std::move(stack);
+    if (s.size() != Engine::kDefaultStackBytes) return;
+    std::lock_guard<std::mutex> lk(mu_);
+    if (free_.size() < kMaxStacks) free_.push_back(std::move(s));
+  }
+
+ private:
+  static constexpr std::size_t kMaxStacks = 256;
+  std::mutex mu_;
+  std::vector<ZeroedArray<std::byte>> free_;
+};
+
+StackPool& stack_pool() {
+  static StackPool pool;
+  return pool;
+}
+
+}  // namespace
 
 Engine::~Engine() = default;
 
@@ -26,27 +70,31 @@ std::uint32_t Engine::claim_slot(InlineFn fn) {
   return slot;
 }
 
-void Engine::at(Time t, InlineFn fn) {
+Engine::Event Engine::keyed(Time t, std::uint32_t slot) {
   if (t < now_) {
-    throw std::logic_error("Engine::at: scheduling into the past");
+    throw std::logic_error("Engine: scheduling into the past");
   }
   // Schedule fuzzing: a nonzero seed replaces the insertion sequence with a
   // seeded bijective hash of it, permuting same-time tie order while the
   // injectivity of mix64 keeps (t, seq) a strict total order.
   const std::uint64_t c = seq_++;
-  const std::uint64_t seq = fuzz_seed_ == 0 ? c : mix64(fuzz_seed_ + c);
-  events_.push(Event{t, seq, claim_slot(std::move(fn))});
+  return Event{t, fuzz_seed_ == 0 ? c : mix64(fuzz_seed_ + c), slot};
+}
+
+void Engine::at(Time t, InlineFn fn) {
+  Event ev = keyed(t, 0);
+  ev.slot = claim_slot(std::move(fn));
+  events_.push(ev);
 }
 
 void Engine::observe_at(Time t, InlineFn fn) {
   if (t < now_) {
     throw std::logic_error("Engine::observe_at: scheduling into the past");
   }
-  // Observers share the callback slab and the seq counter with the main
-  // lane; sharing seq_ keeps the code simple and cannot reorder main-lane
-  // events (their relative seq order is unchanged) nor touch
-  // events_dispatched().
-  observers_.push(Event{t, seq_++, claim_slot(std::move(fn))});
+  // Observers share the callback slab with the main lane but keep their own
+  // sequence counter: drawing from seq_ would shift the seeded tie-break
+  // hash of every later main-lane event (set_tie_break_seed()).
+  observers_.push(Event{t, observer_seq_++, claim_slot(std::move(fn))});
 }
 
 void Engine::drain_observers(Time horizon) {
@@ -61,17 +109,19 @@ void Engine::drain_observers(Time horizon) {
 }
 
 FiberId Engine::spawn(std::function<void()> body, Time start, std::size_t stack_bytes) {
+  const auto id = static_cast<FiberId>(fibers_.size());
+  const Event ev = keyed(start, kFiberTag | id);
   auto fiber = std::make_unique<Fiber>();
   fiber->body = std::move(body);
-  fiber->stack_bytes = stack_bytes;
-  fiber->stack = std::make_unique<std::byte[]>(stack_bytes);
+  // A default-sized stack is a mapping of its own: only the pages fibers
+  // touch become resident, whatever the malloc heap held before.
+  fiber->stack = stack_pool().take(stack_bytes);
   fiber->engine = this;
-  fiber->id = static_cast<FiberId>(fibers_.size());
-  Fiber* raw = fiber.get();
+  fiber->id = id;
   fibers_.push_back(std::move(fiber));
   ++live_fibers_;
-  at(start, [this, raw] { resume(*raw); });
-  return raw->id;
+  events_.push(ev);
+  return id;
 }
 
 #if KSR_HAVE_FAST_FIBERS
@@ -92,25 +142,14 @@ void Engine::fiber_main(void* arg) {
   std::abort();  // unreachable
 }
 
-void Engine::resume(Fiber& f) {
-  if (f.done) return;
-  if (!f.started) {
-    f.sp = detail::make_fiber_context(f.stack.get(), f.stack_bytes,
-                                      &Engine::fiber_main, &f);
-    f.started = true;
+void Engine::swap(Fiber* from, Fiber* to) {
+  if (to != nullptr && !to->started) {
+    to->sp = detail::make_fiber_context(to->stack.data(), to->stack.size(),
+                                        &Engine::fiber_main, to);
+    to->started = true;
   }
-  Fiber* prev = current_;
-  current_ = &f;
-  ksr_ctx_swap(&sched_sp_, f.sp);
-  current_ = prev;
-  if (f.done && f.stack) {
-    f.stack.reset();  // release the stack eagerly; the Fiber record remains
-    --live_fibers_;
-  }
-}
-
-void Engine::switch_to_scheduler() {
-  ksr_ctx_swap(&current_->sp, sched_sp_);
+  ksr_ctx_swap(from != nullptr ? &from->sp : &sched_sp_,
+               to != nullptr ? to->sp : sched_sp_);
 }
 
 #else  // ucontext fallback
@@ -130,56 +169,83 @@ void Engine::trampoline(unsigned hi, unsigned lo) {
   // Returning transfers control to uc_link (the scheduler context).
 }
 
-void Engine::resume(Fiber& f) {
-  if (f.done) return;
-  if (!f.started) {
-    getcontext(&f.ctx);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = f.stack_bytes;
-    f.ctx.uc_link = &sched_ctx_;
-    const auto bits = reinterpret_cast<std::uintptr_t>(&f);  // NOLINT
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Engine::trampoline), 2,
+void Engine::swap(Fiber* from, Fiber* to) {
+  if (to != nullptr && !to->started) {
+    getcontext(&to->ctx);
+    to->ctx.uc_stack.ss_sp = to->stack.data();
+    to->ctx.uc_stack.ss_size = to->stack.size();
+    to->ctx.uc_link = &sched_ctx_;
+    const auto bits = reinterpret_cast<std::uintptr_t>(to);  // NOLINT
+    makecontext(&to->ctx, reinterpret_cast<void (*)()>(&Engine::trampoline), 2,
                 static_cast<unsigned>(bits >> 32),
                 static_cast<unsigned>(bits & 0xffffffffu));
-    f.started = true;
+    to->started = true;
   }
-  Fiber* prev = current_;
-  current_ = &f;
-  swapcontext(&sched_ctx_, &f.ctx);
-  current_ = prev;
-  if (f.done && f.stack) {
-    f.stack.reset();  // release the stack eagerly; the Fiber record remains
-    --live_fibers_;
-  }
-}
-
-void Engine::switch_to_scheduler() {
-  Fiber* f = current_;
-  swapcontext(&f->ctx, &sched_ctx_);
+  swapcontext(from != nullptr ? &from->ctx : &sched_ctx_,
+              to != nullptr ? &to->ctx : &sched_ctx_);
 }
 
 #endif  // KSR_HAVE_FAST_FIBERS
 
+void Engine::resume(Fiber& f) {
+  if (f.done) return;
+  current_ = &f;
+  swap(nullptr, &f);
+  // Control comes back from whichever fiber parked or finished last: after
+  // handoffs that need not be `f`.
+  Fiber* back = current_;
+  current_ = nullptr;
+  if (back->done) {
+    stack_pool().give(back->stack);  // eagerly; the Fiber record remains
+    --live_fibers_;
+  }
+}
+
+void Engine::handoff(const Event* own) {
+  // The event the scheduler would dispatch next, with `own` pushed.
+  const Event* next = own;
+  if (!events_.empty() &&
+      (own == nullptr || EventEarlier{}(events_.top(), *own))) {
+    next = &events_.top();
+  }
+  if (next == nullptr || (next->slot & kFiberTag) == 0 ||
+      next->t >= horizon_ ||
+      (!observers_.empty() && observers_.top().t <= next->t) ||
+      fibers_[next->slot & ~kFiberTag]->done) {
+    if (own != nullptr) events_.push(*own);
+    swap(current_, nullptr);
+    return;
+  }
+  // Dispatch `next` exactly as run_until() would, minus the round trip.
+  const Event ev = next == own ? *own
+                   : own != nullptr ? events_.replace_top(*own)
+                                    : events_.pop_top();
+  now_ = ev.t;
+  ++dispatched_;
+  Fiber* to = fibers_[ev.slot & ~kFiberTag].get();
+  if (to == current_) return;
+  Fiber* from = current_;
+  current_ = to;
+  swap(from, to);
+}
+
 void Engine::wait_until(Time t) {
   if (!in_fiber()) throw std::logic_error("wait_until outside fiber");
-  if (t < now_) t = now_;
-  Fiber* raw = current_;
-  at(t, [this, raw] { resume(*raw); });
-  switch_to_scheduler();
+  const Event own = keyed(t < now_ ? now_ : t, kFiberTag | current_->id);
+  handoff(&own);
 }
 
 void Engine::block() {
   if (!in_fiber()) throw std::logic_error("block outside fiber");
-  switch_to_scheduler();
+  handoff(nullptr);
 }
 
 void Engine::wake(FiberId id, Time t) {
-  Fiber* raw = fibers_.at(id).get();
-  if (raw->done) {
+  if (fibers_.at(id)->done) {
     throw std::logic_error("Engine::wake: fiber " + std::to_string(id) +
                            " has already finished");
   }
-  at(t, [this, raw] { resume(*raw); });
+  events_.push(keyed(t, kFiberTag | id));
 }
 
 FiberId Engine::current_fiber() const noexcept { return current_->id; }
@@ -194,6 +260,7 @@ void Engine::run() {
 }
 
 void Engine::run_until(Time horizon) {
+  horizon_ = horizon;
   while (!events_.empty() && events_.top().t < horizon) {
     const Event ev = events_.pop_top();
     // Observers due at or before this event run first (the sample "at t"
@@ -201,12 +268,17 @@ void Engine::run_until(Time horizon) {
     drain_observers(ev.t);
     now_ = ev.t;
     ++dispatched_;
-    // Invoke in place: chunk addresses are stable, and the slot is recycled
-    // only after the call, so the callback may freely schedule new events.
-    InlineFn& fn = pool_slot(ev.slot);
-    fn();
-    fn.reset();
-    free_slots_.push_back(ev.slot);
+    if ((ev.slot & kFiberTag) != 0) {
+      resume(*fibers_[ev.slot & ~kFiberTag]);
+    } else {
+      // Invoke in place: chunk addresses are stable, and the slot is
+      // recycled only after the call, so the callback may freely schedule
+      // new events.
+      InlineFn& fn = pool_slot(ev.slot);
+      fn();
+      fn.reset();
+      free_slots_.push_back(ev.slot);
+    }
     if (pending_exception_) {
       auto ex = pending_exception_;
       pending_exception_ = nullptr;

@@ -87,6 +87,12 @@ std::uint64_t ParallelEngine::events_dispatched() const noexcept {
   return n;
 }
 
+Time ParallelEngine::now() const noexcept {
+  Time latest = 0;
+  for (const auto& eng : engines_) latest = std::max(latest, eng->now());
+  return latest;
+}
+
 Time ParallelEngine::next_event_time() const noexcept {
   Time next = kNever;
   for (const auto& eng : engines_) {

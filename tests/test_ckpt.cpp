@@ -71,8 +71,8 @@ Fingerprint run_uninterrupted(const MachineConfig& mc,
   const nas::IsResult r = split.run_ranked();
   EXPECT_TRUE(r.ranks_valid);
   checker.audit_all();
-  Fingerprint fp{m.engine().events_dispatched(), m.engine().now(), r.seconds,
-                 {}};
+  Fingerprint fp{m.parallel_engine().events_dispatched(),
+                 m.parallel_engine().now(), r.seconds, {}};
   if (mc.sim_threads <= 1) {
     std::ostringstream os;
     tracer.write_csv(os);
@@ -96,7 +96,8 @@ Fingerprint run_donor(const MachineConfig& mc, const nas::IsConfig& is,
   const nas::IsResult r = split.run_ranked();
   EXPECT_TRUE(r.ranks_valid);
   checker.audit_all();
-  return {m.engine().events_dispatched(), m.engine().now(), r.seconds, {}};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          r.seconds, {}};
 }
 
 // Fork: a fresh machine re-issues the donor's allocations (the IsSplit
@@ -115,8 +116,8 @@ Fingerprint run_fork(const MachineConfig& mc, const nas::IsConfig& is,
   const nas::IsResult r = split.run_ranked();
   EXPECT_TRUE(r.ranks_valid);
   checker.audit_all();
-  Fingerprint fp{m.engine().events_dispatched(), m.engine().now(), r.seconds,
-                 {}};
+  Fingerprint fp{m.parallel_engine().events_dispatched(),
+                 m.parallel_engine().now(), r.seconds, {}};
   if (mc.sim_threads <= 1) {
     std::ostringstream os;
     tracer.write_csv(os);

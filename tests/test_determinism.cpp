@@ -46,7 +46,8 @@ RunFingerprint barrier_run() {
     }
     last = cpu.seconds();
   });
-  return {m.engine().events_dispatched(), m.engine().now(), last};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          last};
 }
 
 TEST(Determinism, BarrierEpisodeIsBitReproducible) {
@@ -66,7 +67,8 @@ RunFingerprint is_run() {
   cfg.log2_buckets = 8;
   const nas::IsResult r = run_is(m, cfg);
   EXPECT_TRUE(r.ranks_valid);
-  return {m.engine().events_dispatched(), m.engine().now(), r.seconds};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          r.seconds};
 }
 
 TEST(Determinism, IntegerSortIsBitReproducible) {

@@ -277,7 +277,8 @@ MachineFingerprint barrier_run(unsigned sim_threads) {
   });
   std::ostringstream csv;
   tracer.write_csv(csv);
-  return {m.engine().events_dispatched(), m.engine().now(), last, csv.str()};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          last, csv.str()};
 }
 
 MachineFingerprint is_run(unsigned sim_threads) {
@@ -293,8 +294,8 @@ MachineFingerprint is_run(unsigned sim_threads) {
   EXPECT_TRUE(r.ranks_valid);
   std::ostringstream csv;
   tracer.write_csv(csv);
-  return {m.engine().events_dispatched(), m.engine().now(), r.seconds,
-          csv.str()};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          r.seconds, csv.str()};
 }
 
 TEST(ParallelEngine, MachineBarrierRunIsByteIdenticalAcrossSimThreads) {

@@ -208,8 +208,8 @@ Fp mode_a_128(unsigned sim_threads) {
   EXPECT_TRUE(r.ranks_valid);
   std::ostringstream csv;
   tracer.write_csv(csv);
-  return {m.engine().events_dispatched(), m.engine().now(), r.seconds,
-          csv.str()};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          r.seconds, csv.str()};
 }
 
 TEST(ScaleOut, ModeAMultiRingByteIdenticalAcrossSimThreads) {
@@ -239,7 +239,8 @@ Fp mode_b_64(unsigned sim_threads) {
   cfg.log2_buckets = 7;
   const nas::IsResult r = run_is(m, cfg);
   EXPECT_TRUE(r.ranks_valid);
-  return {m.engine().events_dispatched(), m.engine().now(), r.seconds, ""};
+  return {m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+          r.seconds, ""};
 }
 
 TEST(ScaleOut, MultiDomainCoherentRunIsSimThreadsInvariant) {
@@ -376,8 +377,8 @@ TracedFp mode_b_128_traced(unsigned sim_threads) {
   m.topo_snapshot(s);
   std::ostringstream rep;
   obs::topo::write_report(rep, s);
-  return {{m.engine().events_dispatched(), m.engine().now(), r.seconds,
-           csv.str()},
+  return {{m.parallel_engine().events_dispatched(), m.parallel_engine().now(),
+           r.seconds, csv.str()},
           rep.str()};
 }
 
@@ -418,8 +419,8 @@ TEST(ScaleOut, ModeBTracingDoesNotPerturbFingerprint) {
   const nas::IsResult r = run_is(m, cfg);
   ASSERT_TRUE(r.ranks_valid);
   const TracedFp traced = mode_b_128_traced(4);
-  EXPECT_EQ(m.engine().events_dispatched(), traced.fp.events);
-  EXPECT_EQ(m.engine().now(), traced.fp.end_time);
+  EXPECT_EQ(m.parallel_engine().events_dispatched(), traced.fp.events);
+  EXPECT_EQ(m.parallel_engine().now(), traced.fp.end_time);
   EXPECT_EQ(r.seconds, traced.fp.seconds);
 }
 

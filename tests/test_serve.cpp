@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <iterator>
 #include <set>
 #include <string>
@@ -61,9 +62,13 @@ JobSpec small_cg(unsigned procs = 2) {
 
 // Unique per run: a stale store directory from a previous test invocation
 // would turn the cold-miss assertions below into hits.
+// A fresh directory per test: a leftover from an earlier process that had
+// the same pid would otherwise pre-seed the store with cache hits.
 std::string temp_dir(const std::string& leaf) {
-  return ::testing::TempDir() + "ksr_serve_" + std::to_string(::getpid()) +
-         "_" + leaf;
+  const std::string dir = ::testing::TempDir() + "ksr_serve_" +
+                          std::to_string(::getpid()) + "_" + leaf;
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 // ------------------------------------------------------------- JSON layer

@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "ksr/sim/engine.hpp"
 #include "ksr/sim/event_heap.hpp"
 #include "ksr/sim/rng.hpp"
+#include "ksr/sim/zeroed_array.hpp"
 
 namespace ksr::sim {
 namespace {
@@ -165,6 +169,160 @@ TEST(Engine, NextEventTimeSentinelWhenIdle) {
   eng.run();
 }
 
+// ---- Fiber handoff: the self/handoff paths dispatch like the scheduler ----
+
+// How a handoff program is driven. kRun lets parking fibers hand off freely;
+// kSliced ends a run_until() slice every nanosecond and kObserved runs an
+// observer every nanosecond, so both force the scheduler path between
+// timestamps (only same-time ties may still hand off).
+enum class Drive { kRun, kSliced, kObserved };
+
+struct HandoffRun {
+  std::vector<std::array<std::uint64_t, 3>> log;  // (now, fiber, step)
+  std::uint64_t dispatched = 0;
+  std::size_t live_after = 0;
+  bool in_order = true;  // no step ran past a slice end or a due observer
+};
+
+// N fibers mixing wait_until (with tied wake times), block/wake through
+// InlineFn callbacks, a fiber whose wake is scheduled before it blocks, a
+// self-rescheduling callback, and late spawns at tied timestamps.
+HandoffRun run_handoff_program(Drive drive, std::uint64_t seed) {
+  constexpr Time kIdle = std::numeric_limits<Time>::max();
+  Engine eng;
+  eng.set_tie_break_seed(seed);
+  HandoffRun out;
+  auto note = [&](std::uint64_t fiber, std::uint64_t step) {
+    out.log.push_back({eng.now(), fiber, step});
+  };
+  std::vector<FiberId> ids(5);
+  for (std::uint64_t f = 0; f < 4; ++f) {
+    ids[f] = eng.spawn(
+        [&, f] {
+          for (std::uint64_t k = 0; k < 24; ++k) {
+            note(f, k);
+            if ((k + f) % 3 == 0) {
+              eng.at(eng.now() + 2,
+                     [&eng, &ids, f] { eng.wake(ids[f], eng.now()); });
+              eng.block();
+            } else {
+              eng.wait_until(eng.now() + (k * 7 + f) % 3);  // 0..2 ns: ties
+            }
+            if (f == 0 && k == 9) {  // a late spawn from inside a fiber
+              eng.spawn([&] {
+                for (std::uint64_t j = 0; j < 6; ++j) {
+                  note(10, j);
+                  eng.wait_until(eng.now() + j % 2);
+                }
+              }, eng.now());
+            }
+          }
+        },
+        f % 2);
+  }
+  ids[4] = eng.spawn([&] {  // wakes itself before it blocks
+    for (std::uint64_t k = 0; k < 12; ++k) {
+      note(4, k);
+      eng.wake(ids[4], eng.now() + k % 2);
+      eng.block();
+    }
+  });
+  std::function<void()> tick = [&] {  // a callback lane event at tied times
+    note(20, eng.now());
+    if (eng.now() < 40) eng.in(3, [&] { tick(); });
+  };
+  eng.at(1, [&] { tick(); });
+  eng.at(7, [&] {  // a late spawn from a callback
+    eng.spawn([&] {
+      for (std::uint64_t j = 0; j < 8; ++j) {
+        note(30, j);
+        eng.wait_until(eng.now() + 1);
+      }
+    }, eng.now());
+  });
+
+  std::function<void()> observe = [&] {
+    if (!out.log.empty() && out.log.back()[0] >= eng.now()) {
+      out.in_order = false;
+    }
+    eng.observe_in(1, [&] { observe(); });
+  };
+  switch (drive) {
+    case Drive::kRun:
+      eng.run();
+      break;
+    case Drive::kSliced:
+      for (Time h = 1; eng.next_event_time() != kIdle; ++h) {
+        eng.run_until(h);
+        if (!out.log.empty() && out.log.back()[0] >= h) out.in_order = false;
+      }
+      eng.finish_run();
+      break;
+    case Drive::kObserved:
+      eng.observe_at(0, [&] { observe(); });
+      eng.run();
+      break;
+  }
+  out.dispatched = eng.events_dispatched();
+  out.live_after = eng.live_fibers();
+  return out;
+}
+
+TEST(EngineHandoff, SameLogUnderEveryDrive) {
+  std::vector<std::vector<std::array<std::uint64_t, 3>>> logs;
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{0x5eed}}) {
+    SCOPED_TRACE(seed);
+    const HandoffRun run = run_handoff_program(Drive::kRun, seed);
+    logs.push_back(run.log);
+    const HandoffRun sliced = run_handoff_program(Drive::kSliced, seed);
+    const HandoffRun observed = run_handoff_program(Drive::kObserved, seed);
+    EXPECT_GT(run.log.size(), 100u);
+    EXPECT_EQ(run.log, sliced.log);
+    EXPECT_EQ(run.log, observed.log);
+    EXPECT_EQ(run.dispatched, sliced.dispatched);
+    EXPECT_EQ(run.dispatched, observed.dispatched);
+    // Stacks of fibers entered by handoff are released too.
+    EXPECT_EQ(run.live_after, 0u);
+    EXPECT_EQ(sliced.live_after, 0u);
+    EXPECT_EQ(observed.live_after, 0u);
+    EXPECT_TRUE(sliced.in_order);
+    EXPECT_TRUE(observed.in_order);
+  }
+  EXPECT_NE(logs[0], logs[1]);  // the seed still permutes fiber-event ties
+}
+
+TEST(EngineHandoff, ExceptionInFiberEnteredByHandoffPropagates) {
+  Engine eng;
+  // The first fiber parks with the second's spawn event on top of the
+  // queue, so the second is entered by handoff, not from the scheduler.
+  eng.spawn([&] { eng.wait_until(10); });
+  eng.spawn([&] {
+    eng.wait_until(5);
+    throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(eng.now(), 5u);
+}
+
+// ---- ZeroedArray: both allocation paths -----------------------------------
+
+TEST(ZeroedArray, StartsZeroedAndMovesOwnership) {
+  // 1 KiB comes from calloc, 256 KiB (a default fiber stack) is a mapping.
+  for (const std::size_t n : {std::size_t{1024}, Engine::kDefaultStackBytes}) {
+    ksr::sim::ZeroedArray<std::uint32_t> a(n / sizeof(std::uint32_t));
+    ASSERT_EQ(a.size(), n / sizeof(std::uint32_t));
+    EXPECT_TRUE(std::all_of(a.begin(), a.end(),
+                            [](std::uint32_t v) { return v == 0; }));
+    a[a.size() - 1] = 7;
+    ksr::sim::ZeroedArray<std::uint32_t> b(std::move(a));
+    EXPECT_EQ(a.data(), nullptr);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(b[b.size() - 1], 7u);
+    b = {};
+    EXPECT_EQ(b.data(), nullptr);
+  }
+}
+
 // ---- InlineFn: the three storage strategies -------------------------------
 
 TEST(InlineFn, TrivialCaptureInvokesAndMoves) {
@@ -275,6 +433,34 @@ TEST(EventQueue, FullDrainIsTotallySorted) {
     EXPECT_EQ(got.seq, want.seq);
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ReplaceTopEqualsPushThenPop) {
+  EventQueue<Key, KeyEarlier, 4> replaced;
+  EventQueue<Key, KeyEarlier, 4> reference;
+  DaryHeap<Key, KeyEarlier, 4> heap;
+  Rng rng(7);
+  std::uint64_t seq = 0;
+  for (int round = 0; round < 5000; ++round) {
+    const Key k{rng.below(300), seq++};
+    if (rng.below(10) < 6 || reference.empty()) {
+      replaced.push(k);
+      reference.push(k);
+      heap.push(k);
+      continue;
+    }
+    reference.push(k);
+    const Key want = reference.pop_top();
+    EXPECT_EQ(replaced.replace_top(k).seq, want.seq);
+    EXPECT_EQ(heap.replace_top(k).seq, want.seq);
+  }
+  while (!reference.empty()) {
+    const std::uint64_t want = reference.pop_top().seq;
+    EXPECT_EQ(replaced.pop_top().seq, want);
+    EXPECT_EQ(heap.pop_top().seq, want);
+  }
+  EXPECT_TRUE(replaced.empty());
+  EXPECT_TRUE(heap.empty());
 }
 
 TEST(EventQueue, MonotonePushesAndSizeBookkeeping) {
