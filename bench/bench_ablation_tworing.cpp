@@ -4,17 +4,16 @@
 // same trend is expected for applications that span more than 32
 // processors." The paper only verified this for barriers (Fig. 5); here we
 // run the CG and IS kernels across the boundary on the 64-cell KSR-2.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/cg.hpp"
 #include "ksr/nas/is.hpp"
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "ablation_tworing");
+  Study study(opt, "ablation_tworing");
   print_header("Extension: NAS kernels across the level-1 ring boundary",
                "the Section 4 prediction, beyond the paper's barrier data");
 
@@ -30,32 +29,31 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{16, 32, 48}
                 : std::vector<unsigned>{16, 24, 32, 40, 48, 56, 64};
 
+  std::vector<std::function<double(Job&)>> jobs;
+  for (unsigned p : procs) {
+    const auto mc = machine::MachineConfig::ksr2(p).scaled_by(64);
+    const std::string ps = std::to_string(p);
+    jobs.emplace_back([mc, ps, cg](Job& job) {
+      return run_cg(job.machine(mc, "cg p=" + ps), cg).seconds;
+    });
+    jobs.emplace_back([mc, ps, is](Job& job) {
+      return run_is(job.machine(mc, "is p=" + ps), is).seconds;
+    });
+  }
+  const std::vector<double> times = study.run(jobs);
+
   TextTable t({"procs", "rings", "CG time (s)", "CG eff. vs 16",
                "IS time (s)", "IS eff. vs 16"});
-  double cg16 = 0, is16 = 0;
-  for (unsigned p : procs) {
-    const std::string ps = std::to_string(p);
-    machine::KsrMachine mc(machine::MachineConfig::ksr2(p).scaled_by(64));
-    double cg_t = 0;
-    {
-      ScopedObs obs(session, mc, "cg p=" + ps);
-      cg_t = run_cg(mc, cg).seconds;
-    }
-    machine::KsrMachine mi(machine::MachineConfig::ksr2(p).scaled_by(64));
-    nas::IsResult is_r;
-    {
-      ScopedObs obs(session, mi, "is p=" + ps);
-      is_r = run_is(mi, is);
-    }
-    if (p == procs.front()) {
-      cg16 = cg_t * p;
-      is16 = is_r.seconds * p;
-    }
+  const double cg16 = times[0] * procs.front();
+  const double is16 = times[1] * procs.front();
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    const unsigned p = procs[i];
+    const double cg_t = times[2 * i], is_t = times[2 * i + 1];
     t.add_row({std::to_string(p), p > 32 ? "2" : "1",
                TextTable::num(cg_t, 5),
                TextTable::num(cg16 / (cg_t * p), 3),
-               TextTable::num(is_r.seconds, 5),
-               TextTable::num(is16 / (is_r.seconds * p), 3)});
+               TextTable::num(is_t, 5),
+               TextTable::num(is16 / (is_t * p), 3)});
   }
   if (opt.csv) {
     t.print_csv();

@@ -3,17 +3,16 @@
 // compute-dense (5x5 block operations per grid point), so it should scale
 // at least as well as SP — the contrast quantifies how much of SP's
 // behaviour is memory-system-bound.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/bt.hpp"
 #include "ksr/nas/sp.hpp"
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "ext_bt");
+  Study study(opt, "ext_bt");
   print_header("Extension: Block Tridiagonal application scalability",
                "reference [6]; contrast with Table 3 (SP)");
 
@@ -32,19 +31,22 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 4, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16};
 
-  std::vector<std::pair<unsigned, double>> bt_m, sp_m;
+  std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
+    const auto mc = machine::MachineConfig::ksr1(p).scaled_by(scale);
     const std::string ps = std::to_string(p);
-    machine::KsrMachine m1(machine::MachineConfig::ksr1(p).scaled_by(scale));
-    {
-      ScopedObs obs(session, m1, "bt p=" + ps);
-      bt_m.emplace_back(p, run_bt(m1, bt).seconds_per_iteration);
-    }
-    machine::KsrMachine m2(machine::MachineConfig::ksr1(p).scaled_by(scale));
-    {
-      ScopedObs obs(session, m2, "sp p=" + ps);
-      sp_m.emplace_back(p, run_sp(m2, sp).seconds_per_iteration);
-    }
+    jobs.emplace_back([mc, ps, bt](Job& job) {
+      return run_bt(job.machine(mc, "bt p=" + ps), bt).seconds_per_iteration;
+    });
+    jobs.emplace_back([mc, ps, sp](Job& job) {
+      return run_sp(job.machine(mc, "sp p=" + ps), sp).seconds_per_iteration;
+    });
+  }
+  const std::vector<double> times = study.run(jobs);
+  std::vector<std::pair<unsigned, double>> bt_m, sp_m;
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    bt_m.emplace_back(procs[i], times[2 * i]);
+    sp_m.emplace_back(procs[i], times[2 * i + 1]);
   }
   const auto bt_rows = study::scaling_rows(bt_m);
   const auto sp_rows = study::scaling_rows(sp_m);

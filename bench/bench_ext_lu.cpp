@@ -4,16 +4,15 @@
 // plane per sweep) makes it the finest-grain synchronization workload in
 // the suite; poststore on the single-reader pipeline flags is the textbook
 // GOOD use of the primitive, complementing SP's poststore pitfall.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/lu.hpp"
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "ext_lu");
+  Study study(opt, "ext_lu");
   print_header("Extension: LU (SSOR) application scalability",
                "the third NAS application; pipelined wavefront structure");
 
@@ -26,22 +25,26 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 4, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16};
 
+  nas::LuConfig no_post_cfg = cfg;
+  no_post_cfg.use_poststore = false;
+  std::vector<std::function<double(Job&)>> jobs;
+  for (unsigned p : procs) {
+    const auto mc = machine::MachineConfig::ksr1(p).scaled_by(scale);
+    const std::string ps = std::to_string(p);
+    jobs.emplace_back([mc, ps, cfg](Job& job) {
+      return run_lu(job.machine(mc, "lu p=" + ps), cfg).seconds_per_iteration;
+    });
+    jobs.emplace_back([mc, ps, no_post_cfg](Job& job) {
+      return run_lu(job.machine(mc, "lu-nopoststore p=" + ps), no_post_cfg)
+          .seconds_per_iteration;
+    });
+  }
+  const std::vector<double> times = study.run(jobs);
   std::vector<std::pair<unsigned, double>> measured;
   std::vector<double> no_post;
-  for (unsigned p : procs) {
-    const std::string ps = std::to_string(p);
-    machine::KsrMachine m1(machine::MachineConfig::ksr1(p).scaled_by(scale));
-    {
-      ScopedObs obs(session, m1, "lu p=" + ps);
-      measured.emplace_back(p, run_lu(m1, cfg).seconds_per_iteration);
-    }
-    nas::LuConfig c2 = cfg;
-    c2.use_poststore = false;
-    machine::KsrMachine m2(machine::MachineConfig::ksr1(p).scaled_by(scale));
-    {
-      ScopedObs obs(session, m2, "lu-nopoststore p=" + ps);
-      no_post.push_back(run_lu(m2, c2).seconds_per_iteration);
-    }
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    measured.emplace_back(procs[i], times[2 * i]);
+    no_post.push_back(times[2 * i + 1]);
   }
 
   TextTable t({"procs", "t/iter (s)", "speedup", "no-poststore (s)",

@@ -4,17 +4,16 @@
 // synchronization (like the barrier study writ small), while FT's
 // per-iteration transpose moves the whole array across the partition — a
 // heavier ring load than even IS's phase 2.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/ft.hpp"
 #include "ksr/nas/mg.hpp"
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "ext_mg_ft");
+  Study study(opt, "ext_mg_ft");
   print_header("Extension: MG and FT kernel scalability",
                "the two NAS kernels beyond the paper's three");
 
@@ -28,26 +27,35 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 4, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
 
-  std::vector<std::pair<unsigned, double>> mg_m, ft_m;
-  std::vector<double> ft_wait;
+  struct Run {
+    double seconds = 0, wait_per_req = 0;
+  };
+  std::vector<std::function<Run(Job&)>> jobs;
   for (unsigned p : procs) {
     const std::string ps = std::to_string(p);
-    machine::KsrMachine m1(machine::MachineConfig::ksr1(p).scaled_by(16));
-    {
-      ScopedObs obs(session, m1, "mg p=" + ps);
-      mg_m.emplace_back(p, run_mg(m1, mg).seconds);
-    }
-    machine::KsrMachine m2(machine::MachineConfig::ksr1(p).scaled_by(64));
-    {
-      ScopedObs obs(session, m2, "ft p=" + ps);
-      ft_m.emplace_back(p, run_ft(m2, ft).seconds);
-    }
-    cache::PerfMonitor total;
-    for (unsigned c = 0; c < p; ++c) total.add(m2.cell_pmon(c));
-    ft_wait.push_back(total.ring_requests
-                          ? static_cast<double>(total.inject_wait_ns) /
-                                static_cast<double>(total.ring_requests)
-                          : 0.0);
+    jobs.emplace_back([p, ps, mg](Job& job) {
+      machine::Machine& m = job.machine(
+          machine::MachineConfig::ksr1(p).scaled_by(16), "mg p=" + ps);
+      return Run{run_mg(m, mg).seconds};
+    });
+    jobs.emplace_back([p, ps, ft](Job& job) {
+      machine::Machine& m = job.machine(
+          machine::MachineConfig::ksr1(p).scaled_by(64), "ft p=" + ps);
+      Run r{run_ft(m, ft).seconds};
+      cache::PerfMonitor total;
+      for (unsigned c = 0; c < p; ++c) total.add(m.cell_pmon(c));
+      if (total.ring_requests) {
+        r.wait_per_req = static_cast<double>(total.inject_wait_ns) /
+                         static_cast<double>(total.ring_requests);
+      }
+      return r;
+    });
+  }
+  const std::vector<Run> runs = study.run(jobs);
+  std::vector<std::pair<unsigned, double>> mg_m, ft_m;
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    mg_m.emplace_back(procs[i], runs[2 * i].seconds);
+    ft_m.emplace_back(procs[i], runs[2 * i + 1].seconds);
   }
   const auto mg_rows = study::scaling_rows(mg_m);
   const auto ft_rows = study::scaling_rows(ft_m);
@@ -60,7 +68,7 @@ int main(int argc, char** argv) {
                TextTable::num(mg_rows[i].speedup, 2),
                TextTable::num(ft_rows[i].seconds, 5),
                TextTable::num(ft_rows[i].speedup, 2),
-               TextTable::num(ft_wait[i], 0)});
+               TextTable::num(runs[2 * i + 1].wait_per_req, 0)});
   }
   if (opt.csv) {
     t.print_csv();

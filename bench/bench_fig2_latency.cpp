@@ -4,16 +4,14 @@
 // 2 KB block- and 16 KB page-allocation overheads.
 #include <cstdint>
 
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
+#include "ksr/study/sweep.hpp"
 #include "ksr/sync/atomic.hpp"
 
 namespace {
 
 using namespace ksr;           // NOLINT
-using namespace ksr::bench;    // NOLINT
+using namespace ksr::study;    // NOLINT
 using machine::Cpu;
-using machine::KsrMachine;
 using machine::MachineConfig;
 
 struct LatencyPoint {
@@ -24,10 +22,8 @@ struct LatencyPoint {
 /// All P processors first cache private data, then simultaneously access
 /// their ring neighbour's data (the paper's experiment; footnote 3: any
 /// remote node costs the same on a unidirectional ring).
-LatencyPoint measure(obs::Session& session, unsigned nproc,
+LatencyPoint measure(machine::Machine& m, unsigned nproc,
                      std::size_t kb_per_cpu) {
-  KsrMachine m(MachineConfig::ksr1(std::max(nproc, 2u)));
-  ScopedObs obs(session, m, "latency p=" + std::to_string(nproc));
   const std::size_t ints = kb_per_cpu * 1024 / sizeof(std::uint32_t);
   const std::size_t stride = mem::kSubPageBytes / sizeof(std::uint32_t);
   auto data = m.alloc<std::uint32_t>(
@@ -122,15 +118,40 @@ LatencyPoint measure(obs::Session& session, unsigned nproc,
   return pt;
 }
 
-void stride_experiments(obs::Session& session, const BenchOptions& opt) {
-  // §3.1: striding one access per 2 KB block costs ~50% more (sub-cache
-  // block allocation); one access per 16 KB page adds ~60% at ring level.
-  KsrMachine m(MachineConfig::ksr1(2));
-  ScopedObs obs(session, m, "stride");
-  const std::size_t doubles = (opt.quick ? 1u : 4u) * 1024 * 1024 / 8;
+// §3.1: striding one access per 2 KB block costs ~50% more (sub-cache
+// block allocation); one access per 16 KB page adds ~60% at ring level.
+struct Stride {
+  double dense = 0, blocky = 0, net_dense = 0, net_page = 0;
+};
+
+Stride stride_experiments(Job& job, std::size_t doubles) {
+  double dense = 0, blocky = 0, net_dense = 0, net_page = 0;
+  // Page-allocation overhead measured directly on a cold machine (built
+  // first: its trace section has always preceded the warm machine's).
+  machine::Machine& m2 =
+      job.machine(MachineConfig::ksr1(2), "stride-pagealloc");
+  auto arr2 = m2.alloc<double>("stride2", doubles);
+  auto flag = m2.alloc<int>("flag2", 1);
+  m2.run([&](machine::Cpu& cpu) {
+    constexpr std::size_t kSp = mem::kSubPageBytes / sizeof(double);
+    constexpr std::size_t kPg = mem::kPageBytes / sizeof(double);
+    if (cpu.id() == 0) {
+      for (std::size_t i = 0; i < doubles; i += kSp) cpu.write(arr2, i, 1.0);
+      cpu.write(flag, 0, 1);
+    } else {
+      sync::spin_until(cpu, [&] { return cpu.read(flag, 0) == 1; });
+      const double t0 = cpu.seconds();
+      std::size_t n = 0;
+      for (std::size_t i = 0; i < doubles; i += kPg, ++n) {
+        (void)cpu.read(arr2, i);  // every access: page alloc + remote fetch
+      }
+      net_page = (cpu.seconds() - t0) / static_cast<double>(n);
+    }
+  });
+
+  machine::Machine& m = job.machine(MachineConfig::ksr1(2), "stride");
   auto arr = m.alloc<double>("stride", doubles);
   auto remote = m.alloc<double>("stride.r", doubles);
-  double dense = 0, blocky = 0, net_dense = 0, net_page = 0;
   auto barrier = sync::make_barrier(m, sync::BarrierKind::kSystem);
   m.run([&](machine::Cpu& cpu) {
     constexpr std::size_t kSub = mem::kSubBlockBytes / sizeof(double);
@@ -176,69 +197,44 @@ void stride_experiments(obs::Session& session, const BenchOptions& opt) {
         (void)cpu.read(remote, i);  // sub-page not yet resident; page warm
       }
       const double warm = (cpu.seconds() - t0) / static_cast<double>(n);
-      (void)warm;
-      net_page = warm;  // with page warm this approximates dense; see below
+      (void)warm;  // with page warm this approximates dense; see above
     }
     barrier->arrive(cpu);
   });
-
-  // Page-allocation overhead measured directly on a cold machine:
-  KsrMachine m2(MachineConfig::ksr1(2));
-  ScopedObs obs2(session, m2, "stride-pagealloc");
-  auto arr2 = m2.alloc<double>("stride2", doubles);
-  auto flag = m2.alloc<int>("flag2", 1);
-  m2.run([&](machine::Cpu& cpu) {
-    constexpr std::size_t kSp = mem::kSubPageBytes / sizeof(double);
-    constexpr std::size_t kPg = mem::kPageBytes / sizeof(double);
-    if (cpu.id() == 0) {
-      for (std::size_t i = 0; i < doubles; i += kSp) cpu.write(arr2, i, 1.0);
-      cpu.write(flag, 0, 1);
-    } else {
-      sync::spin_until(cpu, [&] { return cpu.read(flag, 0) == 1; });
-      const double t0 = cpu.seconds();
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < doubles; i += kPg, ++n) {
-        (void)cpu.read(arr2, i);  // every access: page alloc + remote fetch
-      }
-      net_page = (cpu.seconds() - t0) / static_cast<double>(n);
-    }
-  });
-
-  TextTable t({"access pattern", "per-access (us)", "vs dense", "paper"});
-  t.add_row({"local, sub-block stride (dense)", TextTable::num(dense * 1e6, 3),
-             "1.00x", "18 cycles = 0.90 us"});
-  t.add_row({"local, 2KB-block stride (allocs)",
-             TextTable::num(blocky * 1e6, 3),
-             TextTable::num(blocky / dense, 2) + "x", "+~50%"});
-  t.add_row({"remote, sub-page stride (pages warm)",
-             TextTable::num(net_dense * 1e6, 3), "1.00x",
-             "175 cycles = 8.75 us"});
-  t.add_row({"remote, 16KB-page stride (allocs)",
-             TextTable::num(net_page * 1e6, 3),
-             TextTable::num(net_page / net_dense, 2) + "x", "+~60%"});
-  if (opt.csv) {
-    t.print_csv();
-  } else {
-    t.print();
-  }
+  return {dense, blocky, net_dense, net_page};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "fig2_latency");
+  Study study(opt, "fig2_latency");
   print_header("Read/Write latencies vs processors",
                "Fig. 2 and the stride experiments of Section 3.1");
 
   const std::size_t kb = opt.quick ? 16 : 64;
+  const std::size_t doubles = (opt.quick ? 1u : 4u) * 1024 * 1024 / 8;
+  const std::vector<unsigned> procs{1, 2, 4, 8, 12, 16, 20, 24, 28, 32};
+  std::vector<std::function<LatencyPoint(Job&)>> jobs;
+  for (unsigned p : procs) {
+    jobs.emplace_back([p, kb](Job& job) {
+      return measure(job.machine(MachineConfig::ksr1(std::max(p, 2u)),
+                                 "latency p=" + std::to_string(p)),
+                     p, kb);
+    });
+  }
+  const std::vector<LatencyPoint> points = study.run(jobs);
+  const Stride st = study.run<Stride>({[doubles](Job& job) {
+    return stride_experiments(job, doubles);
+  }})[0];
+
   TextTable t({"procs", "local rd (us)", "local wr (us)", "net rd (us)",
                "net wr (us)", "net rd (cycles)"});
-  std::vector<unsigned> procs{1, 2, 4, 8, 12, 16, 20, 24, 28, 32};
   double net_read_p2 = 0;
   double net_read_p32 = 0;
-  for (unsigned p : procs) {
-    const LatencyPoint pt = measure(session, p, kb);
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    const unsigned p = procs[i];
+    const LatencyPoint& pt = points[i];
     if (p == 2) net_read_p2 = pt.net_read;
     if (p == 32) net_read_p32 = pt.net_read;
     t.add_row({std::to_string(p), TextTable::num(pt.local_read * 1e6, 3),
@@ -262,6 +258,23 @@ int main(int argc, char** argv) {
               << "%\n\n";
   }
 
-  stride_experiments(session, opt);
+  TextTable ts({"access pattern", "per-access (us)", "vs dense", "paper"});
+  ts.add_row({"local, sub-block stride (dense)",
+              TextTable::num(st.dense * 1e6, 3), "1.00x",
+              "18 cycles = 0.90 us"});
+  ts.add_row({"local, 2KB-block stride (allocs)",
+              TextTable::num(st.blocky * 1e6, 3),
+              TextTable::num(st.blocky / st.dense, 2) + "x", "+~50%"});
+  ts.add_row({"remote, sub-page stride (pages warm)",
+              TextTable::num(st.net_dense * 1e6, 3), "1.00x",
+              "175 cycles = 8.75 us"});
+  ts.add_row({"remote, 16KB-page stride (allocs)",
+              TextTable::num(st.net_page * 1e6, 3),
+              TextTable::num(st.net_page / st.net_dense, 2) + "x", "+~60%"});
+  if (opt.csv) {
+    ts.print_csv();
+  } else {
+    ts.print();
+  }
   return 0;
 }

@@ -7,34 +7,23 @@
 // read or write mode with a delay of 10000 local operations between
 // successive lock requests; the lock is held for 3000 local operations.
 //
-// Each (P, variant) cell is an independent simulation — one SweepRunner job
-// per cell, merged in submission order.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
+// Each (P, variant) cell is an independent simulation — one sweep-harness
+// job per cell, merged in submission order.
+#include "ksr/study/sweep.hpp"
 #include "ksr/sync/locks.hpp"
 
 namespace {
 
 using namespace ksr;         // NOLINT
-using namespace ksr::bench;  // NOLINT
+using namespace ksr::study;  // NOLINT
 using machine::Cpu;
-using machine::KsrMachine;
 using machine::MachineConfig;
 
 constexpr std::uint64_t kHoldOps = 3000;   // local ops while holding
 constexpr std::uint64_t kDelayOps = 10000; // local ops between requests
 constexpr std::uint64_t kCyclesPerOp = 2;
 
-struct Run {
-  double seconds = 0.0;
-  obs::JobObs obs;
-};
-
-Run run_exclusive(const obs::Session& session, unsigned nproc, int ops) {
-  KsrMachine m(MachineConfig::ksr1(nproc));
-  Run r;
-  r.obs = session.job();
-  r.obs.attach(m);
+double run_exclusive(machine::Machine& m, int ops) {
   sync::HardwareLock lock(m);
   double t = 0;
   m.run([&](Cpu& cpu) {
@@ -46,17 +35,10 @@ Run run_exclusive(const obs::Session& session, unsigned nproc, int ops) {
     }
     if (cpu.seconds() > t) t = cpu.seconds();
   });
-  r.obs.finish();
-  r.seconds = t;
-  return r;
+  return t;
 }
 
-Run run_rw(const obs::Session& session, unsigned nproc, int ops,
-           unsigned read_percent) {
-  KsrMachine m(MachineConfig::ksr1(nproc));
-  Run r;
-  r.obs = session.job();
-  r.obs.attach(m);
+double run_rw(machine::Machine& m, int ops, unsigned read_percent) {
   sync::TicketRwLock lock(m);
   double t = 0;
   m.run([&](Cpu& cpu) {
@@ -75,20 +57,19 @@ Run run_rw(const obs::Session& session, unsigned nproc, int ops,
     }
     if (cpu.seconds() > t) t = cpu.seconds();
   });
-  r.obs.finish();
-  r.seconds = t;
-  return r;
+  return t;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "fig3_locks");
-  SweepRunner runner(opt.jobs);
+  bool full = false;
+  const BenchOptions opt = BenchOptions::parse(
+      argc, argv, {{"full", &full, "the paper's 500 operations (slow)"}});
+  Study study(opt, "fig3_locks");
   // Paper: "for 500 operations". Scaled default keeps the event count sane;
   // --full uses the paper's 500.
-  const int ops = opt.full ? 500 : (opt.quick ? 25 : 40);
+  const int ops = full ? 500 : (opt.quick ? 25 : 40);
 
   print_header("Lock performance (" + std::to_string(ops) +
                    " operations per processor)",
@@ -102,32 +83,28 @@ int main(int argc, char** argv) {
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
   const std::vector<unsigned> read_pcts{0, 20, 40, 60, 80, 100};
 
-  std::vector<std::function<Run()>> jobs;
-  jobs.reserve(procs.size() * (1 + read_pcts.size()));
+  std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back(
-        [p, ops, &session] { return run_exclusive(session, p, ops); });
+    const std::string ps = std::to_string(p);
+    jobs.emplace_back([p, ops, ps](Job& job) {
+      return run_exclusive(
+          job.machine(MachineConfig::ksr1(p), "exclusive p=" + ps), ops);
+    });
     for (unsigned rd : read_pcts) {
-      jobs.emplace_back(
-          [p, ops, rd, &session] { return run_rw(session, p, ops, rd); });
+      jobs.emplace_back([p, ops, rd, ps](Job& job) {
+        return run_rw(job.machine(MachineConfig::ksr1(p),
+                                  "rw" + std::to_string(rd) + " p=" + ps),
+                      ops, rd);
+      });
     }
   }
-  std::vector<Run> cells = runner.run(jobs);
+  const std::vector<double> cells = study.run(jobs);
 
   std::size_t j = 0;
   for (unsigned p : procs) {
     std::vector<std::string> row{std::to_string(p)};
-    if (session.active()) {
-      session.collect(std::move(cells[j].obs),
-                      "exclusive p=" + std::to_string(p));
-    }
-    row.push_back(TextTable::num(cells[j++].seconds, 4));
-    for (unsigned rd : read_pcts) {
-      if (session.active()) {
-        session.collect(std::move(cells[j].obs),
-                        "rw" + std::to_string(rd) + " p=" + std::to_string(p));
-      }
-      row.push_back(TextTable::num(cells[j++].seconds, 4));
+    for (std::size_t v = 0; v <= read_pcts.size(); ++v) {
+      row.push_back(TextTable::num(cells[j++], 4));
     }
     t.add_row(row);
   }

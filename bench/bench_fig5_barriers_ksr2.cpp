@@ -2,26 +2,15 @@
 // the same nine barriers, on the two-level ring (two 32-cell leaf rings
 // joined through ARDs by the level-1 ring), 2x CPU clock.
 //
-// One SweepRunner job per (barrier, P) cell, merged in submission order.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
-
-namespace {
-
-struct Cell {
-  double seconds = 0.0;
-  ksr::obs::JobObs obs;
-};
-
-}  // namespace
+// One sweep-harness job per (barrier, P) cell, merged in submission order.
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "fig5_barriers_ksr2");
-  SweepRunner runner(opt.jobs);
+  Study study(opt, "fig5_barriers_ksr2");
   const int episodes = opt.quick ? 5 : 20;
   print_header("Barrier performance on the 64-node KSR-2 (two-level ring)",
                "Fig. 5, Sections 3.2.4 and 4");
@@ -35,33 +24,25 @@ int main(int argc, char** argv) {
   TextTable t(headers);
 
   const auto kinds = sync::all_barrier_kinds();
-  std::vector<std::function<Cell()>> jobs;
-  jobs.reserve(kinds.size() * procs.size());
+  std::vector<std::function<double(Job&)>> jobs;
   for (sync::BarrierKind kind : kinds) {
     for (unsigned p : procs) {
-      jobs.emplace_back([kind, p, episodes, &session] {
-        machine::KsrMachine m(machine::MachineConfig::ksr2(p));
-        Cell c;
-        c.obs = session.job();
-        c.obs.attach(m);
-        c.seconds = barrier_episode_seconds(m, kind, episodes);
-        c.obs.finish();
-        return c;
+      jobs.emplace_back([kind, p, episodes](Job& job) {
+        return barrier_episode_seconds(
+            job.machine(machine::MachineConfig::ksr2(p),
+                        std::string(to_string(kind)) + " p=" +
+                            std::to_string(p)),
+            kind, episodes);
       });
     }
   }
-  std::vector<Cell> cells = runner.run(jobs);
+  const std::vector<double> cells = study.run(jobs);
 
   std::size_t j = 0;
   for (sync::BarrierKind kind : kinds) {
     std::vector<std::string> row{std::string(to_string(kind))};
-    for (unsigned p : procs) {
-      Cell& c = cells[j++];
-      if (session.active()) {
-        session.collect(std::move(c.obs), std::string(to_string(kind)) +
-                                              " p=" + std::to_string(p));
-      }
-      row.push_back(TextTable::num(c.seconds * 1e6, 1));
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      row.push_back(TextTable::num(cells[j++] * 1e6, 1));
     }
     t.add_row(row);
   }

@@ -10,7 +10,7 @@
 // The paper stops at 32 processors; these rows ask what its Fig. 8 curves
 // would have done at full machine scale.
 //
-// One SweepRunner job per (kernel, P) run, merged in submission order.
+// One sweep-harness job per (kernel, P) run, merged in submission order.
 //
 // `--warm-start` / `--cold-start` switch the IS series to the split-phase
 // kernel (docs/CHECKPOINT.md): each P runs IS twice, prefetch on and off.
@@ -23,47 +23,48 @@
 // as `warm_saved_ms=` on the [host] line. `--checkpoint-at P` writes each
 // donor checkpoint to <P>.p<procs>.ckpt; `--restore-from P` re-uses them,
 // skipping even the donor warm-ups.
-#include "bench_common.hpp"
 #include "ksr/ckpt/checkpoint.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/cg.hpp"
 #include "ksr/nas/is.hpp"
+#include "ksr/study/sweep.hpp"
 
 namespace {
 
-struct Run {
-  double seconds = 0.0;
-  double seconds_np = 0.0;  // split-phase modes: the no-prefetch variant
-  std::uint64_t events = 0;
-  std::uint64_t quanta = 0;
-  std::uint64_t saved_ms = 0;  // warm-up wall time a fork skipped
-  // Scale-out point telemetry (--scale-out only): fuels the per-point
-  // `[host] point` stderr lines that report.py folds into BENCH_host.json.
+// Scale-out point telemetry (--scale-out only): fuels the per-point
+// `[host] point` stderr lines that report.py folds into BENCH_host.json.
+// The ring-utilization and shard numbers are simulated/deterministic;
+// barrier_wait_ppm is the host self-profiler's wall-clock fraction and
+// varies run to run — all of it stays on stderr, never in the byte-stable
+// tables.
+struct Point {
+  std::uint64_t quanta = 0;             // quantum barriers of its machines
   std::uint64_t barrier_wait_ppm = 0;   // host wall clock (self-profiler)
   std::uint64_t ring_util_ppm_l0 = 0;   // peak leaf-ring slot utilization
   std::uint64_t ring_util_ppm_l1 = 0;   // level-1 ring (0 when analytic)
   int hot_shard = -1;                   // hottest home leaf; -1 = no shards
   std::uint64_t hot_shard_requests = 0;
-  ksr::obs::JobObs obs;
-  ksr::obs::JobObs obs_np;
+
+  // Snapshot the topology telemetry while the machine is still alive.
+  void capture(ksr::machine::Machine& m) {
+    ksr::obs::topo::Snapshot s;
+    m.topo_snapshot(s);
+    quanta += m.parallel_engine().quanta();
+    ring_util_ppm_l0 = ksr::obs::topo::peak_util_ppm(s, 0);
+    ring_util_ppm_l1 = ksr::obs::topo::peak_util_ppm(s, 1);
+    if (const ksr::obs::topo::ShardUse* h = ksr::obs::topo::hottest_shard(s)) {
+      hot_shard = static_cast<int>(h->home_leaf);
+      hot_shard_requests = h->requests;
+    }
+    barrier_wait_ppm = m.parallel_engine().host_profile().barrier_wait_ppm();
+  }
 };
 
-// Snapshot the integer topology telemetry while the machine is still alive
-// (jobs destroy their machine before merging). The ring-utilization and
-// shard numbers are simulated/deterministic; barrier_wait_ppm is the host
-// self-profiler's wall-clock fraction and varies run to run — all of it
-// stays on stderr, never in the byte-stable tables.
-void capture_point(Run& r, ksr::machine::KsrMachine& m) {
-  ksr::obs::topo::Snapshot s;
-  m.topo_snapshot(s);
-  r.ring_util_ppm_l0 = ksr::obs::topo::peak_util_ppm(s, 0);
-  r.ring_util_ppm_l1 = ksr::obs::topo::peak_util_ppm(s, 1);
-  if (const ksr::obs::topo::ShardUse* h = ksr::obs::topo::hottest_shard(s)) {
-    r.hot_shard = static_cast<int>(h->home_leaf);
-    r.hot_shard_requests = h->requests;
-  }
-  r.barrier_wait_ppm = m.parallel_engine().host_profile().barrier_wait_ppm();
-}
+struct Run {
+  double seconds = 0.0;
+  double seconds_np = 0.0;  // split-phase modes: the no-prefetch variant
+  std::uint64_t saved_ms = 0;  // warm-up wall time a fork skipped
+  Point point;
+};
 
 // Partition width for the scale-out rows: whole leaf rings, at most four
 // domains (cells_per_domain = 0 leaves small machines single-domain).
@@ -77,30 +78,37 @@ unsigned scale_out_cpd(unsigned procs) {
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   bool scale_out = false;
+  bool warm_start = false;
+  bool cold_start = false;
+  std::string checkpoint_at;  // donor checkpoint path prefix; empty = off
+  std::string restore_from;   // donor checkpoint path prefix; empty = off
   const BenchOptions opt = BenchOptions::parse(
       argc, argv,
       {{"scale-out", &scale_out,
-        "the 128-1088-cell ring-of-rings extrapolation"}});
-  if (opt.warm_start && opt.cold_start) {
+        "the 128-1088-cell ring-of-rings extrapolation"},
+       {"warm-start", &warm_start,
+        "fork sweep points sharing a warm-up from one checkpoint"},
+       {"cold-start", &cold_start,
+        "the split-phase sweep without forking (the --warm-start "
+        "reference)"},
+       {"checkpoint-at", &checkpoint_at,
+        "P  write each donor checkpoint to <P>.p<procs>.ckpt"},
+       {"restore-from", &restore_from,
+        "P  load donor checkpoints instead of simulating warm-ups"}});
+  if (warm_start && cold_start) {
     std::cerr << "bench_fig8_speedup: --warm-start and --cold-start are "
                  "mutually exclusive\n";
     return 1;
   }
-  const bool split_is = opt.warm_start || opt.cold_start;
-  if (!opt.warm_start &&
-      (!opt.checkpoint_at.empty() || !opt.restore_from.empty())) {
+  const bool split_is = warm_start || cold_start;
+  if (!warm_start && (!checkpoint_at.empty() || !restore_from.empty())) {
     std::cerr << "warning: --checkpoint-at/--restore-from need --warm-start; "
                  "ignored\n";
   }
-  HostMetrics host(scale_out ? "fig8_scaleout" : "fig8_speedup");
-  obs::Session session(opt.obs,
-                       scale_out ? "fig8_scaleout" : "fig8_speedup");
-  SweepRunner runner(opt.jobs);
-  host.set_jobs(runner.jobs());
-  host.set_sim_threads(opt.sim_threads);
+  Study study(opt, scale_out ? "fig8_scaleout" : "fig8_speedup");
   print_header(scale_out ? "Speedup for CG and IS at 128-1088 cells"
                          : "Speedup for CG and IS",
                scale_out ? "Fig. 8 extrapolated past the paper's 32 cells"
@@ -120,41 +128,28 @@ int main(int argc, char** argv) {
                 : (opt.quick ? std::vector<unsigned>{1, 4, 16}
                              : std::vector<unsigned>{1, 2, 4, 8, 16, 24, 32});
 
-  const unsigned sim_threads = opt.sim_threads;
-  auto make_cfg = [scale_out, sim_threads](unsigned p) {
-    machine::MachineConfig c = machine::MachineConfig::ksr1(p)
-                                   .scaled_by(64)
-                                   .with_sim_threads(sim_threads);
+  auto make_cfg = [scale_out](unsigned p) {
+    machine::MachineConfig c = machine::MachineConfig::ksr1(p).scaled_by(64);
     if (scale_out) c = c.with_cells_per_domain(scale_out_cpd(p));
     return c;
   };
 
-  std::vector<std::function<Run()>> jobs;
-  jobs.reserve(2 * procs.size());
+  std::vector<std::function<Run(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, cg, scale_out, &session, &make_cfg] {
-      machine::KsrMachine m(make_cfg(p));
+    const std::string ps = std::to_string(p);
+    jobs.emplace_back([p, ps, cg, scale_out, &make_cfg](Job& job) {
+      machine::Machine& m = job.machine(make_cfg(p), "cg p=" + ps);
       Run r;
-      r.obs = session.job();
-      r.obs.attach(m);
       r.seconds = run_cg(m, cg).seconds;
-      r.obs.finish();
-      r.events = m.parallel_engine().events_dispatched();
-      r.quanta = m.parallel_engine().quanta();
-      if (scale_out) capture_point(r, m);
+      if (scale_out) r.point.capture(m);
       return r;
     });
     if (!split_is) {
-      jobs.emplace_back([p, is, scale_out, &session, &make_cfg] {
-        machine::KsrMachine m(make_cfg(p));
+      jobs.emplace_back([p, ps, is, scale_out, &make_cfg](Job& job) {
+        machine::Machine& m = job.machine(make_cfg(p), "is p=" + ps);
         Run r;
-        r.obs = session.job();
-        r.obs.attach(m);
         r.seconds = run_is(m, is).seconds;
-        r.obs.finish();
-        r.events = m.parallel_engine().events_dispatched();
-        r.quanta = m.parallel_engine().quanta();
-        if (scale_out) capture_point(r, m);
+        if (scale_out) r.point.capture(m);
         return r;
       });
       continue;
@@ -164,27 +159,25 @@ int main(int argc, char** argv) {
     // forks from the donor checkpoint; under --cold-start each variant
     // re-simulates its own warm-up. Restore preserves the donor's event
     // and quantum counters, so the two modes report identical totals.
-    jobs.emplace_back([p, is, scale_out, &session, &make_cfg, &opt] {
+    jobs.emplace_back([&, p, ps](Job& job) {
       nas::IsConfig is_np = is;
       is_np.use_prefetch = false;
-      const std::string suffix = ".p" + std::to_string(p) + ".ckpt";
+      const std::string suffix = ".p" + ps + ".ckpt";
       const std::string save_path =
-          opt.checkpoint_at.empty() ? "" : opt.checkpoint_at + suffix;
+          checkpoint_at.empty() ? "" : checkpoint_at + suffix;
       const std::string load_path =
-          opt.restore_from.empty() ? "" : opt.restore_from + suffix;
+          restore_from.empty() ? "" : restore_from + suffix;
       Run r;
       std::vector<std::byte> image;
       {
-        machine::KsrMachine m(make_cfg(p));
-        r.obs = session.job();
-        r.obs.attach(m);
+        machine::Machine& m = job.machine(make_cfg(p), "is p=" + ps);
         nas::IsSplit split(m, is);
         if (!load_path.empty()) {
           m.restore_from(load_path);
         } else {
           const auto w0 = std::chrono::steady_clock::now();
           split.run_warmup();
-          if (opt.warm_start) {
+          if (warm_start) {
             // The fork below skips a warm-up of (approximately) this cost.
             r.saved_ms = static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -195,67 +188,48 @@ int main(int argc, char** argv) {
           }
         }
         r.seconds = split.run_ranked().seconds;
-        r.obs.finish();
-        r.events = m.parallel_engine().events_dispatched();
-        r.quanta = m.parallel_engine().quanta();
-        if (scale_out) capture_point(r, m);
+        if (scale_out) r.point.capture(m);
       }
-      {
-        machine::KsrMachine m(make_cfg(p));
-        r.obs_np = session.job();
-        r.obs_np.attach(m);
-        nas::IsSplit split(m, is_np);
-        if (!load_path.empty()) {
-          m.restore_from(load_path);
-        } else if (opt.warm_start) {
-          m.restore(image);
-        } else {
-          split.run_warmup();
-        }
-        r.seconds_np = split.run_ranked().seconds;
-        r.obs_np.finish();
-        r.events += m.parallel_engine().events_dispatched();
-        r.quanta += m.parallel_engine().quanta();
+      machine::Machine& m = job.machine(make_cfg(p), "is(no-pf) p=" + ps);
+      nas::IsSplit split(m, is_np);
+      if (!load_path.empty()) {
+        m.restore_from(load_path);
+      } else if (warm_start) {
+        m.restore(image);
+      } else {
+        split.run_warmup();
       }
+      r.seconds_np = split.run_ranked().seconds;
+      if (scale_out) r.point.quanta += m.parallel_engine().quanta();
       return r;
     });
   }
-  std::vector<Run> seconds = runner.run(jobs);
+  const std::vector<Run> runs = study.run(jobs);
 
   // Per-point scale-out telemetry, machine-parsable like the [host] bench
   // line: report.py folds these into BENCH_host.json under "points".
   auto point_line = [scale_out](const char* kernel, unsigned p, const Run& r) {
     if (!scale_out) return;
+    const Point& pt = r.point;
     std::cerr << "[host] point bench=fig8_scaleout kernel=" << kernel
-              << " procs=" << p << " quanta=" << r.quanta
-              << " barrier_wait_ppm=" << r.barrier_wait_ppm
-              << " ring_util_ppm_l0=" << r.ring_util_ppm_l0
-              << " ring_util_ppm_l1=" << r.ring_util_ppm_l1
-              << " hot_shard=" << r.hot_shard
-              << " hot_shard_requests=" << r.hot_shard_requests << "\n";
+              << " procs=" << p << " quanta=" << pt.quanta
+              << " barrier_wait_ppm=" << pt.barrier_wait_ppm
+              << " ring_util_ppm_l0=" << pt.ring_util_ppm_l0
+              << " ring_util_ppm_l1=" << pt.ring_util_ppm_l1
+              << " hot_shard=" << pt.hot_shard
+              << " hot_shard_requests=" << pt.hot_shard_requests << "\n";
   };
 
   std::vector<std::pair<unsigned, double>> cg_t, is_t, is_np_t;
   for (std::size_t i = 0; i < procs.size(); ++i) {
-    host.add_events(seconds[2 * i].events + seconds[2 * i + 1].events);
-    host.add_quanta(seconds[2 * i].quanta + seconds[2 * i + 1].quanta);
-    point_line("cg", procs[i], seconds[2 * i]);
-    point_line("is", procs[i], seconds[2 * i + 1]);
-    if (opt.warm_start) host.add_warm_saved_ms(seconds[2 * i + 1].saved_ms);
-    if (session.active()) {
-      const std::string p = std::to_string(procs[i]);
-      session.collect(std::move(seconds[2 * i].obs), "cg p=" + p);
-      session.collect(std::move(seconds[2 * i + 1].obs), "is p=" + p);
-      if (split_is) {
-        session.collect(std::move(seconds[2 * i + 1].obs_np),
-                        "is(no-pf) p=" + p);
-      }
-    }
-    cg_t.emplace_back(procs[i], seconds[2 * i].seconds);
-    is_t.emplace_back(procs[i], seconds[2 * i + 1].seconds);
-    if (split_is) {
-      is_np_t.emplace_back(procs[i], seconds[2 * i + 1].seconds_np);
-    }
+    const Run& cg_run = runs[2 * i];
+    const Run& is_run = runs[2 * i + 1];
+    point_line("cg", procs[i], cg_run);
+    point_line("is", procs[i], is_run);
+    if (warm_start) study.add_warm_saved_ms(is_run.saved_ms);
+    cg_t.emplace_back(procs[i], cg_run.seconds);
+    is_t.emplace_back(procs[i], is_run.seconds);
+    if (split_is) is_np_t.emplace_back(procs[i], is_run.seconds_np);
   }
   const auto cg_rows = study::scaling_rows(cg_t);
   const auto is_rows = study::scaling_rows(is_t);

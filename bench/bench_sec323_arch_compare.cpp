@@ -4,33 +4,40 @@
 // tournament(M)) and on a Butterfly-like machine (parallel paths but no
 // coherent caches; dissemination wins and global-flag spinning hammers one
 // memory module).
-#include "bench_common.hpp"
-#include "ksr/machine/bus_machine.hpp"
-#include "ksr/machine/butterfly_machine.hpp"
+#include "ksr/study/sweep.hpp"
 
 namespace {
 
 using namespace ksr;         // NOLINT
-using namespace ksr::bench;  // NOLINT
+using namespace ksr::study;  // NOLINT
 
-template <typename MachineT>
-void compare(obs::Session& session, const std::string& tag,
-             const std::string& title, const machine::MachineConfig& base_cfg,
+void compare(Study& study, const std::string& tag, const std::string& title,
+             const machine::MachineConfig& base_cfg,
              const std::vector<unsigned>& procs, int episodes, bool csv) {
-  std::vector<std::string> headers{"barrier \\ procs"};
-  for (unsigned p : procs) headers.push_back(std::to_string(p));
-  TextTable t(headers);
-  for (sync::BarrierKind kind : sync::all_barrier_kinds()) {
-    std::vector<std::string> row{std::string(to_string(kind))};
+  const auto kinds = sync::all_barrier_kinds();
+  std::vector<std::function<double(Job&)>> jobs;
+  for (sync::BarrierKind kind : kinds) {
     for (unsigned p : procs) {
       machine::MachineConfig cfg = base_cfg;
       cfg.nproc = p;
-      MachineT m(cfg);
-      ScopedObs obs(session, m,
-                    tag + " " + std::string(to_string(kind)) +
-                        " p=" + std::to_string(p));
-      row.push_back(
-          TextTable::num(barrier_episode_seconds(m, kind, episodes) * 1e6, 1));
+      jobs.emplace_back([cfg, kind, episodes,
+                         label = tag + " " + std::string(to_string(kind)) +
+                                 " p=" + std::to_string(p)](Job& job) {
+        return barrier_episode_seconds(job.machine(cfg, label), kind,
+                                       episodes);
+      });
+    }
+  }
+  const std::vector<double> cells = study.run(jobs);
+
+  std::vector<std::string> headers{"barrier \\ procs"};
+  for (unsigned p : procs) headers.push_back(std::to_string(p));
+  TextTable t(headers);
+  std::size_t j = 0;
+  for (sync::BarrierKind kind : kinds) {
+    std::vector<std::string> row{std::string(to_string(kind))};
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      row.push_back(TextTable::num(cells[j++] * 1e6, 1));
     }
     t.add_row(row);
   }
@@ -46,7 +53,7 @@ void compare(obs::Session& session, const std::string& tag,
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "sec323_arch_compare");
+  Study study(opt, "sec323_arch_compare");
   const int episodes = opt.quick ? 5 : 20;
   print_header("Barriers across architectures: Symmetry bus & Butterfly MIN",
                "Section 3.2.3");
@@ -54,10 +61,8 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{4, 16} : std::vector<unsigned>{4, 8, 12, 16};
 
-  compare<machine::BusMachine>(session, "bus",
-                               "Sequent Symmetry model (single snooping bus)",
-                               machine::MachineConfig::symmetry(16), procs,
-                               episodes, opt.csv);
+  compare(study, "bus", "Sequent Symmetry model (single snooping bus)",
+          machine::MachineConfig::symmetry(16), procs, episodes, opt.csv);
   std::cout
       << "Expected (paper): the bus serializes all communication, so the\n"
          "parallel-path algorithms lose their edge; counter is competitive\n"
@@ -68,10 +73,9 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> bprocs =
       opt.quick ? std::vector<unsigned>{8, 32}
                 : std::vector<unsigned>{8, 16, 24, 32};
-  compare<machine::ButterflyMachine>(
-      session, "butterfly",
-      "BBN Butterfly model (multistage network, no coherent caches)",
-      machine::MachineConfig::butterfly(32), bprocs, episodes, opt.csv);
+  compare(study, "butterfly",
+          "BBN Butterfly model (multistage network, no coherent caches)",
+          machine::MachineConfig::butterfly(32), bprocs, episodes, opt.csv);
   std::cout
       << "Expected (paper): with no caches, every spin poll crosses the\n"
          "network: global-wakeup-flag variants and the counter hammer a\n"

@@ -1,16 +1,15 @@
 // Reproduces the EP result of §3.3: "Our implementation showed linear
 // speedup", with a sustained-MFLOPS estimate per processor (the paper quotes
 // ~11 MFlops/cell for EP against the 40 MFlops peak).
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/ep.hpp"
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "sec33_ep");
+  Study study(opt, "sec33_ep");
   print_header("Embarrassingly Parallel kernel scalability",
                "Section 3.3 (EP), first paragraph");
 
@@ -26,13 +25,22 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 4, 16}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
 
+  std::vector<std::function<nas::EpResult(Job&)>> jobs;
+  for (unsigned p : procs) {
+    jobs.emplace_back([p, cfg](Job& job) {
+      return run_ep(job.machine(machine::MachineConfig::ksr1(p),
+                                "ep p=" + std::to_string(p)),
+                    cfg);
+    });
+  }
+  const std::vector<nas::EpResult> results = study.run(jobs);
+
   TextTable t({"Processors", "Time (s)", "Speedup", "Efficiency",
                "MFLOPS/cell", "bit-identical"});
   std::vector<std::pair<unsigned, double>> measured;
-  for (unsigned p : procs) {
-    machine::KsrMachine m(machine::MachineConfig::ksr1(p));
-    ScopedObs obs(session, m, "ep p=" + std::to_string(p));
-    const nas::EpResult r = run_ep(m, cfg);
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    const unsigned p = procs[i];
+    const nas::EpResult& r = results[i];
     measured.emplace_back(p, r.seconds);
     const bool same = r.accepted == ref.accepted &&
                       r.annulus_counts == ref.annulus_counts;

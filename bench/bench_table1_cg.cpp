@@ -7,36 +7,26 @@
 // working-set/cache ratios — which drive the poor small-P efficiency, the
 // superunitary 8..16 region, and the 32-processor drop — are preserved.
 //
-// Every measurement is an independent simulation, sharded over host cores
-// through SweepRunner and merged in submission order (bit-identical output
-// for any --jobs).
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
+// Every measurement is an independent simulation, one sweep-harness job
+// each, merged in submission order (bit-identical output for any --jobs).
 #include "ksr/nas/cg.hpp"
+#include "ksr/study/sweep.hpp"
 
 namespace {
 
 struct CgPoint {
   double seconds = 0.0;
   std::uint64_t nnz = 0;
-  ksr::obs::JobObs obs;
-};
-
-// One ablation run (base or variant) with its observability handle.
-struct Run {
-  double seconds = 0.0;
-  ksr::obs::JobObs obs;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "table1_cg");
-  SweepRunner runner(opt.jobs);
+  Study study(opt, "table1_cg");
   print_header("Conjugate Gradient scalability",
                "Table 1 and Fig. 8 (CG), Section 3.3.1");
 
@@ -50,30 +40,22 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 2, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
 
-  std::vector<std::function<CgPoint()>> jobs;
-  jobs.reserve(procs.size());
+  auto machine_cfg = [scale](unsigned p) {
+    return machine::MachineConfig::ksr1(p).scaled_by(scale);
+  };
+  std::vector<std::function<CgPoint(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, scale, cfg, &session] {
-      machine::KsrMachine m(machine::MachineConfig::ksr1(p).scaled_by(scale));
-      CgPoint pt;
-      pt.obs = session.job();
-      pt.obs.attach(m);
-      const nas::CgResult r = run_cg(m, cfg);
-      pt.obs.finish();
-      pt.seconds = r.seconds;
-      pt.nnz = r.nnz;
-      return pt;
+    jobs.emplace_back([p, cfg, &machine_cfg](Job& job) {
+      const nas::CgResult r = run_cg(
+          job.machine(machine_cfg(p), "cg p=" + std::to_string(p)), cfg);
+      return CgPoint{r.seconds, r.nnz};
     });
   }
-  std::vector<CgPoint> points = runner.run(jobs);
+  const std::vector<CgPoint> points = study.run(jobs);
 
   std::vector<std::pair<unsigned, double>> measured;
   std::uint64_t nnz = 0;
   for (std::size_t i = 0; i < procs.size(); ++i) {
-    if (session.active()) {
-      session.collect(std::move(points[i].obs),
-                      "cg p=" + std::to_string(procs[i]));
-    }
     measured.emplace_back(procs[i], points[i].seconds);
     nnz = points[i].nnz;
   }
@@ -102,44 +84,35 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> ab_procs =
       opt.quick ? std::vector<unsigned>{8} : std::vector<unsigned>{4, 8, 16, 32};
 
+  // One ablation run per job, base and variant separate (2 per processor
+  // count) for better host load balance.
+  auto ablation = [&](const std::string& base_tag, const std::string& var_tag,
+                      const nas::CgConfig& variant) {
+    std::vector<std::function<double(Job&)>> ab_jobs;
+    for (unsigned p : ab_procs) {
+      const std::string ps = std::to_string(p);
+      for (const auto& run :
+           {std::pair{base_tag, cfg}, std::pair{var_tag, variant}}) {
+        ab_jobs.emplace_back([p, c = run.second, label = run.first + " p=" + ps,
+                              &machine_cfg](Job& job) {
+          return run_cg(job.machine(machine_cfg(p), label), c).seconds;
+        });
+      }
+    }
+    return study.run(ab_jobs);
+  };
+
   // ---- Poststore ablation (§3.3.1): propagate q-slices as produced so the
-  // serial section does not stall fetching them. Base and variant runs are
-  // separate jobs (2 per processor count) for better host load balance.
+  // serial section does not stall fetching them.
   std::cout << "\n--- poststore ablation ---\n";
-  std::vector<std::function<Run()>> ps_jobs;
-  ps_jobs.reserve(2 * ab_procs.size());
-  for (unsigned p : ab_procs) {
-    ps_jobs.emplace_back([p, scale, cfg, &session] {
-      machine::KsrMachine m(machine::MachineConfig::ksr1(p).scaled_by(scale));
-      Run r;
-      r.obs = session.job();
-      r.obs.attach(m);
-      r.seconds = run_cg(m, cfg).seconds;
-      r.obs.finish();
-      return r;
-    });
-    ps_jobs.emplace_back([p, scale, cfg, &session] {
-      nas::CgConfig c2 = cfg;
-      c2.use_poststore = true;
-      machine::KsrMachine m(machine::MachineConfig::ksr1(p).scaled_by(scale));
-      Run r;
-      r.obs = session.job();
-      r.obs.attach(m);
-      r.seconds = run_cg(m, c2).seconds;
-      r.obs.finish();
-      return r;
-    });
-  }
-  std::vector<Run> ps = runner.run(ps_jobs);
+  nas::CgConfig with_poststore = cfg;
+  with_poststore.use_poststore = true;
+  const std::vector<double> ps =
+      ablation("cg-nopoststore", "cg-poststore", with_poststore);
 
   TextTable pt({"Processors", "no poststore (s)", "poststore (s)", "gain"});
   for (std::size_t i = 0; i < ab_procs.size(); ++i) {
-    if (session.active()) {
-      const std::string p = std::to_string(ab_procs[i]);
-      session.collect(std::move(ps[2 * i].obs), "cg-nopoststore p=" + p);
-      session.collect(std::move(ps[2 * i + 1].obs), "cg-poststore p=" + p);
-    }
-    const double base = ps[2 * i].seconds, post = ps[2 * i + 1].seconds;
+    const double base = ps[2 * i], post = ps[2 * i + 1];
     pt.add_row({std::to_string(ab_procs[i]), TextTable::num(base, 5),
                 TextTable::num(post, 5),
                 TextTable::num((1.0 - post / base) * 100.0, 2) + "%"});
@@ -156,40 +129,14 @@ int main(int argc, char** argv) {
   // ---- Prefetch ablation: the implementation pulls the rewritten p vector
   // ahead of each mat-vec ("prefetch ... used quite extensively", §4).
   std::cout << "\n--- prefetch ablation ---\n";
-  std::vector<std::function<Run()>> pf_jobs;
-  pf_jobs.reserve(2 * ab_procs.size());
-  for (unsigned p : ab_procs) {
-    pf_jobs.emplace_back([p, scale, cfg, &session] {
-      machine::KsrMachine m(machine::MachineConfig::ksr1(p).scaled_by(scale));
-      Run r;
-      r.obs = session.job();
-      r.obs.attach(m);
-      r.seconds = run_cg(m, cfg).seconds;
-      r.obs.finish();
-      return r;
-    });
-    pf_jobs.emplace_back([p, scale, cfg, &session] {
-      nas::CgConfig c2 = cfg;
-      c2.use_prefetch = false;
-      machine::KsrMachine m(machine::MachineConfig::ksr1(p).scaled_by(scale));
-      Run r;
-      r.obs = session.job();
-      r.obs.attach(m);
-      r.seconds = run_cg(m, c2).seconds;
-      r.obs.finish();
-      return r;
-    });
-  }
-  std::vector<Run> pf = runner.run(pf_jobs);
+  nas::CgConfig without_prefetch = cfg;
+  without_prefetch.use_prefetch = false;
+  const std::vector<double> pf =
+      ablation("cg-prefetch", "cg-noprefetch", without_prefetch);
 
   TextTable ft({"Processors", "prefetch (s)", "no prefetch (s)", "gain"});
   for (std::size_t i = 0; i < ab_procs.size(); ++i) {
-    if (session.active()) {
-      const std::string p = std::to_string(ab_procs[i]);
-      session.collect(std::move(pf[2 * i].obs), "cg-prefetch p=" + p);
-      session.collect(std::move(pf[2 * i + 1].obs), "cg-noprefetch p=" + p);
-    }
-    const double with_pf = pf[2 * i].seconds, without = pf[2 * i + 1].seconds;
+    const double with_pf = pf[2 * i], without = pf[2 * i + 1];
     ft.add_row({std::to_string(ab_procs[i]), TextTable::num(with_pf, 5),
                 TextTable::num(without, 5),
                 TextTable::num((1.0 - with_pf / without) * 100.0, 2) + "%"});

@@ -2,48 +2,34 @@
 // efficiency and serial fraction vs processors (including the paper's P=30
 // row), with the pmon-confirmed ring-saturation kink from 30 to 32.
 //
-// Every processor count is an independent simulation, so the sweep is
-// sharded over host cores through SweepRunner; results merge in submission
-// order, keeping the table and --csv output bit-identical for any --jobs.
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
+// Every processor count is an independent simulation, one sweep-harness job
+// each; results merge in submission order, keeping the table and --csv
+// output bit-identical for any --jobs.
 #include "ksr/nas/is.hpp"
+#include "ksr/study/sweep.hpp"
 
 namespace {
 
-// Everything one sweep point needs to report, extracted before the job's
-// Machine is destroyed.
+// Everything one sweep point reports, read before the job's machine goes.
 struct IsPoint {
   double seconds = 0.0;
   bool ranks_valid = true;
   double wait_per_req = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t quanta = 0;
-  ksr::obs::JobObs obs;
 };
 
 struct PrefetchPoint {
   double with_pf = 0.0;
   double without = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t quanta = 0;
-  ksr::obs::JobObs obs_pf;     // prefetching run
-  ksr::obs::JobObs obs_nopf;   // ablated run
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  HostMetrics host("table2_is");
-  obs::Session session(opt.obs, "table2_is");
-  SweepRunner runner(opt.jobs);
-  host.set_jobs(runner.jobs());
-  host.set_sim_threads(opt.sim_threads);
-  const unsigned sim_threads = opt.sim_threads;
+  Study study(opt, "table2_is");
   print_header("Integer Sort scalability",
                "Table 2 and Figs. 8 & 9, Section 3.3.2");
 
@@ -56,44 +42,29 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 2, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 30, 32};
 
-  std::vector<std::function<IsPoint()>> jobs;
-  jobs.reserve(procs.size());
+  std::vector<std::function<IsPoint(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, scale, cfg, sim_threads, &session] {
-      machine::KsrMachine m(machine::MachineConfig::ksr1(p)
-                                .scaled_by(scale)
-                                .with_sim_threads(sim_threads));
-      IsPoint pt;
-      pt.obs = session.job();
-      pt.obs.attach(m);
+    jobs.emplace_back([p, scale, cfg](Job& job) {
+      machine::Machine& m =
+          job.machine(machine::MachineConfig::ksr1(p).scaled_by(scale),
+                      "is p=" + std::to_string(p));
       const nas::IsResult r = run_is(m, cfg);
-      pt.obs.finish();
-      pt.seconds = r.seconds;
-      pt.ranks_valid = r.ranks_valid;
       // Mean slot wait per ring transaction: the saturation indicator the
       // authors read off the hardware monitor.
       cache::PerfMonitor total;
       for (unsigned i = 0; i < p; ++i) total.add(m.cell_pmon(i));
-      pt.wait_per_req = total.ring_requests
-                            ? static_cast<double>(total.inject_wait_ns) /
-                                  static_cast<double>(total.ring_requests)
-                            : 0.0;
-      pt.events = m.parallel_engine().events_dispatched();
-      pt.quanta = m.parallel_engine().quanta();
-      return pt;
+      return IsPoint{r.seconds, r.ranks_valid,
+                     total.ring_requests
+                         ? static_cast<double>(total.inject_wait_ns) /
+                               static_cast<double>(total.ring_requests)
+                         : 0.0};
     });
   }
-  std::vector<IsPoint> points = runner.run(jobs);
+  const std::vector<IsPoint> points = study.run(jobs);
 
   std::vector<std::pair<unsigned, double>> measured;
   bool all_valid = true;
   for (std::size_t i = 0; i < procs.size(); ++i) {
-    host.add_events(points[i].events);
-    host.add_quanta(points[i].quanta);
-    if (session.active()) {
-      session.collect(std::move(points[i].obs),
-                      "is p=" + std::to_string(procs[i]));
-    }
     all_valid = all_valid && points[i].ranks_valid;
     measured.emplace_back(procs[i], points[i].seconds);
   }
@@ -133,45 +104,23 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> ab_procs = opt.quick
                                              ? std::vector<unsigned>{8}
                                              : std::vector<unsigned>{8, 16, 32};
-  std::vector<std::function<PrefetchPoint()>> ab_jobs;
-  ab_jobs.reserve(ab_procs.size());
+  std::vector<std::function<PrefetchPoint(Job&)>> ab_jobs;
   for (unsigned p : ab_procs) {
-    ab_jobs.emplace_back([p, scale, cfg, sim_threads, &session] {
+    ab_jobs.emplace_back([p, scale, cfg](Job& job) {
+      const auto mc = machine::MachineConfig::ksr1(p).scaled_by(scale);
+      const std::string ps = std::to_string(p);
       PrefetchPoint pt;
-      machine::KsrMachine m1(machine::MachineConfig::ksr1(p)
-                                 .scaled_by(scale)
-                                 .with_sim_threads(sim_threads));
-      pt.obs_pf = session.job();
-      pt.obs_pf.attach(m1);
-      pt.with_pf = run_is(m1, cfg).seconds;
-      pt.obs_pf.finish();
-      pt.events = m1.parallel_engine().events_dispatched();
-      pt.quanta = m1.parallel_engine().quanta();
+      pt.with_pf = run_is(job.machine(mc, "is-prefetch p=" + ps), cfg).seconds;
       nas::IsConfig c2 = cfg;
       c2.use_prefetch = false;
-      machine::KsrMachine m2(machine::MachineConfig::ksr1(p)
-                                 .scaled_by(scale)
-                                 .with_sim_threads(sim_threads));
-      pt.obs_nopf = session.job();
-      pt.obs_nopf.attach(m2);
-      pt.without = run_is(m2, c2).seconds;
-      pt.obs_nopf.finish();
-      pt.events += m2.parallel_engine().events_dispatched();
-      pt.quanta += m2.parallel_engine().quanta();
+      pt.without = run_is(job.machine(mc, "is-noprefetch p=" + ps), c2).seconds;
       return pt;
     });
   }
-  std::vector<PrefetchPoint> ab = runner.run(ab_jobs);
+  const std::vector<PrefetchPoint> ab = study.run(ab_jobs);
 
   TextTable ft({"Processors", "prefetch (s)", "no prefetch (s)", "gain"});
   for (std::size_t i = 0; i < ab_procs.size(); ++i) {
-    host.add_events(ab[i].events);
-    host.add_quanta(ab[i].quanta);
-    if (session.active()) {
-      const std::string p = std::to_string(ab_procs[i]);
-      session.collect(std::move(ab[i].obs_pf), "is-prefetch p=" + p);
-      session.collect(std::move(ab[i].obs_nopf), "is-noprefetch p=" + p);
-    }
     ft.add_row({std::to_string(ab_procs[i]), TextTable::num(ab[i].with_pf, 5),
                 TextTable::num(ab[i].without, 5),
                 TextTable::num((1.0 - ab[i].with_pf / ab[i].without) * 100.0,

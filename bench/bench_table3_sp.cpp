@@ -1,16 +1,15 @@
 // Reproduces Table 3: Scalar Pentadiagonal time per iteration and speedup
 // vs processors (optimised variant: padded layout + prefetch, as the paper's
 // Table 3 configuration).
-#include "bench_common.hpp"
-#include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/sp.hpp"
+#include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
-  using namespace ksr::bench;  // NOLINT
+  using namespace ksr::study;  // NOLINT
 
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  obs::Session session(opt.obs, "table3_sp");
+  Study study(opt, "table3_sp");
   print_header("Scalar Pentadiagonal application scalability",
                "Table 3, Section 3.3.3");
 
@@ -25,12 +24,19 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{1, 4, 16}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 31};
 
-  std::vector<std::pair<unsigned, double>> measured;
+  std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
-    machine::KsrMachine m(machine::MachineConfig::ksr1(p).scaled_by(scale));
-    ScopedObs obs(session, m, "sp p=" + std::to_string(p));
-    const nas::SpResult r = run_sp(m, cfg);
-    measured.emplace_back(p, r.seconds_per_iteration);
+    jobs.emplace_back([p, scale, cfg](Job& job) {
+      machine::Machine& m =
+          job.machine(machine::MachineConfig::ksr1(p).scaled_by(scale),
+                      "sp p=" + std::to_string(p));
+      return run_sp(m, cfg).seconds_per_iteration;
+    });
+  }
+  const std::vector<double> times = study.run(jobs);
+  std::vector<std::pair<unsigned, double>> measured;
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    measured.emplace_back(procs[i], times[i]);
   }
 
   TextTable t({"Processors", "Time per iteration (s)", "Speedup"});

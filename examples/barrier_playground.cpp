@@ -10,7 +10,7 @@
 //           mcs, mcs-m, system.
 #include <cstdio>
 #include <iostream>
-#include <map>
+#include <stdexcept>
 #include <string>
 
 #include "ksr/machine/factory.hpp"
@@ -19,18 +19,6 @@
 namespace {
 
 using namespace ksr;  // NOLINT
-
-const std::map<std::string, sync::BarrierKind> kBarriers = {
-    {"counter", sync::BarrierKind::kCounter},
-    {"tree", sync::BarrierKind::kTree},
-    {"tree-m", sync::BarrierKind::kTreeM},
-    {"dissemination", sync::BarrierKind::kDissemination},
-    {"tournament", sync::BarrierKind::kTournament},
-    {"tournament-m", sync::BarrierKind::kTournamentM},
-    {"mcs", sync::BarrierKind::kMcs},
-    {"mcs-m", sync::BarrierKind::kMcsM},
-    {"system", sync::BarrierKind::kSystem},
-};
 
 machine::MachineConfig config_for(const std::string& name, unsigned procs) {
   if (name == "ksr2") return machine::MachineConfig::ksr2(procs);
@@ -48,16 +36,16 @@ int main(int argc, char** argv) {
                                   : 16u;
   const int episodes = argc > 4 ? std::stoi(argv[4]) : 25;
 
-  const auto it = kBarriers.find(barrier_name);
-  if (it == kBarriers.end()) {
-    std::fprintf(stderr, "unknown barrier '%s'; options:", barrier_name.c_str());
-    for (const auto& [k, v] : kBarriers) std::fprintf(stderr, " %s", k.c_str());
-    std::fprintf(stderr, "\n");
+  sync::BarrierKind kind{};
+  try {
+    kind = sync::barrier_kind_named(barrier_name);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
 
   auto m = machine::make_machine(config_for(machine_name, procs));
-  auto barrier = sync::make_barrier(*m, it->second);
+  auto barrier = sync::make_barrier(*m, kind);
 
   std::printf("%s barrier, %u processors on %s\n",
               std::string(barrier->name()).c_str(), procs,

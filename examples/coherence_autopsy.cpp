@@ -9,7 +9,7 @@
 //   $ ./coherence_autopsy counter 4
 //   $ ./coherence_autopsy mcs 8
 #include <cstdio>
-#include <map>
+#include <stdexcept>
 #include <string>
 
 #include "ksr/machine/ksr_machine.hpp"
@@ -19,27 +19,19 @@
 int main(int argc, char** argv) {
   using namespace ksr;  // NOLINT
 
-  const std::map<std::string, sync::BarrierKind> kinds = {
-      {"counter", sync::BarrierKind::kCounter},
-      {"tree", sync::BarrierKind::kTree},
-      {"tree-m", sync::BarrierKind::kTreeM},
-      {"dissemination", sync::BarrierKind::kDissemination},
-      {"tournament", sync::BarrierKind::kTournament},
-      {"tournament-m", sync::BarrierKind::kTournamentM},
-      {"mcs", sync::BarrierKind::kMcs},
-      {"mcs-m", sync::BarrierKind::kMcsM},
-      {"system", sync::BarrierKind::kSystem}};
   const std::string name = argc > 1 ? argv[1] : "tournament-m";
   const unsigned procs =
       argc > 2 ? static_cast<unsigned>(std::stoul(argv[2])) : 4u;
-  const auto it = kinds.find(name);
-  if (it == kinds.end()) {
-    std::fprintf(stderr, "unknown barrier '%s'\n", name.c_str());
+  sync::BarrierKind kind{};
+  try {
+    kind = sync::barrier_kind_named(name);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
 
   machine::KsrMachine m(machine::MachineConfig::ksr1(procs));
-  auto barrier = sync::make_barrier(m, it->second);
+  auto barrier = sync::make_barrier(m, kind);
   obs::Tracer tracer;
 
   // Warm-up episode untraced, then trace exactly one episode.

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "ksr/machine/config.hpp"
 #include "ksr/obs/session.hpp"
 #include "ksr/util/flags.hpp"
 
@@ -85,47 +86,40 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Shared bench-binary CLI, one row per flag (ksr/util/flags.hpp):
-/// `--csv` switches the output format, `--quick`/`--full` pick a scale,
-/// `--jobs N` shards the sweep over N host threads and `--sim-threads N`
-/// threads each single simulation through the conservative-quantum
-/// ParallelEngine (docs/PARALLEL.md); results are bit-identical for any
-/// value of either. The observability rows (obs::SessionOptions::flags,
-/// docs/OBSERVABILITY.md) never change simulated timing or the
-/// events_dispatched fingerprints — enforced by test and bench_host.sh.
-/// Unknown or malformed arguments warn on stderr and keep the defaults.
+/// The banner every bench binary prints above its tables.
+inline void print_header(const std::string& title,
+                         const std::string& paper_ref) {
+  std::cout << "==================================================================\n"
+            << title << "\n"
+            << "(reproduces " << paper_ref << ")\n"
+            << "==================================================================\n";
+}
+
+/// Shared bench-binary CLI, one row per flag (ksr/util/flags.hpp), holding
+/// only the rows every binary honours: `--csv` switches the output format,
+/// `--quick` shrinks sizes for smoke runs, `--jobs N` shards the sweep over
+/// N host threads and `--sim-threads N` threads each single simulation
+/// through the conservative-quantum ParallelEngine (docs/PARALLEL.md);
+/// results are bit-identical for any value of either. A bench's own knobs
+/// (fig3's --full, fig8's checkpoint flags) are its extra rows. The
+/// observability rows (obs::SessionOptions::flags, docs/OBSERVABILITY.md)
+/// never change simulated timing or the events_dispatched fingerprints —
+/// enforced by test and bench_host.sh. Unknown or malformed arguments warn
+/// on stderr and keep the defaults.
 struct BenchOptions {
   bool csv = false;
-  bool quick = false;       // reduced sizes for smoke runs
-  bool full = false;        // paper-like sizes (slow)
-  unsigned jobs = 0;        // host shards; 0 = hardware concurrency
-  unsigned sim_threads = 1;  // host threads per simulation
+  bool quick = false;  // reduced sizes for smoke runs
+  unsigned jobs = 0;   // host shards; 0 = hardware concurrency
+  unsigned sim_threads = machine::MachineConfig{}.sim_threads;  // per sim
   obs::SessionOptions obs;  // --trace ... --topo-report
-
-  // Checkpoint/warm-start flags (docs/CHECKPOINT.md). Benches that support
-  // the split-phase flow honour them; others ignore them.
-  bool warm_start = false;
-  bool cold_start = false;
-  std::string checkpoint_at;  // donor checkpoint path prefix; empty = off
-  std::string restore_from;   // donor checkpoint path prefix; empty = off
 
   /// The shared rows, bound to this struct.
   std::vector<util::Flag> flags() {
     std::vector<util::Flag> rows = {
         {"csv", &csv, "CSV output"},
         {"quick", &quick, "reduced sizes for smoke runs"},
-        {"full", &full, "paper-like sizes (slow)"},
         {"jobs", &jobs, "N  host shards (0 = one per core)"},
         {"sim-threads", &sim_threads, "N  host threads per simulation"},
-        {"warm-start", &warm_start,
-         "fork sweep points sharing a warm-up from one checkpoint"},
-        {"cold-start", &cold_start,
-         "the split-phase sweep without forking (the --warm-start "
-         "reference)"},
-        {"checkpoint-at", &checkpoint_at,
-         "P  write each donor checkpoint to <P>.p<procs>.ckpt"},
-        {"restore-from", &restore_from,
-         "P  load donor checkpoints instead of simulating warm-ups"},
     };
     const std::vector<util::Flag> obs_rows = obs.flags();
     rows.insert(rows.end(), obs_rows.begin(), obs_rows.end());

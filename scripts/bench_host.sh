@@ -11,7 +11,7 @@
 #
 #   [host] bench=<name> events_dispatched=<n> wall_ms=<ms>
 #
-# line on stderr (see bench/bench_common.hpp); events_dispatched is a
+# line on stderr (see include/ksr/study/sweep.hpp); events_dispatched is a
 # bit-determinism fingerprint — host-side optimisation work must never
 # change it.
 #
@@ -19,8 +19,9 @@
 # runs the quick variants, re-runs one binary to assert the fingerprint is
 # reproducible, runs one paper binary with --jobs 1 and --jobs 4 to assert
 # the parallel sweep runner's determinism contract (events_dispatched and
-# the --csv stream must be byte-identical for any job count), and exits
-# non-zero on any failure. It writes only to a temporary directory.
+# the --csv stream must be byte-identical for any job count), repeats that
+# jobs-1/jobs-4 check over every paper bench binary, and exits non-zero on
+# any failure. It writes only to a temporary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -313,6 +314,36 @@ assert isinstance(d['traceEvents'], list) and d['traceEvents'], 'empty trace'
          "point telemetry lines" >&2
     exit 1
   fi
+  # Every paper bench binary runs through the one sweep harness
+  # (include/ksr/study/sweep.hpp): each must print exactly one [host] line,
+  # and --jobs 4 must reproduce --jobs 1's stdout and fingerprint.
+  for src in bench/bench_*.cpp; do
+    bin=$(basename "$src" .cpp)
+    [ "$bin" = bench_sim_throughput ] && continue
+    if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
+      echo "bench_host.sh --check FAILED: $bin not built" >&2
+      exit 1
+    fi
+    run_paper "$bin" "${bin}_j1" --jobs 1 > /dev/null
+    run_paper "$bin" "${bin}_j4" --jobs 4 > /dev/null
+    for tag in "${bin}_j1" "${bin}_j4"; do
+      if [ "$(grep -c '^\[host\] bench=' "$TMP/$tag.host")" != 1 ]; then
+        echo "bench_host.sh --check FAILED: $tag printed no single [host]" \
+             "line" >&2
+        exit 1
+      fi
+    done
+    if [ "$(fingerprint "${bin}_j1")" != "$(fingerprint "${bin}_j4")" ]; then
+      echo "bench_host.sh --check FAILED: $bin events_dispatched differs" \
+           "between --jobs 1 and --jobs 4" >&2
+      exit 1
+    fi
+    if ! cmp -s "$TMP/${bin}_j1.csv" "$TMP/${bin}_j4.csv"; then
+      echo "bench_host.sh --check FAILED: $bin stdout differs between" \
+           "--jobs 1 and --jobs 4" >&2
+      exit 1
+    fi
+  done
   # Serving-layer equivalence (docs/SERVING.md): the fig8_quick campaign
   # manifest expands to the same six points the direct bench sweeps, so the
   # sum of its per-job events_dispatched must equal the direct [host]

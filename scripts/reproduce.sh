@@ -2,13 +2,17 @@
 # Reproduce everything: build, run the full test suite, and regenerate every
 # paper table/figure, capturing outputs at the repository root.
 #
-#   scripts/reproduce.sh [--quick|--full]
+#   scripts/reproduce.sh [--quick]
 #
-# The flag is forwarded to every bench binary (see README).
+# --quick is forwarded to every bench binary (see README); it is the only
+# size flag they all share.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FLAG="${1:-}"
+case "${1:-}" in
+  "" | --quick) FLAG="${1:-}" ;;
+  *) echo "usage: scripts/reproduce.sh [--quick]" >&2; exit 2 ;;
+esac
 
 cmake -B build -G Ninja
 cmake --build build

@@ -1,7 +1,9 @@
 #include "ksr/sync/barrier.hpp"
 
 #include <bit>
+#include <cctype>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -376,6 +378,25 @@ std::vector<BarrierKind> all_barrier_kinds() {
           BarrierKind::kDissemination, BarrierKind::kTournament,
           BarrierKind::kTournamentM, BarrierKind::kMcs,
           BarrierKind::kMcsM};
+}
+
+BarrierKind barrier_kind_named(std::string_view name) {
+  std::string names;
+  for (BarrierKind k : all_barrier_kinds()) {
+    std::string spelled;  // "tournament(M)" -> "tournament-m"
+    for (char c : to_string(k)) {
+      if (c == '(') {
+        spelled += '-';
+      } else if (c != ')') {
+        spelled += static_cast<char>(
+            std::tolower(static_cast<unsigned char>(c)));
+      }
+    }
+    if (spelled == name) return k;
+    names += (names.empty() ? "" : "|") + spelled;
+  }
+  throw std::invalid_argument("unknown barrier kind '" + std::string(name) +
+                              "' (" + names + ")");
 }
 
 std::unique_ptr<Barrier> make_barrier(machine::Machine& m, BarrierKind kind,

@@ -246,7 +246,7 @@ TEST(Checker, AttachedCheckerDoesNotPerturbTheSchedule) {
       }
     });
     if (with_checker) m.attach_checker(nullptr);
-    return m.engine().events_dispatched();
+    return m.parallel_engine().events_dispatched();
   };
   // Audits read state and hash bytes but never schedule events, so the
   // simulated schedule — and with it every fingerprint — is identical.
@@ -323,7 +323,7 @@ TEST(ScheduleFuzz, FuzzSeedPerturbsTheMachineScheduleDeterministically) {
       }
     });
     EXPECT_EQ(counter.value(0), 32u) << "seed=" << seed;
-    return m.engine().events_dispatched();
+    return m.parallel_engine().events_dispatched();
   };
   const std::uint64_t reference = events_for(0);
   const std::uint64_t fuzzed = events_for(41);

@@ -135,7 +135,7 @@ TEST(Metrics, SamplesOnSimulatedClockWithoutPerturbing) {
       }
     });
     if (reg) reg->finish();
-    return m.engine().events_dispatched();
+    return m.parallel_engine().events_dispatched();
   };
   const std::uint64_t bare = run_once(nullptr);
   obs::MetricsRegistry reg;
@@ -348,7 +348,7 @@ TEST(Determinism, FingerprintIdenticalTracedAndUntraced) {
       }
     });
     if (metrics) reg.finish();
-    return m.engine().events_dispatched();
+    return m.parallel_engine().events_dispatched();
   };
   const std::uint64_t bare = fingerprint(false, false);
   EXPECT_EQ(bare, fingerprint(true, false));

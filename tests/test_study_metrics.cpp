@@ -80,7 +80,20 @@ TEST(BenchOptions, ParsesFlags) {
   const auto o = BenchOptions::parse(3, const_cast<char**>(argv));
   EXPECT_TRUE(o.csv);
   EXPECT_TRUE(o.quick);
-  EXPECT_FALSE(o.full);
+  // Unset, --sim-threads is the build's engine default, so a bench runs
+  // the same engine whether or not it passes the flag.
+  EXPECT_EQ(o.sim_threads, machine::MachineConfig{}.sim_threads);
+}
+
+// --full is fig3's own row now; a shared option a binary would silently
+// ignore is an unknown flag everywhere else.
+TEST(BenchOptions, FullIsNotASharedFlag) {
+  const char* argv[] = {"prog", "--full", "--csv"};
+  testing::internal::CaptureStderr();
+  const auto o = BenchOptions::parse(3, const_cast<char**>(argv));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(o.csv);
+  EXPECT_NE(err.find("ignoring unknown argument '--full'"), std::string::npos);
 }
 
 }  // namespace

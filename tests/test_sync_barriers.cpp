@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -106,6 +109,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Qualitative shape on the KSR-1 (Fig. 4): at 16 processors the tournament
 // with global wake-up flag beats the naive counter by a wide margin.
+// Every command-line spelling names its kind, and an unknown name lists
+// every spelling.
+TEST(BarrierKindNamed, ParsesEveryCliSpelling) {
+  using ksr::sync::BarrierKind;
+  const std::pair<const char*, BarrierKind> table[] = {
+      {"counter", BarrierKind::kCounter},
+      {"tree", BarrierKind::kTree},
+      {"tree-m", BarrierKind::kTreeM},
+      {"dissemination", BarrierKind::kDissemination},
+      {"tournament", BarrierKind::kTournament},
+      {"tournament-m", BarrierKind::kTournamentM},
+      {"mcs", BarrierKind::kMcs},
+      {"mcs-m", BarrierKind::kMcsM},
+      {"system", BarrierKind::kSystem}};
+  for (const auto& [name, kind] : table) {
+    EXPECT_EQ(ksr::sync::barrier_kind_named(name), kind) << name;
+  }
+  try {
+    (void)ksr::sync::barrier_kind_named("tree(M)");
+    FAIL() << "expected an exception";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'tree(M)'"), std::string::npos);
+    for (const auto& [name, kind] : table) {
+      EXPECT_NE(msg.find(name), std::string::npos) << name;
+    }
+  }
+}
+
 TEST(BarrierShape, TournamentMBeatsCounterOnKsr1) {
   auto time_barrier = [](BarrierKind kind) {
     machine::KsrMachine m(MachineConfig::ksr1(16));

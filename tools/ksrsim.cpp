@@ -13,7 +13,6 @@
 //
 // Run `ksrsim help` for the full reference.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -26,13 +25,11 @@
 
 #include "ksr/check/checker.hpp"
 #include "ksr/ckpt/checkpoint.hpp"
-#include "ksr/host/sweep_runner.hpp"
 #include "ksr/machine/factory.hpp"
-#include "ksr/obs/session.hpp"
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/server.hpp"
 #include "ksr/study/metrics.hpp"
-#include "ksr/study/table.hpp"
+#include "ksr/study/sweep.hpp"
 #include "ksr/sync/barrier.hpp"
 #include "ksr/sync/locks.hpp"
 #include "ksr/sync/spinlocks.hpp"
@@ -50,11 +47,8 @@ using namespace ksr;  // NOLINT
 struct Cli {
   serve::JobSpec spec;
   std::vector<unsigned> sweep_procs = {1, 2, 4, 8, 16};
-  obs::SessionOptions obs;
-  unsigned sim_threads = 1;
-  unsigned jobs = 0;
+  study::BenchOptions run;  // --csv, --jobs, --sim-threads, observability
   bool check = false;
-  bool csv = false;
   std::string kind;
   unsigned episodes = 25;
   unsigned ops = 50;
@@ -68,11 +62,11 @@ struct Cli {
 
   std::vector<util::Flag> tool_rows() {
     return {
-        {"sim-threads", &sim_threads,
+        {"sim-threads", &run.sim_threads,
          "N  host threads per simulation (0 = one per core)"},
-        {"jobs", &jobs, "N  host shards (0 = one per core)"},
+        {"jobs", &run.jobs, "N  host shards (0 = one per core)"},
         {"check", &check, "audit ALLCACHE invariants (docs/CHECKING.md)"},
-        {"csv", &csv, "CSV output where applicable"},
+        {"csv", &run.csv, "CSV output where applicable"},
         {"kind", &kind, "K  barrier (default tournament-m) or lock (hw)"},
         {"episodes", &episodes, "E  barrier episodes (default 25)"},
         {"ops", &ops, "N  lock operations per cell (default 50)"},
@@ -89,16 +83,16 @@ struct Cli {
 
   std::vector<util::Flag> rows() {
     std::vector<util::Flag> all = tool_rows();
-    for (const auto& group : {spec.flags(), obs.flags()}) {
+    for (const auto& group : {spec.flags(), run.obs.flags()}) {
       all.insert(all.end(), group.begin(), group.end());
     }
     return all;
   }
 };
 
-/// The machine the spec flags name.
-std::unique_ptr<machine::Machine> make_machine(const Cli& cli) {
-  return machine::make_machine(cli.spec.machine_config(cli.sim_threads));
+/// The machine config the spec flags name.
+machine::MachineConfig machine_config(const Cli& cli) {
+  return cli.spec.machine_config(cli.run.sim_threads);
 }
 
 // With --check, attach the ALLCACHE invariant checker for the lifetime of
@@ -147,109 +141,84 @@ class CheckScope {
 
 int cmd_probe(Cli& cli) {
   cli.spec.procs = std::max(cli.spec.procs, 2u);
-  auto m = make_machine(cli);
-  CheckScope check(cli.check, *m);
-  obs::Session session(cli.obs, "ksrsim_probe");
-  obs::JobObs jo = session.job();
-  jo.attach(*m);
-  auto arr = m->alloc<double>("probe", 4096);
-  auto flag = m->alloc<int>("flag", 1);
-  double sub = 0, local = 0, remote = 0;
-  m->run([&](machine::Cpu& cpu) {
-    if (cpu.id() == 0) {
-      for (std::size_t i = 0; i < 4096; i += 16) cpu.write(arr, i, 1.0);
-      // Sub-cache hit.
-      (void)cpu.read(arr, 0);
-      double t0 = cpu.seconds();
-      for (int r = 0; r < 100; ++r) (void)cpu.read(arr, 0);
-      sub = (cpu.seconds() - t0) / 100;
-      // Local-cache-ish: stride sub-blocks.
-      t0 = cpu.seconds();
-      std::size_t k = 0;
-      for (std::size_t i = 0; i < 4096; i += 8, ++k) (void)cpu.read(arr, i);
-      local = (cpu.seconds() - t0) / static_cast<double>(k);
-      cpu.write(flag, 0, 1);
-    } else if (cpu.id() == 1) {
-      while (cpu.read(flag, 0) == 0) cpu.work(10);
-      const double t0 = cpu.seconds();
-      std::size_t k = 0;
-      for (std::size_t i = 0; i < 4096; i += 16, ++k) (void)cpu.read(arr, i);
-      remote = (cpu.seconds() - t0) / static_cast<double>(k);
-    }
-  });
-  jo.finish();
-  if (session.active()) session.collect(std::move(jo), "probe");
+  study::Study study(cli.run, "ksrsim_probe");
+  struct Probe {
+    double sub = 0, local = 0, remote = 0;
+  };
+  const Probe probe = study.run<Probe>({[&cli](study::Job& job) {
+    machine::Machine& m = job.machine(machine_config(cli), "probe");
+    CheckScope check(cli.check, m);
+    auto arr = m.alloc<double>("probe", 4096);
+    auto flag = m.alloc<int>("flag", 1);
+    Probe p;
+    m.run([&](machine::Cpu& cpu) {
+      if (cpu.id() == 0) {
+        for (std::size_t i = 0; i < 4096; i += 16) cpu.write(arr, i, 1.0);
+        // Sub-cache hit.
+        (void)cpu.read(arr, 0);
+        double t0 = cpu.seconds();
+        for (int r = 0; r < 100; ++r) (void)cpu.read(arr, 0);
+        p.sub = (cpu.seconds() - t0) / 100;
+        // Local-cache-ish: stride sub-blocks.
+        t0 = cpu.seconds();
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < 4096; i += 8, ++k) (void)cpu.read(arr, i);
+        p.local = (cpu.seconds() - t0) / static_cast<double>(k);
+        cpu.write(flag, 0, 1);
+      } else if (cpu.id() == 1) {
+        while (cpu.read(flag, 0) == 0) cpu.work(10);
+        const double t0 = cpu.seconds();
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < 4096; i += 16, ++k) (void)cpu.read(arr, i);
+        p.remote = (cpu.seconds() - t0) / static_cast<double>(k);
+      }
+    });
+    return p;
+  }})[0];
   std::printf("machine: %s, %u cells\n",
-              machine::to_string(m->config().kind), m->nproc());
-  std::printf("  repeat-read (sub-cache)   : %7.3f us\n", sub * 1e6);
-  std::printf("  stride-read (local level) : %7.3f us\n", local * 1e6);
-  std::printf("  remote read               : %7.3f us\n", remote * 1e6);
-  session.close();
-  return session.ok() ? 0 : 1;
+              machine::to_string(machine_config(cli).kind), cli.spec.procs);
+  std::printf("  repeat-read (sub-cache)   : %7.3f us\n", probe.sub * 1e6);
+  std::printf("  stride-read (local level) : %7.3f us\n", probe.local * 1e6);
+  std::printf("  remote read               : %7.3f us\n", probe.remote * 1e6);
+  return study.close() ? 0 : 1;
 }
 
 int cmd_barrier(Cli& cli) {
-  static const std::map<std::string, sync::BarrierKind> kinds = {
-      {"counter", sync::BarrierKind::kCounter},
-      {"tree", sync::BarrierKind::kTree},
-      {"tree-m", sync::BarrierKind::kTreeM},
-      {"dissemination", sync::BarrierKind::kDissemination},
-      {"tournament", sync::BarrierKind::kTournament},
-      {"tournament-m", sync::BarrierKind::kTournamentM},
-      {"mcs", sync::BarrierKind::kMcs},
-      {"mcs-m", sync::BarrierKind::kMcsM},
-      {"system", sync::BarrierKind::kSystem}};
-  const auto it = kinds.find(cli.kind.empty() ? "tournament-m" : cli.kind);
-  if (it == kinds.end()) {
-    std::fprintf(stderr, "unknown barrier kind\n");
-    return 1;
-  }
-  const unsigned procs = cli.spec.procs;
+  const sync::BarrierKind kind = sync::barrier_kind_named(
+      cli.kind.empty() ? "tournament-m" : cli.kind);
   const int episodes = static_cast<int>(cli.episodes);
-  auto m = make_machine(cli);
-  CheckScope check(cli.check, *m);
-  auto barrier = sync::make_barrier(*m, it->second);
-  obs::Session session(cli.obs, "ksrsim_barrier");
-  obs::JobObs jo = session.job();
-  jo.attach(*m);
-  double total = 0;
-  auto res = m->run([&](machine::Cpu& cpu) {
-    barrier->arrive(cpu);
-    const double t0 = cpu.seconds();
-    for (int e = 0; e < episodes; ++e) {
-      cpu.work(cpu.rng().below(500));
-      barrier->arrive(cpu);
+  study::Study study(cli.run, "ksrsim_barrier");
+  struct Timing {
+    double seconds = 0;
+    std::uint64_t ring_requests = 0;
+  };
+  const Timing r = study.run<Timing>({[&](study::Job& job) {
+    machine::Machine& m =
+        job.machine(machine_config(cli), std::string(to_string(kind)));
+    CheckScope check(cli.check, m);
+    Timing t{study::barrier_episode_seconds(m, kind, episodes)};
+    for (unsigned c = 0; c < m.nproc(); ++c) {
+      t.ring_requests += m.cell_pmon(c).ring_requests;
     }
-    if (cpu.seconds() - t0 > total) total = cpu.seconds() - t0;
-  });
-  jo.finish();
-  if (session.active()) {
-    session.collect(std::move(jo), std::string(barrier->name()));
-  }
+    return t;
+  }})[0];
   std::printf("%s on %s, %u procs: %.1f us/episode "
               "(%llu network transactions total)\n",
-              std::string(barrier->name()).c_str(),
-              machine::to_string(m->config().kind), procs,
-              total / episodes * 1e6,
-              static_cast<unsigned long long>(res.pmon.ring_requests));
-  session.close();
-  return session.ok() ? 0 : 1;
+              std::string(to_string(kind)).c_str(),
+              machine::to_string(machine_config(cli).kind), cli.spec.procs,
+              r.seconds * 1e6,
+              static_cast<unsigned long long>(r.ring_requests));
+  return study.close() ? 0 : 1;
 }
 
-int cmd_lock(Cli& cli) {
-  const unsigned procs = cli.spec.procs;
-  const int ops = static_cast<int>(cli.ops);
-  const std::string kind = cli.kind.empty() ? "hw" : cli.kind;
-  const unsigned read_pct = cli.read_pct;
-  auto m = make_machine(cli);
-  CheckScope check(cli.check, *m);
-  obs::Session session(cli.obs, "ksrsim_lock");
-  obs::JobObs jo = session.job();
-  jo.attach(*m);
+/// Simulated seconds for every cell to finish `ops` operations on a lock
+/// of `kind` (hw, rw or a spin lock).
+double time_lock(machine::Machine& m, const std::string& kind, int ops,
+                 unsigned read_pct) {
   double t = 0;
   if (kind == "rw") {
-    sync::TicketRwLock lock(*m);
-    m->run([&](machine::Cpu& cpu) {
+    sync::TicketRwLock lock(m);
+    m.run([&](machine::Cpu& cpu) {
       for (int i = 0; i < ops; ++i) {
         const bool rd = cpu.rng().below(100) < read_pct;
         if (rd) {
@@ -266,8 +235,8 @@ int cmd_lock(Cli& cli) {
       if (cpu.seconds() > t) t = cpu.seconds();
     });
   } else if (kind == "hw") {
-    sync::HardwareLock lock(*m);
-    m->run([&](machine::Cpu& cpu) {
+    sync::HardwareLock lock(m);
+    m.run([&](machine::Cpu& cpu) {
       for (int i = 0; i < ops; ++i) {
         lock.acquire(cpu);
         cpu.work(6000);
@@ -285,11 +254,10 @@ int cmd_lock(Cli& cli) {
         {"mcs-queue", sync::SpinLockKind::kMcsQueue}};
     const auto it = kinds.find(kind);
     if (it == kinds.end()) {
-      std::fprintf(stderr, "unknown lock kind '%s'\n", kind.c_str());
-      return 1;
+      throw std::invalid_argument("unknown lock kind '" + kind + "'");
     }
-    auto lock = sync::make_spinlock(*m, it->second);
-    m->run([&](machine::Cpu& cpu) {
+    auto lock = sync::make_spinlock(m, it->second);
+    m.run([&](machine::Cpu& cpu) {
       for (int i = 0; i < ops; ++i) {
         lock->acquire(cpu);
         cpu.work(6000);
@@ -299,34 +267,34 @@ int cmd_lock(Cli& cli) {
       if (cpu.seconds() > t) t = cpu.seconds();
     });
   }
-  jo.finish();
-  if (session.active()) session.collect(std::move(jo), kind);
-  std::printf("%s lock, %u procs, %d ops/proc: %.4f s total, %.1f us/op\n",
-              kind.c_str(), procs, ops, t,
-              t / ops * 1e6);
-  session.close();
-  return session.ok() ? 0 : 1;
+  return t;
 }
 
-struct KernelRun {
-  serve::JobOutcome out;  // result bytes + whole-machine events_dispatched
-  std::uint64_t quanta = 0;
-  obs::JobObs obs;
-};
+int cmd_lock(Cli& cli) {
+  const int ops = static_cast<int>(cli.ops);
+  const std::string kind = cli.kind.empty() ? "hw" : cli.kind;
+  study::Study study(cli.run, "ksrsim_lock");
+  const double t = study.run<double>({[&](study::Job& job) {
+    machine::Machine& m = job.machine(machine_config(cli), kind);
+    CheckScope check(cli.check, m);
+    return time_lock(m, kind, ops, cli.read_pct);
+  }})[0];
+  std::printf("%s lock, %u procs, %d ops/proc: %.4f s total, %.1f us/op\n",
+              kind.c_str(), cli.spec.procs, ops, t, t / ops * 1e6);
+  return study.close() ? 0 : 1;
+}
 
-/// Build the spec's machine, attach --check and the observability session,
-/// and run the workload: the served job's path with observers attached.
-KernelRun run_kernel_once(const obs::Session& session, const Cli& cli,
-                          const serve::JobSpec& spec) {
-  auto m = machine::make_machine(spec.machine_config(cli.sim_threads));
-  CheckScope check(cli.check, *m);
-  KernelRun r;
-  r.obs = session.job();
-  r.obs.attach(*m);
-  r.out = serve::run_workload(spec, *m);
-  r.obs.finish();
-  r.quanta = m->parallel_engine().quanta();
-  return r;
+/// The served job's path as a sweep-harness job: build the spec's machine,
+/// attach --check, run the workload and return its result object.
+std::function<std::string(study::Job&)> kernel_job(const Cli& cli,
+                                                   serve::JobSpec spec) {
+  return [&cli, spec = std::move(spec)](study::Job& job) {
+    machine::Machine& m =
+        job.machine(spec.machine_config(cli.run.sim_threads),
+                    spec.workload + " p=" + std::to_string(spec.procs));
+    CheckScope check(cli.check, m);
+    return serve::run_workload(spec, m).result;
+  };
 }
 
 /// The spec flags at `procs` cells, validated; throws with the spec's
@@ -349,41 +317,25 @@ serve::JobSpec checked_spec(const Cli& cli, unsigned procs) {
 
 int cmd_kernel(Cli& cli) {
   const serve::JobSpec spec = checked_spec(cli, cli.spec.procs);
-  const unsigned sim_threads = cli.sim_threads;
-  obs::Session session(cli.obs, "ksrsim_kernel");
-  const auto wall0 = std::chrono::steady_clock::now();
+  study::Study study(cli.run, "ksrsim_kernel");
   const std::string& at = cli.checkpoint_at;
   if (!at.empty()) {
     // Split-phase flow (docs/CHECKPOINT.md): simulate the warm-up on a
     // donor machine, checkpoint it, then run the spec restoring from it —
-    // bit-identical to the uninterrupted split run.
-    auto donor = machine::make_machine(spec.machine_config(sim_threads));
+    // bit-identical to the uninterrupted split run. The donor is not a run
+    // of its own: restore carries its events into the timed machine's count.
+    auto donor =
+        machine::make_machine(spec.machine_config(cli.run.sim_threads));
     serve::run_warmup(spec, *donor);
     donor->checkpoint_to(at);
     std::cerr << "checkpoint written to " << at << " ("
               << donor->parallel_engine().events_dispatched()
               << " events at capture)\n";
   }
-  KernelRun r = run_kernel_once(session, cli, spec);
-  const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - wall0)
-                           .count();
-  if (session.active()) {
-    session.collect(std::move(r.obs),
-                    spec.workload + " p=" + std::to_string(spec.procs));
-  }
-  // Same [host] line the bench binaries emit (bench/report.py HOST_RE):
-  // events_dispatched is the whole-machine determinism fingerprint.
-  std::fprintf(stderr,
-               "[host] bench=ksrsim_kernel events_dispatched=%llu "
-               "wall_ms=%lld sim_threads=%u quanta=%llu\n",
-               static_cast<unsigned long long>(r.out.events),
-               static_cast<long long>(wall_ms), sim_threads,
-               static_cast<unsigned long long>(r.quanta));
   // The result object: the exact bytes a served job of this spec caches.
-  std::printf("%s\n", r.out.result.c_str());
-  session.close();
-  return session.ok() ? 0 : 1;
+  const std::string result = study.run<std::string>({kernel_job(cli, spec)})[0];
+  std::printf("%s\n", result.c_str());
+  return study.close() ? 0 : 1;
 }
 
 int cmd_sweep(Cli& cli) {
@@ -398,44 +350,21 @@ int cmd_sweep(Cli& cli) {
     return 1;
   }
   const std::vector<unsigned>& procs = cli.sweep_procs;
-  // Every processor count is an independent simulation: shard them over
-  // host threads (--jobs N, default one per core). Results merge in
+  // Every processor count is an independent simulation, one job each over
+  // --jobs host threads (default one per core). Results merge in
   // submission order, so the table is bit-identical for any --jobs value.
-  host::SweepRunner runner(cli.jobs);
-  obs::Session session(cli.obs, "ksrsim_sweep");
-  std::vector<std::function<KernelRun()>> jobs;
-  jobs.reserve(procs.size());
+  std::vector<std::function<std::string(study::Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([&cli, &session, spec = checked_spec(cli, p)] {
-      return run_kernel_once(session, cli, spec);
-    });
+    jobs.push_back(kernel_job(cli, checked_spec(cli, p)));
   }
-  const auto wall0 = std::chrono::steady_clock::now();
-  std::vector<KernelRun> runs = runner.run(jobs);
-  const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - wall0)
-                           .count();
+  study::Study study(cli.run, "ksrsim_sweep");
+  const std::vector<std::string> results = study.run(jobs);
   std::vector<std::pair<unsigned, double>> measured;
-  std::uint64_t events = 0;
-  std::uint64_t quanta = 0;
-  const std::string& name = cli.spec.workload;
   for (std::size_t i = 0; i < procs.size(); ++i) {
-    if (session.active()) {
-      session.collect(std::move(runs[i].obs),
-                      name + " p=" + std::to_string(procs[i]));
-    }
     std::string err;
-    const serve::Json result = serve::Json::parse(runs[i].out.result, &err);
+    const serve::Json result = serve::Json::parse(results[i], &err);
     measured.emplace_back(procs[i], result.find("seconds")->as_double());
-    events += runs[i].out.events;
-    quanta += runs[i].quanta;
   }
-  std::fprintf(stderr,
-               "[host] bench=ksrsim_sweep events_dispatched=%llu "
-               "wall_ms=%lld jobs=%u sim_threads=%u quanta=%llu\n",
-               static_cast<unsigned long long>(events),
-               static_cast<long long>(wall_ms), cli.jobs, cli.sim_threads,
-               static_cast<unsigned long long>(quanta));
   study::TextTable t({"procs", "time (s)", "speedup", "efficiency",
                       "serial fraction"});
   for (const auto& row : study::scaling_rows(measured)) {
@@ -445,14 +374,13 @@ int cmd_sweep(Cli& cli) {
                row.p == 1 ? "-"
                           : study::TextTable::num(row.serial_fraction, 6)});
   }
-  std::printf("%s scaling sweep:\n", name.c_str());
-  if (cli.csv) {
+  std::printf("%s scaling sweep:\n", cli.spec.workload.c_str());
+  if (cli.run.csv) {
     t.print_csv();
   } else {
     t.print();
   }
-  session.close();
-  return session.ok() ? 0 : 1;
+  return study.close() ? 0 : 1;
 }
 
 // ----------------------------------------------------- serving commands
@@ -461,8 +389,8 @@ int cmd_serve(Cli& cli) {
   serve::SocketServer::Options opt;
   opt.socket_path = cli.socket;
   opt.core.store_dir = cli.store;
-  opt.core.jobs = cli.jobs;
-  opt.core.sim_threads = cli.sim_threads;
+  opt.core.jobs = cli.run.jobs;
+  opt.core.sim_threads = cli.run.sim_threads;
   serve::SocketServer server(opt);
   std::fprintf(stderr, "[serve] listening on %s (store=%s)\n",
                server.socket_path().c_str(),
@@ -479,7 +407,7 @@ int cmd_serve(Cli& cli) {
                static_cast<unsigned long long>(c.inflight_dedup),
                static_cast<unsigned long long>(c.executed),
                static_cast<unsigned long long>(c.failures));
-  const std::string& metrics_csv = cli.obs.metrics_csv;
+  const std::string& metrics_csv = cli.run.obs.metrics_csv;
   if (!metrics_csv.empty()) {
     // Same counter,value CSV shape as the obs metrics exporter.
     std::ostringstream os;
@@ -544,8 +472,8 @@ int cmd_campaign(Cli& cli) {
   }
   serve::ServeCore::Options copt;
   copt.store_dir = cli.store;
-  copt.jobs = cli.jobs;
-  copt.sim_threads = cli.sim_threads;
+  copt.jobs = cli.run.jobs;
+  copt.sim_threads = cli.run.sim_threads;
   serve::ServeCore core(copt);
   const std::string prefix = cli.out.empty() ? campaign.name : cli.out;
   const serve::CampaignOutcome outcome =
@@ -608,7 +536,7 @@ int cmd_help() {
   std::printf(
       "\nobservability (docs/OBSERVABILITY.md; never perturbs simulated "
       "time):\n%s",
-      util::flag_help(cli.obs.flags()).c_str());
+      util::flag_help(cli.run.obs.flags()).c_str());
   std::printf("\nkernel sizes (0 = the default shown):\n%s", sizes.c_str());
   return 0;
 }
