@@ -25,24 +25,27 @@
 //
 // Directory sharding (docs/PARALLEL.md): every sub-page has a *home leaf
 // ring* — pages interleave across leaves — and its directory entry lives in
-// that leaf's shard. Two execution modes share the shards:
+// that leaf's shard. One decision path, decide(), serves both execution
+// modes; they differ only in where its effects go:
 //
 //  * Single-domain (the default, and the only mode for <=64-cell seed
-//    configs): every shard is reached synchronously from the one engine
-//    thread, exactly like the seed's machine-global map. Behaviour and all
-//    pinned fingerprints are bit-identical — sharding is purely structural.
+//    configs): every cell is in the home domain, so every effect applies in
+//    place, synchronously, exactly like the seed's machine-global map.
+//    Behaviour and all pinned fingerprints are bit-identical — sharding is
+//    purely structural.
 //
 //  * Multi-domain (ring machines with cells_per_domain set): each domain
 //    owns the shards of its leaf rings outright. A requester whose home is
 //    in another domain sends an explicit request over the ParallelEngine's
 //    boundary channels; the home decides (serializing all transactions on
-//    that sub-page), emits revocations (invalidate/downgrade) to holder
-//    domains, and replies with the grant. Revocations ride one quantum
-//    earlier than grants whenever both cross domains (the "two-wave" rule),
-//    so a stale reader's last host-level access is barrier-separated from
-//    the new owner's first write, and a directory entry stays `busy` until
-//    its in-flight effects land, NACKing conflicting requests meanwhile —
-//    that keeps per-sub-page effects applied in home decision order.
+//    that sub-page) and replies with the grant. Effects on home-domain cells
+//    apply in place; effects on other domains' cells ride the boundary
+//    channels. Revocations ride one quantum earlier than grants whenever
+//    both cross domains (the "two-wave" rule), so a stale reader's last
+//    host-level access is barrier-separated from the new owner's first
+//    write, and a directory entry stays `busy` until its in-flight effects
+//    land, NACKing conflicting requests meanwhile — that keeps per-sub-page
+//    effects applied in home decision order.
 namespace ksr::check {
 class InvariantChecker;
 }
@@ -157,9 +160,16 @@ class CoherentMachine : public Machine {
 
   enum class Acquire : std::uint8_t { kShared, kExclusive, kAtomic };
 
-  struct CommitResult {
-    bool ok = false;          // false: NACK (sub-page Atomic elsewhere)
+  /// Outcome of one directory decision, completed by the requester-side
+  /// grant. A remote-home requester receives it in a slot on its fiber's
+  /// stack, written only by events running in the requester's domain.
+  struct Decision {
+    bool ok = false;          // false: NACK (Atomic elsewhere, or busy)
+    bool deferred = false;    // a revocation crossed domains: the grant
+                              // waits for the grant wave at grant_time
     bool page_alloc = false;  // requester had to allocate a page frame
+    sim::Time grant_time = 0;  // earliest time the grant may apply
+    cache::LineState state = cache::LineState::kInvalid;
   };
 
   std::unique_ptr<Cpu> make_cpu(unsigned cell) override;
@@ -226,9 +236,17 @@ class CoherentMachine : public Machine {
     return leaf_masks_[leaf];
   }
 
-  /// Leaf holding a responder for `sp` from `cell`'s point of view
-  /// (single-domain transport targeting).
-  [[nodiscard]] unsigned responder_leaf(unsigned cell, const DirEntry& e) const;
+  /// Domain owning `sp`'s home shard (0 on a single-domain machine).
+  [[nodiscard]] unsigned home_domain(mem::SubPageId sp) const noexcept {
+    return multi_domain_ ? cfg_.domain_of_leaf(home_leaf(sp)) : 0;
+  }
+
+  /// Leaf a request from `cell` for `sp` rides to. Transport timing only:
+  /// a single-domain acquire targets the leaf of a responding copy and a
+  /// poststore the first other leaf with a listening placeholder; a
+  /// multi-domain request targets the home leaf.
+  [[nodiscard]] unsigned target_leaf(unsigned cell, mem::SubPageId sp,
+                                     bool poststore) const;
 
   /// Per-transition checker hooks fire only single-domain (multi-domain
   /// commits happen on several threads; audits run at quiescence instead).
@@ -236,52 +254,41 @@ class CoherentMachine : public Machine {
     return checker_ != nullptr && !multi_domain_;
   }
 
-  // ---- Single-domain protocol commits (synchronous, the seed path) ----
+  // ---- The directory protocol (both modes; docs/PARALLEL.md) ----
 
-  /// `witness` is 1 + the byte offset (within the sub-page) of the demand
-  /// access that triggered the transaction, or 0 when there is none
-  /// (prefetch). It is pure trace metadata — logged as the grant record's
-  /// aux word for the sharing-pattern classifier, never read by the
-  /// protocol itself.
-  CommitResult commit_shared(unsigned cell, mem::SubPageId sp,
-                             std::uint32_t witness = 0);
-  CommitResult commit_exclusive(unsigned cell, mem::SubPageId sp, bool atomic,
-                                std::uint32_t witness = 0);
-  void commit_poststore(unsigned cell, mem::SubPageId sp);
+  /// Where one decision's cache-state effects go (coherent_machine.cpp).
+  struct Router;
 
-  // ---- Multi-domain protocol (home-shard messages; docs/PARALLEL.md) ----
+  /// Decide one acquire at `sp`'s home shard, on the home domain's thread:
+  /// NACK or grant bookkeeping, then revocations (invalidate/downgrade) and
+  /// snarf refreshes routed by Router — applied in place on home-domain
+  /// cells, sent on the boundary channels otherwise. The caller applies the
+  /// requester-side grant() no earlier than grant_time. `witness` is 1 +
+  /// the byte offset (within the sub-page) of the demand access behind the
+  /// request, or 0 when there is none (prefetch): pure trace metadata,
+  /// logged as the grant record's aux word for the sharing-pattern
+  /// classifier and never read by the protocol.
+  Decision decide(unsigned cell, mem::SubPageId sp, Acquire kind,
+                  std::uint32_t witness);
 
-  /// Reply slot living on the requesting fiber's stack; written only by
-  /// events running in the requester's domain.
-  struct MbReply {
-    bool ok = false;
-    bool page_alloc = false;
-    cache::LineState state = cache::LineState::kInvalid;
-  };
-  /// Outcome of a home-shard decision.
-  struct MbDecision {
-    bool ok = false;                // false: NACK (atomic elsewhere or busy)
-    bool deferred = false;          // cross-domain revocations were emitted;
-                                    // the grant must wait until grant_time
-    sim::Time grant_time = 0;       // earliest time the grant may apply
-    cache::LineState state = cache::LineState::kInvalid;
-  };
+  /// Poststore at the home shard: the owner loses exclusivity and every
+  /// listening placeholder is refreshed, through the same router. Dropped
+  /// (after its trace record) while the line is Atomic or busy.
+  void poststore(unsigned cell, mem::SubPageId sp);
 
-  /// Serialize one acquire on the home shard (run on the home domain's
-  /// thread): NACK/grant bookkeeping, revocations to holder domains (wave
-  /// 1, at the current horizon), snarf refreshes (wave 2). The caller
-  /// applies the requester-side grant no earlier than grant_time.
-  MbDecision mb_decide(unsigned cell, mem::SubPageId sp, Acquire kind);
+  /// Requester-side grant: insert the line in `cell`'s local cache and
+  /// report the transition to the checker. Returns true if a page frame
+  /// was allocated.
+  bool grant(unsigned cell, mem::SubPageId sp, Acquire kind,
+             cache::LineState st);
 
   /// Home-side entry for a cross-domain acquire: home_transport, then
-  /// mb_decide, then the grant/NACK reply back over the boundary channel
-  /// (insert_line runs requester-side inside the reply event, preserving
+  /// decide(), then the grant/NACK reply back over the boundary channel
+  /// (grant() runs requester-side inside the reply event, preserving
   /// per-sub-page effect order against later revocations).
   void mb_home_request(unsigned cell, unsigned req_dom, mem::SubPageId sp,
-                       Acquire kind, MbReply* rep, sim::FiberId fid);
-
-  /// Home-side poststore commit: wave-1 owner downgrade, wave-2 refreshes.
-  void mb_poststore_home(unsigned cell, mem::SubPageId sp);
+                       Acquire kind, std::uint32_t witness, Decision* rep,
+                       sim::FiberId fid);
 
   /// Home-side release_subpage fix-up (fire and forget from the releaser).
   void mb_release_home(unsigned cell, mem::SubPageId sp);
@@ -299,13 +306,15 @@ class CoherentMachine : public Machine {
 
   void on_page_evicted(unsigned cell, mem::PageId page);
   void invalidate_at(unsigned cell, mem::SubPageId sp);
+  /// Snarf refresh: `cell`'s placeholder becomes a Shared copy.
+  void snarf_at(unsigned cell, mem::SubPageId sp);
 
   /// Lifetime request counters for one directory shard (observability only:
   /// never checkpointed, never read by the protocol). Mutated exclusively on
-  /// the home domain's thread — single-domain commits and mode-B decisions
-  /// both run there — so the counts are pure simulated data, identical at
-  /// any --sim-threads. `hot` counts requests per sub-page (hash order;
-  /// topo_snapshot sorts before reporting).
+  /// the home domain's thread — every decide() runs there — so the counts
+  /// are pure simulated data, identical at any --sim-threads. `hot` counts
+  /// requests per sub-page (hash order; topo_snapshot sorts before
+  /// reporting).
   struct ShardStats {
     std::uint64_t requests = 0;
     std::uint64_t grants = 0;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ksr/cache/perf_monitor.hpp"
@@ -118,6 +119,14 @@ class Machine {
     const mem::Region& r = heap_.alloc(n * sizeof(T), name);
     register_region(r, p);
     return mem::SharedArray<T>(r, n);
+  }
+
+  /// Call `fn` once at the start of the next run(), before any fiber is
+  /// spawned and after any restore() in between. The metrics sampler arms
+  /// its observer chain here: the chain then starts on the restored clock
+  /// and never trips restore()'s quiescence check.
+  void before_next_run(std::function<void()> fn) {
+    next_run_hooks_.push_back(std::move(fn));
   }
 
   /// Run `program` on every cell; returns when all cells complete.
@@ -245,6 +254,7 @@ class Machine {
   // Mode-B observer shards for domains 1..D-1 (domain 0 logs straight to
   // tracer_); empty on single-domain machines or with no tracer attached.
   std::vector<std::unique_ptr<obs::Tracer>> tracer_shards_;
+  std::vector<std::function<void()>> next_run_hooks_;  // see before_next_run
 };
 
 }  // namespace ksr::machine

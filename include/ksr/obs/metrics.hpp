@@ -38,7 +38,8 @@ class MetricsRegistry {
   [[nodiscard]] static cache::PerfMonitor aggregate(machine::Machine& m);
 
   /// Start sampling `m` every `period_ns` of simulated time. Call before
-  /// Machine::run(); the sampling chain ends with the run. A registry
+  /// Machine::run() (a restore() may come in between: the chain is armed
+  /// when the run starts); the sampling chain ends with the run. A registry
   /// observes exactly one machine. On a multi-domain machine (mode B) one
   /// observer chain runs per domain, on that domain's engine, reading only
   /// domain-owned state (its cells' pmon + its rings) — no cross-domain

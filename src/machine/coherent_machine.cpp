@@ -50,14 +50,15 @@ class CoherentCpu final : public Cpu {
   /// single-domain) — the gate between the synchronous protocol path and
   /// the boundary-channel message path.
   [[nodiscard]] bool home_is_local(mem::SubPageId sp) const {
-    return !cm_.multi_domain_ ||
-           cfg().domain_of_leaf(cm_.home_leaf(sp)) ==
-               machine_.domain_of_cell(id_);
+    return cm_.home_domain(sp) == machine_.domain_of_cell(id_);
   }
 
   void access_one(mem::Sva a, Op op);
   void load_line(mem::SubPageId sp, bool need_write, std::uint32_t witness);
-  void first_touch(mem::SubPageId sp, bool atomic);
+  /// First touch machine-wide with a local home: the sub-page materialises
+  /// in this cell's cache with no network traffic (COMA first-touch
+  /// ownership). Returns true if a page frame was allocated.
+  bool first_touch(mem::SubPageId sp, bool atomic);
   void remote_acquire(mem::SubPageId sp, Acquire kind, std::uint32_t witness);
 
   /// Erase `sp`'s in-flight prefetch record on `me` and wake every fiber
@@ -145,19 +146,18 @@ void CoherentCpu::access_one(mem::Sva a, Op op) {
   fill_subcache(a);
 }
 
-void CoherentCpu::first_touch(mem::SubPageId sp, bool atomic) {
+bool CoherentCpu::first_touch(mem::SubPageId sp, bool atomic) {
   auto& e = cm_.dir_entry(sp);
   e.holders.assign_single(id_);
   e.owner = static_cast<std::int16_t>(id_);
   e.atomic = atomic;
   e.resident_leaf = static_cast<std::uint8_t>(cm_.leaf_of(id_));
-  if (cm_.insert_line(id_, sp,
-                      atomic ? cache::LineState::kAtomic
-                             : cache::LineState::kExclusive)) {
-    tick_ns(cfg().page_alloc_ns);
-  }
+  const bool page_alloc = cm_.insert_line(
+      id_, sp,
+      atomic ? cache::LineState::kAtomic : cache::LineState::kExclusive);
   KSR_CHECK_HOOK(if (cm_.hooks_on()) cm_.checker_->on_transition(
       check::Ev::kFirstTouch, id_, sp));
+  return page_alloc;
 }
 
 void CoherentCpu::load_line(mem::SubPageId sp, bool need_write,
@@ -189,12 +189,10 @@ void CoherentCpu::load_line(mem::SubPageId sp, bool need_write,
 
     ++c.pmon.localcache_misses;
     if (home_is_local(sp) && !cm_.dir_contains(sp)) {
-      // First touch machine-wide: the sub-page materialises in this cell's
-      // cache with no network traffic (COMA first-touch ownership). When
-      // the home shard lives in another domain only the home may decide
-      // creation (two domains could first-touch concurrently), so that
-      // case falls through to the acquire path below.
-      first_touch(sp, /*atomic=*/false);
+      // When the home shard lives in another domain only the home may
+      // decide creation (two domains could first-touch concurrently), so
+      // that case falls through to the acquire path below.
+      if (first_touch(sp, /*atomic=*/false)) tick_ns(cfg().page_alloc_ns);
       tick_ns(need_write ? cfg().localcache_write_ns
                          : cfg().localcache_read_ns);
       return;
@@ -236,55 +234,22 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
     hard_sync();
     const sim::Time t0 = local_now_;
 
-    bool ok = false;
-    bool page_alloc = false;
-    bool crossed = false;
-
-    if (!cm_.multi_domain_) {
-      // Single-domain: the seed's synchronous path, reading the directory
-      // directly (every shard is local).
-      unsigned target_leaf = 0;
-      {
-        const auto* e = cm_.dir_find(sp);
-        target_leaf = cm_.responder_leaf(
-            id_, e != nullptr ? *e : CoherentMachine::DirEntry{});
-      }
-      crossed = target_leaf != cm_.leaf_of(id_);
-
-      ring_leg(sp, target_leaf);
-
-      CoherentMachine::CommitResult res{};
-      switch (kind) {
-        case Acquire::kShared:
-          res = cm_.commit_shared(id_, sp, witness);
-          break;
-        case Acquire::kExclusive:
-          res = cm_.commit_exclusive(id_, sp, /*atomic=*/false, witness);
-          break;
-        case Acquire::kAtomic:
-          res = cm_.commit_exclusive(id_, sp, /*atomic=*/true, witness);
-          break;
-      }
-      ok = res.ok;
-      page_alloc = res.page_alloc;
-    } else if (home_is_local(sp)) {
-      // Multi-domain, home shard in our own domain: ride the (domain-local)
-      // ring to the home leaf and decide synchronously. Cross-domain
-      // effects the decision emits ride the boundary channels; if any
-      // revocation crossed, our own grant waits for the grant wave.
-      const unsigned home = cm_.home_leaf(sp);
-      crossed = home != cm_.leaf_of(id_);
-
-      ring_leg(sp, home);
-
-      const auto d = cm_.mb_decide(id_, sp, kind);
-      ok = d.ok;
+    CoherentMachine::Decision d;
+    bool crossed = true;
+    if (home_is_local(sp)) {
+      // The home shard is in our own domain (always, single-domain): ride
+      // the (domain-local) ring to the target leaf and decide
+      // synchronously. Effects on other domains ride the boundary channels;
+      // if any revocation crossed, our own grant waits for the grant wave.
+      const unsigned target = cm_.target_leaf(id_, sp, /*poststore=*/false);
+      crossed = target != cm_.leaf_of(id_);
+      ring_leg(sp, target);
+      d = cm_.decide(id_, sp, kind, witness);
       if (d.ok) {
-        // Cache state commits at decision time (single-domain semantics;
-        // deferring it to grant_time could tie with a later decision's
-        // synchronous revoke at the same instant). Only the *timing* of a
-        // deferred grant waits for the cross-domain revocation wave.
-        page_alloc = cm_.insert_line(id_, sp, d.state);
+        // Cache state commits at decision time (deferring it to grant_time
+        // could tie with a later decision's synchronous revoke at the same
+        // instant). Only the *timing* of a deferred grant waits.
+        d.page_alloc = cm_.grant(id_, sp, kind, d.state);
         if (d.deferred) {
           eng().wait_until(d.grant_time);
           local_now_ = std::max(local_now_, eng().now());
@@ -294,40 +259,34 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
           // meaning. If the grant did not survive the wait, treat it as
           // a NACK and retry.
           const cache::LineState st = c.local.state(sp);
-          const bool kept = kind == Acquire::kShared ? cache::readable(st)
-                                                     : cache::writable(st);
-          if (!kept) ok = false;
+          d.ok = kind == Acquire::kShared ? cache::readable(st)
+                                          : cache::writable(st);
         }
       }
     } else {
-      // Multi-domain, remote home: leg 1 rides our own leaf ring to the
-      // ARD, the request crosses on a boundary channel, the home decides
-      // and replies. The reply event itself applies the grant (insert_line)
-      // before waking us, so per-channel FIFO order protects the grant
-      // against any later revocation the home emits for us.
-      crossed = true;
+      // Remote home: leg 1 rides our own leaf ring to the ARD, the request
+      // crosses on a boundary channel, the home decides and replies. The
+      // reply event itself applies the grant before waking us, so
+      // per-channel FIFO order protects the grant against any later
+      // revocation the home emits for us.
       ring_leg(sp, cm_.leaf_of(id_));
 
-      CoherentMachine::MbReply rep;
       CoherentMachine* cm = &cm_;
-      CoherentMachine::MbReply* rp = &rep;
+      CoherentMachine::Decision* rp = &d;
       const unsigned me = id_;
       const unsigned dr = machine_.domain_of_cell(id_);
-      const unsigned dh = cfg().domain_of_leaf(cm_.home_leaf(sp));
       const sim::FiberId fid = fiber_;
       machine_.parallel_engine().send(
-          dr, dh, machine_.parallel_engine().horizon(),
-          [cm, me, dr, sp, kind, rp, fid] {
-            cm->mb_home_request(me, dr, sp, kind, rp, fid);
+          dr, cm_.home_domain(sp), machine_.parallel_engine().horizon(),
+          [cm, me, dr, sp, kind, witness, rp, fid] {
+            cm->mb_home_request(me, dr, sp, kind, witness, rp, fid);
           });
       block_until_woken();
-      ok = rep.ok;
-      page_alloc = rep.page_alloc;
     }
 
-    if (ok) {
+    if (d.ok) {
       tick_ns(cm_.transaction_overhead_ns(kind, crossed));
-      if (page_alloc) tick_ns(cfg().page_alloc_ns);
+      if (d.page_alloc) tick_ns(cfg().page_alloc_ns);
       c.pmon.ring_time_ns += local_now_ - t0;
       if (obs::Tracer* tr = cm_.tracer_for_cell(id_)) {
         // Stall attribution: total time this cpu spent in the transaction.
@@ -384,7 +343,7 @@ void CoherentCpu::do_get_subpage(mem::Sva a) {
   }
 
   // First touch machine-wide, directly into Atomic state.
-  first_touch(sp, /*atomic=*/true);
+  if (first_touch(sp, /*atomic=*/true)) tick_ns(cfg().page_alloc_ns);
   tick_ns(cfg().local_atomic_ns);
 }
 
@@ -422,7 +381,7 @@ void CoherentCpu::do_release_subpage(mem::Sva a) {
   CoherentMachine* cm = &cm_;
   const unsigned me = id_;
   const unsigned dr = machine_.domain_of_cell(id_);
-  const unsigned dh = cfg().domain_of_leaf(cm_.home_leaf(sp));
+  const unsigned dh = cm_.home_domain(sp);
   cm_.transport(me, sp, cm_.leaf_of(me), [cm, me, dr, dh, sp](sim::Duration) {
     cm->parallel_engine().send(dr, dh, cm->parallel_engine().horizon(),
                                [cm, me, sp] { cm->mb_release_home(me, sp); });
@@ -471,13 +430,7 @@ void CoherentCpu::do_prefetch(mem::Sva a, bool exclusive) {
 
   if (!cm_.dir_contains(sp)) {
     // Prefetching untouched memory: first-touch ownership, no ring traffic.
-    auto& e = cm_.dir_entry(sp);
-    e.holders.assign_single(id_);
-    e.owner = static_cast<std::int16_t>(id_);
-    e.resident_leaf = static_cast<std::uint8_t>(cm_.leaf_of(id_));
-    cm_.insert_line(id_, sp, cache::LineState::kExclusive);
-    KSR_CHECK_HOOK(if (cm_.hooks_on()) cm_.checker_->on_transition(
-        check::Ev::kFirstTouch, id_, sp));
+    (void)first_touch(sp, /*atomic=*/false);
     tick_cycles(1);
     return;
   }
@@ -489,56 +442,25 @@ void CoherentCpu::do_prefetch(mem::Sva a, bool exclusive) {
 
   CoherentMachine* cm = &cm_;
   const unsigned me = id_;
-
-  if (cm_.multi_domain_) {
-    // Home-local multi-domain: decide at the home shard so cross-domain
-    // effects route correctly; a deferred grant lands with the grant wave.
-    const unsigned home = cm_.home_leaf(sp);
-    cm_.transport(me, sp, home, [cm, me, sp, exclusive](sim::Duration w) {
-      auto& c2 = cm->cells_[me];
-      ++c2.pmon.ring_requests;
-      c2.pmon.inject_wait_ns += w;
-      const auto d = cm->mb_decide(
-          me, sp,
-          exclusive ? CoherentMachine::Acquire::kExclusive
-                    : CoherentMachine::Acquire::kShared);
-      if (!d.ok) {  // Atomic elsewhere or busy: the hint is dropped
+  const Acquire kind = exclusive ? Acquire::kExclusive : Acquire::kShared;
+  cm_.transport(
+      me, sp, cm_.target_leaf(me, sp, /*poststore=*/false),
+      [cm, me, sp, kind](sim::Duration w) {
+        auto& c2 = cm->cells_[me];
+        ++c2.pmon.ring_requests;
+        c2.pmon.inject_wait_ns += w;
+        // If the sub-page is Atomic elsewhere (or busy) the prefetch is
+        // simply dropped (no retry — it is only a hint). A deferred grant
+        // only delays the waiters' wake-up to the grant wave.
+        const auto d = cm->decide(me, sp, kind, /*witness=*/0);
+        if (d.ok) (void)cm->grant(me, sp, kind, d.state);
+        if (d.ok && d.deferred) {
+          cm->engine_of(cm->domain_of_cell(me))
+              .at(d.grant_time, [cm, me, sp] { finish_prefetch(cm, me, sp); });
+          return;
+        }
         finish_prefetch(cm, me, sp);
-        return;
-      }
-      // Cache state commits at decision time (see remote_acquire); a
-      // deferred grant only delays the waiters' wake-up.
-      (void)cm->insert_line(me, sp, d.state);
-      if (d.deferred) {
-        cm->engine_of(cm->domain_of_cell(me)).at(
-            d.grant_time, [cm, me, sp] { finish_prefetch(cm, me, sp); });
-        return;
-      }
-      finish_prefetch(cm, me, sp);
-    });
-    tick_cycles(2);  // issue cost; the fetch itself is asynchronous
-    return;
-  }
-
-  unsigned target_leaf = 0;
-  {
-    const auto* e = cm_.dir_find(sp);
-    target_leaf = cm_.responder_leaf(
-        id_, e != nullptr ? *e : CoherentMachine::DirEntry{});
-  }
-  cm_.transport(me, sp, target_leaf, [cm, me, sp, exclusive](sim::Duration w) {
-    auto& c2 = cm->cells_[me];
-    ++c2.pmon.ring_requests;
-    c2.pmon.inject_wait_ns += w;
-    // If the sub-page is Atomic elsewhere the prefetch is simply dropped
-    // (no retry — it is only a hint).
-    if (exclusive) {
-      (void)cm->commit_exclusive(me, sp, /*atomic=*/false);
-    } else {
-      (void)cm->commit_shared(me, sp);
-    }
-    finish_prefetch(cm, me, sp);
-  });
+      });
   tick_cycles(2);  // issue cost; the fetch itself is asynchronous
 }
 
@@ -562,49 +484,29 @@ void CoherentCpu::do_post_store(mem::Sva a) {
 
   CoherentMachine* cm = &cm_;
   const unsigned me = id_;
-
-  if (cm_.multi_domain_) {
-    if (home_is_local(sp)) {
-      cm_.transport(me, sp, cm_.home_leaf(sp), [cm, me, sp](sim::Duration w) {
-        auto& c2 = cm->cells_[me];
-        c2.pmon.inject_wait_ns += w;
-        ++c2.pmon.ring_requests;
-        cm->mb_poststore_home(me, sp);
-      });
-      return;
-    }
-    // Remote home: ride our own ring to the ARD, then cross (fire and
-    // forget — the issuer never waits on a poststore).
-    const unsigned dr = machine_.domain_of_cell(id_);
-    const unsigned dh = cfg().domain_of_leaf(cm_.home_leaf(sp));
-    cm_.transport(me, sp, cm_.leaf_of(me),
-                  [cm, me, dr, dh, sp](sim::Duration w) {
+  if (home_is_local(sp)) {
+    cm_.transport(me, sp, cm_.target_leaf(me, sp, /*poststore=*/true),
+                  [cm, me, sp](sim::Duration w) {
                     auto& c2 = cm->cells_[me];
                     c2.pmon.inject_wait_ns += w;
                     ++c2.pmon.ring_requests;
-                    cm->parallel_engine().send(
-                        dr, dh, cm->parallel_engine().horizon(),
-                        [cm, me, sp] { cm->mb_poststore_home(me, sp); });
+                    cm->poststore(me, sp);
                   });
     return;
   }
-
-  unsigned target_leaf = cm_.leaf_of(id_);
-  if (const auto* e = cm_.dir_find(sp)) {
-    for (unsigned l = 0; l < cm_.leaf_count(); ++l) {
-      if (l != target_leaf &&
-          e->placeholders.intersects(cm_.leaf_mask(l))) {
-        target_leaf = l;
-        break;
-      }
-    }
-  }
-  cm_.transport(me, sp, target_leaf, [cm, me, sp](sim::Duration w) {
-    auto& c2 = cm->cells_[me];
-    c2.pmon.inject_wait_ns += w;
-    ++c2.pmon.ring_requests;
-    cm->commit_poststore(me, sp);
-  });
+  // Remote home: ride our own ring to the ARD, then cross (fire and forget
+  // — the issuer never waits on a poststore).
+  const unsigned dr = machine_.domain_of_cell(id_);
+  const unsigned dh = cm_.home_domain(sp);
+  cm_.transport(me, sp, cm_.leaf_of(me),
+                [cm, me, dr, dh, sp](sim::Duration w) {
+                  auto& c2 = cm->cells_[me];
+                  c2.pmon.inject_wait_ns += w;
+                  ++c2.pmon.ring_requests;
+                  cm->parallel_engine().send(
+                      dr, dh, cm->parallel_engine().horizon(),
+                      [cm, me, sp] { cm->poststore(me, sp); });
+                });
 }
 
 // ---------------------------------------------------------------------------
@@ -907,9 +809,19 @@ cache::CellMask CoherentMachine::dir_placeholders(mem::SubPageId sp) const {
   return e != nullptr ? e->placeholders : cache::CellMask{};
 }
 
-unsigned CoherentMachine::responder_leaf(unsigned cell,
-                                         const DirEntry& e) const {
+unsigned CoherentMachine::target_leaf(unsigned cell, mem::SubPageId sp,
+                                      bool poststore) const {
+  if (multi_domain_) return home_leaf(sp);
   const unsigned my = leaf_of(cell);
+  static const DirEntry kUntouched{};
+  const DirEntry* pe = dir_find(sp);
+  const DirEntry& e = pe != nullptr ? *pe : kUntouched;
+  if (poststore) {
+    for (unsigned l = 0; l < leaf_count(); ++l) {
+      if (l != my && e.placeholders.intersects(leaf_mask(l))) return l;
+    }
+    return my;
+  }
   if (e.holders.none_except(cell)) {
     return e.holders.any() ? my : e.resident_leaf;  // we (or nobody) hold it
   }
@@ -961,8 +873,7 @@ void CoherentMachine::on_page_evicted(unsigned cell, mem::PageId page) {
   const unsigned dc = domain_of_cell(cell);
   for (std::size_t idx = 0; idx < mem::kSubPagesPerPage; ++idx) {
     const mem::SubPageId sp = page * mem::kSubPagesPerPage + idx;
-    const unsigned dh =
-        multi_domain_ ? cfg_.domain_of_leaf(home_leaf(sp)) : dc;
+    const unsigned dh = home_domain(sp);
     if (dh == dc) {
       mb_evict_fixup(cell, sp);
       continue;
@@ -989,152 +900,30 @@ void CoherentMachine::invalidate_at(unsigned cell, mem::SubPageId sp) {
   }
 }
 
-CoherentMachine::CommitResult CoherentMachine::commit_shared(
-    unsigned cell, mem::SubPageId sp, std::uint32_t witness) {
-  DirEntry& e = dir_entry(sp);
-  if (e.atomic && e.owner != static_cast<std::int16_t>(cell)) {
-    shard_note(sp, /*granted=*/false);
-    if (tracer_ != nullptr) {
-      tracer_->log(engine_.now(), obs::kCatCoherence, obs::kEvNack, sp, cell);
-    }
-    KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-        check::Ev::kNack, cell, sp));
-    return {false, false};
+void CoherentMachine::snarf_at(unsigned cell, mem::SubPageId sp) {
+  Cell& c = cells_[cell];
+  c.local.set_state(sp, cache::LineState::kShared);
+  ++c.pmon.snarfs;
+  const unsigned db = domain_of_cell(cell);  // as invalidate_at
+  if (obs::Tracer* tr = tracer_of(db)) {
+    tr->log(engine_of(db).now(), obs::kCatCoherence, obs::kEvSnarf, sp, cell);
   }
-  shard_note(sp, /*granted=*/true);
-  if (tracer_ != nullptr) {
-    tracer_->log(engine_.now(), obs::kCatCoherence, obs::kEvGrantShared, sp,
-                 cell, static_cast<std::int64_t>(e.holders.word0()), witness);
-  }
-  // Downgrade a previous exclusive owner.
-  if (e.owner >= 0 && e.owner != static_cast<std::int16_t>(cell)) {
-    cells_[static_cast<unsigned>(e.owner)].local.set_state(
-        sp, cache::LineState::kShared);
-  }
-  e.owner = -1;
-  e.atomic = false;
-
-  // Read-snarfing: the data passing on the ring refreshes every invalid
-  // placeholder (paper §2, §3.2.2).
-  if (cfg_.read_snarfing) {
-    e.placeholders.for_each_except(cell, [&](unsigned b) {
-      cells_[b].local.set_state(sp, cache::LineState::kShared);
-      ++cells_[b].pmon.snarfs;
-      if (tracer_ != nullptr) {
-        tracer_->log(engine_.now(), obs::kCatCoherence, obs::kEvSnarf, sp, b);
-      }
-      e.holders.set(b);
-    });
-    e.placeholders.retain_only(cell);
-  }
-
-  e.placeholders.clear(cell);
-  const bool sole = e.holders.none_except(cell);
-  e.holders.set(cell);
-  const cache::LineState st =
-      sole ? cache::LineState::kExclusive : cache::LineState::kShared;
-  if (sole) {
-    e.owner = static_cast<std::int16_t>(cell);
-    e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
-  }
-  const bool pa = insert_line(cell, sp, st);
-  KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-      check::Ev::kGrantShared, cell, sp));
-  return {true, pa};
-}
-
-CoherentMachine::CommitResult CoherentMachine::commit_exclusive(
-    unsigned cell, mem::SubPageId sp, bool atomic, std::uint32_t witness) {
-  DirEntry& e = dir_entry(sp);
-  if (e.atomic && e.owner != static_cast<std::int16_t>(cell)) {
-    shard_note(sp, /*granted=*/false);
-    if (tracer_ != nullptr) {
-      tracer_->log(engine_.now(), obs::kCatCoherence, obs::kEvNack, sp, cell);
-    }
-    KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-        check::Ev::kNack, cell, sp));
-    return {false, false};
-  }
-  shard_note(sp, /*granted=*/true);
-  if (tracer_ != nullptr) {
-    tracer_->log(engine_.now(), obs::kCatCoherence,
-                 atomic ? obs::kEvGrantAtomic : obs::kEvGrantExclusive, sp,
-                 cell, static_cast<std::int64_t>(e.holders.word0()), witness);
-  }
-  e.holders.for_each_except(cell, [&](unsigned b) {
-    invalidate_at(b, sp);
-    e.placeholders.set(b);
-  });
-  e.placeholders.clear(cell);
-  e.holders.assign_single(cell);
-  e.owner = static_cast<std::int16_t>(cell);
-  e.atomic = atomic;
-  e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
-  const bool pa = insert_line(
-      cell, sp,
-      atomic ? cache::LineState::kAtomic : cache::LineState::kExclusive);
-  KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-      atomic ? check::Ev::kGrantAtomic : check::Ev::kGrantExclusive, cell,
-      sp));
-  return {true, pa};
-}
-
-void CoherentMachine::commit_poststore(unsigned cell, mem::SubPageId sp) {
-  DirEntry& e = dir_entry(sp);
-  cache::CellMask ph = e.placeholders;
-  ph.clear(cell);
-  if (tracer_ != nullptr) {
-    tracer_->log(engine_.now(), obs::kCatCoherence, obs::kEvPoststore, sp,
-                 cell, static_cast<std::int64_t>(ph.word0()));
-  }
-  if (e.atomic) {
-    // The line was locked (get_subpage) by another cell while the poststore
-    // packet was in flight — the issuer's own copy has already been
-    // invalidated by that acquisition. Refreshing placeholders now would
-    // hand out readable copies of an Atomic line, which every read and
-    // acquire path NACKs against; the update is dropped instead.
-    KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-        check::Ev::kPoststore, cell, sp));
-    return;
-  }
-  if (ph.none()) {  // pure bandwidth waste: nobody was listening
-    KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-        check::Ev::kPoststore, cell, sp));
-    return;
-  }
-  ph.for_each([&](unsigned b) {
-    cells_[b].local.set_state(sp, cache::LineState::kShared);
-    ++cells_[b].pmon.snarfs;
-    if (tracer_ != nullptr) {
-      tracer_->log(engine_.now(), obs::kCatCoherence, obs::kEvSnarf, sp, b);
-    }
-    e.holders.set(b);
-  });
-  e.placeholders.retain_only(cell);
-  // Multiple copies now exist: the writer loses exclusivity — the §3.3.3
-  // poststore pitfall (next-phase writers must re-invalidate).
-  if (e.owner >= 0) {
-    cells_[static_cast<unsigned>(e.owner)].local.set_state(
-        sp, cache::LineState::kShared);
-    e.owner = -1;
-  }
-  KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
-      check::Ev::kPoststore, cell, sp));
 }
 
 // ---------------------------------------------------------------------------
-// Multi-domain home-shard protocol (docs/PARALLEL.md).
+// The directory protocol (docs/PARALLEL.md).
 //
-// All directory bookkeeping for a sub-page mutates on the home domain's
-// thread, at decision time. Home-domain cache-state effects (the local
-// requester's insert, snarf refreshes, revocations of home cells) commit
-// synchronously — exactly the single-domain semantics. Only cross-domain
-// effects travel: revocations (invalidate / downgrade-to-Shared) ride
-// wave 1 at the current horizon h, grants (snarf refreshes, the
-// requester's reply) ride wave 2 at h + Δ whenever any revocation crossed
-// a domain (else at h). Horizons are Δ-multiples, so a revoked reader's
-// last stale access and the grantee's first access are separated by a
-// quantum barrier — no simulated-time overlap, no host race.
+// One decision per request, made on the home domain's thread at decision
+// time: decide() for acquires, poststore() for poststores. Every cache-state
+// effect on a cell other than the requester goes through the Router. An
+// effect on a home-domain cell — every cell, single-domain — commits in
+// place, synchronously. An effect on another domain's cell travels:
+// revocations (invalidate / downgrade-to-Shared) ride wave 1 at the
+// current horizon h, grants (snarf refreshes, the requester's reply) ride
+// wave 2 at h + Δ whenever any revocation crossed a domain (else at h).
+// Horizons are Δ-multiples, so a revoked reader's last stale access and the
+// grantee's first access are separated by a quantum barrier — no
+// simulated-time overlap, no host race.
 //
 // Ordering rule: same-time event order carries NO protocol meaning (the
 // schedule fuzzer permutes it freely), so a decision that put ANY effect
@@ -1145,131 +934,114 @@ void CoherentMachine::commit_poststore(unsigned cell, mem::SubPageId sp) {
 // one cell are impossible by construction, not by channel-FIFO luck.
 // ---------------------------------------------------------------------------
 
-CoherentMachine::MbDecision CoherentMachine::mb_decide(unsigned cell,
-                                                       mem::SubPageId sp,
-                                                       Acquire kind) {
-  const unsigned dh = cfg_.domain_of_leaf(home_leaf(sp));
-  const sim::Time h = par_.horizon();
-  const sim::Duration delta = par_.quantum_ns();
+struct CoherentMachine::Router {
+  CoherentMachine& m;
+  mem::SubPageId sp;
+  unsigned dh;                // home domain: the deciding thread
+  bool cross_revoke = false;  // a revocation rode the channel (wave 1)
+  bool cross_effect = false;  // anything rode the channel
 
-  const bool requester_cross = domain_of_cell(cell) != dh;
-  DirEntry* pe = dir_find(sp);
-  if (pe == nullptr) {
-    // First touch machine-wide, serialized at the home shard.
-    DirEntry& e = dir_entry(sp);
-    e.holders.assign_single(cell);
-    e.owner = static_cast<std::int16_t>(cell);
-    e.atomic = (kind == Acquire::kAtomic);
-    e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
-    shard_note(sp, /*granted=*/true);
-    if (obs::Tracer* tr = tracer_of(dh)) {
-      tr->log(engine_of(dh).now(), obs::kCatCoherence,
-              kind == Acquire::kAtomic ? obs::kEvGrantAtomic
-              : kind == Acquire::kShared ? obs::kEvGrantShared
-                                         : obs::kEvGrantExclusive,
-              sp, cell);
-    }
-    MbDecision d;
-    d.ok = true;
-    d.deferred = false;
-    d.grant_time = h;
-    d.state = kind == Acquire::kAtomic ? cache::LineState::kAtomic
-                                       : cache::LineState::kExclusive;
-    if (requester_cross) {
-      // The reply rides the channel; hold the entry until it has applied
-      // so no later decision can emit a same-time effect toward `cell`.
-      e.busy = true;
-      shard_stats_[home_leaf(sp)].busy_ns +=
-          static_cast<std::uint64_t>(h - engine_of(dh).now());
-      engine_of(dh).at(h, [this, sp] {
-        if (auto* p = dir_find(sp)) p->busy = false;
-      });
-    }
-    return d;
-  }
-  DirEntry& e = *pe;
-  if (e.busy || (e.atomic && e.owner != static_cast<std::int16_t>(cell))) {
-    shard_note(sp, /*granted=*/false);
-    if (obs::Tracer* tr = tracer_of(dh)) {
-      tr->log(engine_of(dh).now(), obs::kCatCoherence, obs::kEvNack, sp, cell);
-    }
-    return {};  // NACK: locked elsewhere, or a prior decision is in flight
-  }
-  shard_note(sp, /*granted=*/true);
-  if (obs::Tracer* tr = tracer_of(dh)) {
-    tr->log(engine_of(dh).now(), obs::kCatCoherence,
-            kind == Acquire::kAtomic ? obs::kEvGrantAtomic
-            : kind == Acquire::kShared ? obs::kEvGrantShared
-                                       : obs::kEvGrantExclusive,
-            sp, cell, static_cast<std::int64_t>(e.holders.word0()));
+  /// Wave-2 time: one quantum after the revocations when any crossed.
+  [[nodiscard]] sim::Time grant_time() const noexcept {
+    const sim::Time h = m.par_.horizon();
+    return cross_revoke ? h + m.par_.quantum_ns() : h;
   }
 
-  MbDecision d;
-  d.ok = true;
-  bool cross_revoke = false;
-  bool cross_effect = requester_cross;  // the reply itself rides the channel
-
-  // Wave 1: revoke writability. Home-domain targets commit synchronously
-  // (we are their thread); cross-domain targets ride the channel at h.
-  const auto revoke = [&](unsigned b, cache::LineState to) {
-    const unsigned db = domain_of_cell(b);
+  /// Wave 1: `b` loses its copy (kInvalid) or its write rights (kShared).
+  void revoke(unsigned b, cache::LineState to) {
+    const unsigned db = m.domain_of_cell(b);
     if (db == dh) {
-      if (to == cache::LineState::kInvalid) {
-        invalidate_at(b, sp);
-      } else {
-        cells_[b].local.set_state(sp, to);
-      }
+      apply_revoke(m, b, sp, to);
       return;
     }
     cross_revoke = true;
     cross_effect = true;
-    if (to == cache::LineState::kInvalid) {
-      par_.send(dh, db, h, [this, b, sp] {
-        invalidate_at(b, sp);
-      });
-    } else {
-      par_.send(dh, db, h, [this, b, sp] {
-        cells_[b].local.set_state(sp, cache::LineState::kShared);
-      });
-    }
-  };
+    m.par_.send(dh, db, m.par_.horizon(), [cm = &m, b, sp = sp, to] {
+      apply_revoke(*cm, b, sp, to);
+    });
+  }
 
-  // Wave 2: grant readability at `gt`. Home-domain snarfers commit at
-  // decision time (single-domain semantics; a same-engine event at gt
-  // could tie with a later decision's revoke, and same-time order carries
-  // no meaning). Cross-domain grants ride the channel; pmon mutations
-  // execute on the target's own thread, inside the routed event.
-  const auto grant_shared = [&](unsigned b, sim::Time gt) {
-    const unsigned db = domain_of_cell(b);
+  /// Wave 2: `b`'s placeholder is refreshed with the passing data. pmon
+  /// and trace mutations run on the target's own thread either way.
+  void refresh(unsigned b) {
+    const unsigned db = m.domain_of_cell(b);
     if (db == dh) {
-      cells_[b].local.set_state(sp, cache::LineState::kShared);
-      ++cells_[b].pmon.snarfs;
-      if (obs::Tracer* tr = tracer_of(dh)) {
-        tr->log(engine_of(dh).now(), obs::kCatCoherence, obs::kEvSnarf, sp, b);
-      }
-    } else {
-      cross_effect = true;
-      par_.send(dh, db, gt, [this, b, db, sp] {
-        cells_[b].local.set_state(sp, cache::LineState::kShared);
-        ++cells_[b].pmon.snarfs;
-        if (obs::Tracer* tr = tracer_of(db)) {
-          tr->log(engine_of(db).now(), obs::kCatCoherence, obs::kEvSnarf, sp,
-                  b);
-        }
-      });
+      m.snarf_at(b, sp);
+      return;
     }
-  };
+    cross_effect = true;
+    m.par_.send(dh, db, grant_time(),
+                [cm = &m, b, sp = sp] { cm->snarf_at(b, sp); });
+  }
 
+  /// Hold `e` busy until `until` if any effect (or the reply) rides the
+  /// channel: the next decision then runs strictly after the last effect
+  /// lands, and its own effects land at a strictly later horizon.
+  void hold(DirEntry& e, sim::Time until) {
+    if (!cross_effect) return;
+    e.busy = true;
+    sim::Engine& eng = m.engine_of(dh);
+    m.shard_stats_[m.home_leaf(sp)].busy_ns +=
+        static_cast<std::uint64_t>(until - eng.now());
+    // Re-find by id when clearing: FlatMap storage may move underneath.
+    eng.at(until, [cm = &m, sp = sp] {
+      if (auto* p = cm->dir_find(sp)) p->busy = false;
+    });
+  }
+
+  static void apply_revoke(CoherentMachine& cm, unsigned b, mem::SubPageId sp,
+                           cache::LineState to) {
+    if (to == cache::LineState::kInvalid) {
+      cm.invalidate_at(b, sp);
+    } else {
+      cm.cells_[b].local.set_state(sp, to);
+    }
+  }
+};
+
+CoherentMachine::Decision CoherentMachine::decide(unsigned cell,
+                                                  mem::SubPageId sp,
+                                                  Acquire kind,
+                                                  std::uint32_t witness) {
+  const unsigned dh = home_domain(sp);
+  obs::Tracer* tr = tracer_of(dh);
+  const auto me = static_cast<std::int16_t>(cell);
+  // A first touch decided here (the requester's domain does not own the
+  // home shard) starts from the empty entry this creates.
+  DirEntry& e = dir_entry(sp);
+  if (e.busy || (e.atomic && e.owner != me)) {
+    shard_note(sp, /*granted=*/false);
+    if (tr != nullptr) {
+      tr->log(engine_of(dh).now(), obs::kCatCoherence, obs::kEvNack, sp, cell);
+    }
+    KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
+        check::Ev::kNack, cell, sp));
+    return {};  // NACK: locked elsewhere, or a prior decision is in flight
+  }
+  shard_note(sp, /*granted=*/true);
+  if (tr != nullptr) {
+    tr->log(engine_of(dh).now(), obs::kCatCoherence,
+            kind == Acquire::kAtomic   ? obs::kEvGrantAtomic
+            : kind == Acquire::kShared ? obs::kEvGrantShared
+                                       : obs::kEvGrantExclusive,
+            sp, cell, static_cast<std::int64_t>(e.holders.word0()), witness);
+  }
+
+  Router r{*this, sp, dh};
+  Decision d;
+  d.ok = true;
   if (kind == Acquire::kShared) {
-    if (e.owner >= 0 && e.owner != static_cast<std::int16_t>(cell)) {
-      revoke(static_cast<unsigned>(e.owner), cache::LineState::kShared);
+    // Downgrade a previous exclusive owner.
+    if (e.owner >= 0 && e.owner != me) {
+      r.revoke(static_cast<unsigned>(e.owner), cache::LineState::kShared);
     }
     e.owner = -1;
     e.atomic = false;
-    const sim::Time gt = cross_revoke ? h + delta : h;
+    // Read-snarfing: the data passing on the ring refreshes every invalid
+    // placeholder (paper §2, §3.2.2).
     if (cfg_.read_snarfing) {
       e.placeholders.for_each_except(cell, [&](unsigned b) {
-        grant_shared(b, gt);
+        r.refresh(b);
         e.holders.set(b);
       });
       e.placeholders.retain_only(cell);
@@ -1279,149 +1051,102 @@ CoherentMachine::MbDecision CoherentMachine::mb_decide(unsigned cell,
     e.holders.set(cell);
     d.state = sole ? cache::LineState::kExclusive : cache::LineState::kShared;
     if (sole) {
-      e.owner = static_cast<std::int16_t>(cell);
+      e.owner = me;
       e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
     }
-    d.deferred = cross_revoke;
-    d.grant_time = gt;
   } else {
     e.holders.for_each_except(cell, [&](unsigned b) {
-      revoke(b, cache::LineState::kInvalid);
+      r.revoke(b, cache::LineState::kInvalid);
       e.placeholders.set(b);
     });
     e.placeholders.clear(cell);
     e.holders.assign_single(cell);
-    e.owner = static_cast<std::int16_t>(cell);
+    e.owner = me;
     e.atomic = (kind == Acquire::kAtomic);
     e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
     d.state = e.atomic ? cache::LineState::kAtomic
                        : cache::LineState::kExclusive;
-    d.deferred = cross_revoke;
-    d.grant_time = cross_revoke ? h + delta : h;
   }
-
-  if (cross_effect) {
-    // Hold the entry until the last in-flight effect (revokes at h, grants
-    // and the reply at grant_time >= h) has applied; the next decision then
-    // runs strictly after and its effects land at a strictly later horizon.
-    e.busy = true;
-    shard_stats_[home_leaf(sp)].busy_ns +=
-        static_cast<std::uint64_t>(d.grant_time - engine_of(dh).now());
-    // Re-find by id when clearing: FlatMap storage may move underneath.
-    engine_of(dh).at(d.grant_time, [this, sp] {
-      if (auto* p = dir_find(sp)) p->busy = false;
-    });
-  }
+  // Cache state commits at decision time; a cross-domain revocation only
+  // defers the *timing* of the grant to the grant wave.
+  d.deferred = r.cross_revoke;
+  d.grant_time = r.grant_time();
+  if (domain_of_cell(cell) != dh) r.cross_effect = true;  // the reply rides
+  r.hold(e, d.grant_time);
   return d;
+}
+
+void CoherentMachine::poststore(unsigned cell, mem::SubPageId sp) {
+  DirEntry* pe = dir_find(sp);
+  if (pe == nullptr) return;
+  DirEntry& e = *pe;
+  const unsigned dh = home_domain(sp);
+  cache::CellMask ph = e.placeholders;
+  ph.clear(cell);
+  if (obs::Tracer* tr = tracer_of(dh)) {
+    tr->log(engine_of(dh).now(), obs::kCatCoherence, obs::kEvPoststore, sp,
+            cell, static_cast<std::int64_t>(ph.word0()));
+  }
+  // The update is dropped when nobody listens (pure bandwidth waste), while
+  // a prior decision's effects are in flight (`busy`), or when the line was
+  // locked (get_subpage) by another cell while the packet was in flight —
+  // the issuer's own copy has then already been invalidated, and refreshing
+  // placeholders would hand out readable copies of an Atomic line, which
+  // every read and acquire path NACKs against.
+  if (!e.atomic && !e.busy && ph.any()) {
+    Router r{*this, sp, dh};
+    // Multiple copies now exist: the writer loses exclusivity — the §3.3.3
+    // poststore pitfall (next-phase writers must re-invalidate).
+    if (e.owner >= 0) {
+      r.revoke(static_cast<unsigned>(e.owner), cache::LineState::kShared);
+      e.owner = -1;
+    }
+    ph.for_each([&](unsigned b) {
+      r.refresh(b);
+      e.holders.set(b);
+    });
+    e.placeholders.retain_only(cell);
+    r.hold(e, r.grant_time());
+  }
+  KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
+      check::Ev::kPoststore, cell, sp));
+}
+
+bool CoherentMachine::grant(unsigned cell, mem::SubPageId sp, Acquire kind,
+                            cache::LineState st) {
+  (void)kind;  // read by the checker hook only
+  const bool page_alloc = insert_line(cell, sp, st);
+  KSR_CHECK_HOOK(if (hooks_on()) checker_->on_transition(
+      kind == Acquire::kAtomic   ? check::Ev::kGrantAtomic
+      : kind == Acquire::kShared ? check::Ev::kGrantShared
+                                 : check::Ev::kGrantExclusive,
+      cell, sp));
+  return page_alloc;
 }
 
 void CoherentMachine::mb_home_request(unsigned cell, unsigned req_dom,
                                       mem::SubPageId sp, Acquire kind,
-                                      MbReply* rep, sim::FiberId fid) {
+                                      std::uint32_t witness, Decision* rep,
+                                      sim::FiberId fid) {
   // Runs in the home domain at channel-delivery time: model the level-1
   // transit + home-ring transaction, then decide and reply. The reply event
-  // applies the grant (insert_line) on the requester's thread *before*
-  // waking the fiber, so the channel's FIFO order serializes it against any
-  // later revocation the home emits toward the same domain.
+  // applies the grant on the requester's thread *before* waking the fiber,
+  // so the channel's FIFO order serializes it against any later revocation
+  // the home emits toward the same domain.
   home_transport(
       leaf_of(cell), home_leaf(sp), sp,
-      [this, cell, req_dom, sp, kind, rep, fid](sim::Duration) {
-        const unsigned dh = cfg_.domain_of_leaf(home_leaf(sp));
-        const MbDecision d = mb_decide(cell, sp, kind);
-        const sim::Time rt =
-            d.ok && d.deferred ? d.grant_time : par_.horizon();
-        const bool ok = d.ok;
-        const cache::LineState st = d.state;
-        par_.send(dh, req_dom, rt,
-                  [this, cell, sp, ok, st, rep, fid, req_dom] {
-                    if (ok) {
-                      rep->ok = true;
-                      rep->state = st;
-                      rep->page_alloc = insert_line(cell, sp, st);
-                    } else {
-                      rep->ok = false;
-                    }
+      [this, cell, req_dom, sp, kind, witness, rep, fid](sim::Duration) {
+        const Decision d = decide(cell, sp, kind, witness);
+        par_.send(home_domain(sp), req_dom,
+                  d.ok ? d.grant_time : par_.horizon(),
+                  [this, cell, sp, kind, ok = d.ok, st = d.state, rep, fid,
+                   req_dom] {
+                    rep->ok = ok;
+                    if (ok) rep->page_alloc = grant(cell, sp, kind, st);
                     sim::Engine& e = engine_of(req_dom);
                     e.wake(fid, e.now());
                   });
       });
-}
-
-void CoherentMachine::mb_poststore_home(unsigned cell, mem::SubPageId sp) {
-  DirEntry* pe = dir_find(sp);
-  if (pe == nullptr) return;
-  DirEntry& e = *pe;
-  // Locked or mid-decision: the update is dropped (a poststore is only an
-  // opportunistic broadcast — see the single-domain commit for the Atomic
-  // rationale; `busy` additionally covers the in-flight-effects window).
-  if (e.atomic || e.busy) return;
-  if (e.placeholders.none_except(cell)) return;  // nobody listening
-
-  const unsigned dh = cfg_.domain_of_leaf(home_leaf(sp));
-  const sim::Time h = par_.horizon();
-  const sim::Duration delta = par_.quantum_ns();
-  bool cross_revoke = false;
-  bool cross_effect = false;
-
-  if (obs::Tracer* tr = tracer_of(dh)) {
-    cache::CellMask ph = e.placeholders;
-    ph.clear(cell);
-    tr->log(engine_of(dh).now(), obs::kCatCoherence, obs::kEvPoststore, sp,
-            cell, static_cast<std::int64_t>(ph.word0()));
-  }
-
-  // Wave 1: the writable copy (often the poststorer itself) loses
-  // exclusivity — the §3.3.3 poststore pitfall.
-  if (e.owner >= 0) {
-    const unsigned o = static_cast<unsigned>(e.owner);
-    const unsigned db = domain_of_cell(o);
-    if (db == dh) {
-      cells_[o].local.set_state(sp, cache::LineState::kShared);
-    } else {
-      cross_revoke = true;
-      cross_effect = true;
-      par_.send(dh, db, h, [this, o, sp] {
-        cells_[o].local.set_state(sp, cache::LineState::kShared);
-      });
-    }
-    e.owner = -1;
-  }
-
-  // Wave 2: refresh every placeholder. Home-domain refreshes commit at
-  // decision time (see mb_decide's grant rule); cross-domain refreshes
-  // ride the channel at gt.
-  const sim::Time gt = cross_revoke ? h + delta : h;
-  e.placeholders.for_each_except(cell, [&](unsigned b) {
-    const unsigned db = domain_of_cell(b);
-    if (db == dh) {
-      cells_[b].local.set_state(sp, cache::LineState::kShared);
-      ++cells_[b].pmon.snarfs;
-      if (obs::Tracer* tr = tracer_of(dh)) {
-        tr->log(engine_of(dh).now(), obs::kCatCoherence, obs::kEvSnarf, sp, b);
-      }
-    } else {
-      cross_effect = true;
-      par_.send(dh, db, gt, [this, b, db, sp] {
-        cells_[b].local.set_state(sp, cache::LineState::kShared);
-        ++cells_[b].pmon.snarfs;
-        if (obs::Tracer* tr = tracer_of(db)) {
-          tr->log(engine_of(db).now(), obs::kCatCoherence, obs::kEvSnarf, sp,
-                  b);
-        }
-      });
-    }
-    e.holders.set(b);
-  });
-  e.placeholders.retain_only(cell);
-
-  if (cross_effect) {
-    e.busy = true;
-    shard_stats_[home_leaf(sp)].busy_ns +=
-        static_cast<std::uint64_t>(gt - engine_of(dh).now());
-    engine_of(dh).at(gt, [this, sp] {
-      if (auto* p = dir_find(sp)) p->busy = false;
-    });
-  }
 }
 
 void CoherentMachine::mb_release_home(unsigned cell, mem::SubPageId sp) {

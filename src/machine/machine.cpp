@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "ksr/ckpt/checkpoint.hpp"
 
@@ -349,6 +350,7 @@ RunResult Machine::run(const std::vector<Program>& programs) {
   if (programs.size() != nproc()) {
     throw std::invalid_argument("Machine::run: one program per cell required");
   }
+  for (auto& hook : std::exchange(next_run_hooks_, {})) hook();
   // Domain engines may sit at different times after a previous run; start
   // every fiber at the latest of them so no domain is asked to schedule in
   // its past.

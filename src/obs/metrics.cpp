@@ -57,10 +57,16 @@ void MetricsRegistry::attach(machine::Machine& m, sim::Duration period_ns) {
     multi_ = true;
     domains_ = m.domains();
     domain_samples_.assign(domains_, {});
-    for (unsigned d = 0; d < domains_; ++d) arm_domain(d);
-    return;
   }
-  arm();
+  // Armed when the first run starts, so a restore() between attach and
+  // run finds the engines quiescent and the chain starts on its clock.
+  m.before_next_run([this] {
+    if (!multi_) {
+      arm();
+      return;
+    }
+    for (unsigned d = 0; d < domains_; ++d) arm_domain(d);
+  });
 }
 
 void MetricsRegistry::finish() {

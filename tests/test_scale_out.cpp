@@ -7,7 +7,9 @@
 //  - mode B (multi-domain) coherent machines actually partition (no
 //    single-domain fallback), produce sim_threads-independent results, and
 //    keep migratory / atomic / poststore semantics across a domain boundary;
-//  - full I1-I6 audits pass after multi-domain and 1088-cell runs.
+//  - full I1-I6 audits pass after multi-domain and 1088-cell runs;
+//  - the cross-mode oracle: a registry row gives the same semantic result
+//    in mode A and mode B, within a pinned simulated-time ceiling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +23,8 @@
 #include "ksr/nas/is.hpp"
 #include "ksr/obs/topo.hpp"
 #include "ksr/obs/tracer.hpp"
+#include "ksr/serve/job.hpp"
+#include "ksr/serve/json.hpp"
 
 namespace ksr {
 namespace {
@@ -254,38 +258,75 @@ TEST(ScaleOut, MultiDomainCoherentRunIsSimThreadsInvariant) {
   }
 }
 
-TEST(ScaleOut, CrossDomainMigratoryWrites) {
-  machine::KsrMachine m(machine::MachineConfig::ksr1(64)
-                            .with_cells_per_domain(32)
-                            .with_sim_threads(4));
-  ASSERT_EQ(m.domains(), 2u);
+// Cells 0 (leaf 0, domain 0) and 32 (leaf 1, domain 1) bounce a line on a
+// 64-cell, two-domain machine.
+struct Migratory {
+  int seen_by_0 = 0;
+  int seen_by_32 = 0;
+  int last = 0;
+};
+
+Migratory migratory_writes(machine::KsrMachine& m) {
   auto arr = m.alloc<int>("a", 16);
   auto phase = m.alloc<int>("phase", 64);  // separate sub-page
-  int seen_by_32 = 0;
-  int seen_by_0 = 0;
+  Migratory r;
   m.run([&](machine::Cpu& cpu) {
-    // Cells 0 (leaf 0, domain 0) and 32 (leaf 1, domain 1) bounce a line.
     if (cpu.id() == 0) {
       cpu.write(arr, 0, 7);
       cpu.write(phase, 0, 1);
       while (cpu.read(phase, 0) < 2) cpu.work(10);
-      seen_by_0 = cpu.read(arr, 0);
+      r.seen_by_0 = cpu.read(arr, 0);
     } else if (cpu.id() == 32) {
       while (cpu.read(phase, 0) < 1) cpu.work(10);
-      seen_by_32 = cpu.read(arr, 0);
+      r.seen_by_32 = cpu.read(arr, 0);
       cpu.write(arr, 0, 9);  // invalidates cell 0's copy cross-domain
       cpu.write(phase, 0, 2);
     }
   });
-  EXPECT_EQ(seen_by_32, 7);
-  EXPECT_EQ(seen_by_0, 9);
-  EXPECT_EQ(arr.value(0), 9);
+  r.last = arr.value(0);
+  return r;
+}
+
+machine::MachineConfig two_domains_64() {
+  return machine::MachineConfig::ksr1(64)
+      .with_cells_per_domain(32)
+      .with_sim_threads(4);
+}
+
+TEST(ScaleOut, CrossDomainMigratoryWrites) {
+  machine::KsrMachine m(two_domains_64());
+  ASSERT_EQ(m.domains(), 2u);
+  const Migratory r = migratory_writes(m);
+  EXPECT_EQ(r.seen_by_32, 7);
+  EXPECT_EQ(r.seen_by_0, 9);
+  EXPECT_EQ(r.last, 9);
+}
+
+// Mode B decides through the same directory path as mode A, so every
+// demand grant record carries the access witness (1 + byte offset) as its
+// aux word, home-local and cross-domain alike: the sharing classifier
+// reads it to tell false sharing from migratory sharing.
+TEST(ScaleOut, CrossDomainDemandGrantsCarryWitness) {
+  machine::KsrMachine m(two_domains_64());
+  ASSERT_EQ(m.domains(), 2u);
+  obs::Tracer tracer;
+  m.attach_tracer(&tracer);
+  EXPECT_EQ(migratory_writes(m).last, 9);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  unsigned exclusive_grants = 0;
+  for (const obs::Tracer::Record& r : tracer) {
+    if (r.cat != obs::kCatCoherence || r.ev != obs::kEvGrantExclusive) {
+      continue;
+    }
+    ++exclusive_grants;
+    EXPECT_NE(r.aux, 0u) << "exclusive grant of sub-page " << r.subject
+                         << " to cell " << r.actor << " at t=" << r.t;
+  }
+  EXPECT_GE(exclusive_grants, 2u);  // cell 32's two writes at least
 }
 
 TEST(ScaleOut, CrossDomainAtomicSerializes) {
-  machine::KsrMachine m(machine::MachineConfig::ksr1(64)
-                            .with_cells_per_domain(32)
-                            .with_sim_threads(4));
+  machine::KsrMachine m(two_domains_64());
   ASSERT_EQ(m.domains(), 2u);
   auto lock = m.alloc<int>("lock", 1);
   auto data = m.alloc<int>("data", 64);  // keep data off the lock sub-page
@@ -307,9 +348,7 @@ TEST(ScaleOut, CrossDomainAtomicSerializes) {
 }
 
 TEST(ScaleOut, CrossDomainPoststoreRefreshesPlaceholders) {
-  machine::KsrMachine m(machine::MachineConfig::ksr1(64)
-                            .with_cells_per_domain(32)
-                            .with_sim_threads(4));
+  machine::KsrMachine m(two_domains_64());
   ASSERT_EQ(m.domains(), 2u);
   auto arr = m.alloc<int>("a", 16);
   auto phase = m.alloc<int>("phase", 64);
@@ -332,9 +371,7 @@ TEST(ScaleOut, CrossDomainPoststoreRefreshesPlaceholders) {
 }
 
 TEST(ScaleOut, MultiDomainAuditPasses) {
-  machine::KsrMachine m(machine::MachineConfig::ksr1(64)
-                            .with_cells_per_domain(32)
-                            .with_sim_threads(4));
+  machine::KsrMachine m(two_domains_64());
   ASSERT_EQ(m.domains(), 2u);
   check::InvariantChecker checker(m);
   m.attach_checker(&checker);
@@ -422,6 +459,58 @@ TEST(ScaleOut, ModeBTracingDoesNotPerturbFingerprint) {
   EXPECT_EQ(m.parallel_engine().events_dispatched(), traced.fp.events);
   EXPECT_EQ(m.parallel_engine().now(), traced.fp.end_time);
   EXPECT_EQ(r.seconds, traced.fp.seconds);
+}
+
+// ------------------------------------------------------- cross-mode oracle
+
+// One registry row at 64 cells (`--scale 64`), run single-domain (mode A,
+// cells_per_domain 0) or on two 32-cell domains (mode B).
+serve::Json run_row(serve::JobSpec spec, unsigned cells_per_domain) {
+  spec.procs = 64;
+  spec.scale = 64;
+  spec.cells_per_domain = cells_per_domain;
+  std::string err;
+  serve::Json r = serve::Json::parse(serve::execute(spec).result, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  return r;
+}
+
+double field(const serve::Json& r, const char* key) {
+  const serve::Json* v = r.find(key);
+  EXPECT_NE(v, nullptr) << key;
+  return v != nullptr ? v->as_double() : 0.0;
+}
+
+// Mode B must compute what mode A computes. Its simulated time does not yet
+// match (ROADMAP item 1: the grant wave costs a quantum and mode B models
+// no level-1 ring), so each ceiling pins today's mode-B / mode-A time
+// ratio; a change may only lower it.
+TEST(ScaleOut, CrossModeOracleIs) {
+  serve::JobSpec spec;
+  spec.workload = "is";
+  spec.log2_keys = 11;
+  spec.log2_buckets = 7;
+  const serve::Json a = run_row(spec, 0);
+  const serve::Json b = run_row(spec, 32);
+  EXPECT_TRUE(a.find("ranks_valid")->as_bool());
+  EXPECT_TRUE(b.find("ranks_valid")->as_bool());
+  const double ratio = field(b, "seconds") / field(a, "seconds");
+  EXPECT_LE(ratio, 1.337) << "IS mode-B / mode-A simulated time";  // 1.3366
+}
+
+TEST(ScaleOut, CrossModeOracleCg) {
+  serve::JobSpec spec;
+  spec.workload = "cg";
+  spec.n = 600;
+  spec.nnz_per_row = 7;
+  spec.iters = 2;
+  const serve::Json a = run_row(spec, 0);
+  const serve::Json b = run_row(spec, 32);
+  // Bit-equal: the partition must not change a single floating-point op.
+  EXPECT_EQ(field(a, "initial_residual"), field(b, "initial_residual"));
+  EXPECT_EQ(field(a, "final_residual"), field(b, "final_residual"));
+  const double ratio = field(b, "seconds") / field(a, "seconds");
+  EXPECT_LE(ratio, 1.116) << "CG mode-B / mode-A simulated time";  // 1.1155
 }
 
 // ---------------------------------------------------------- 1088-cell smoke
