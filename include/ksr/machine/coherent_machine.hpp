@@ -293,10 +293,11 @@ class CoherentMachine : public Machine {
   /// Home-side release_subpage fix-up (fire and forget from the releaser).
   void mb_release_home(unsigned cell, mem::SubPageId sp);
 
-  /// Home-side eviction fix-up: clear `cell`'s directory bits for `sp`.
-  /// Idempotent; ordered before any later request from the same domain by
-  /// the boundary channels' FIFO discipline.
-  void mb_evict_fixup(unsigned cell, mem::SubPageId sp);
+  /// Home-side eviction fix-up: clear `cell`'s directory bits from every
+  /// sub-page entry of `page`, in index order. Idempotent; a remote home
+  /// gets it as one boundary packet per page (on_page_evicted says why it
+  /// lands before any later request from `cell`).
+  void evict_fixup(unsigned cell, mem::PageId page);
 
   // ---- Shared cache plumbing ----
 

@@ -218,6 +218,13 @@ assert isinstance(d['traceEvents'], list) and d['traceEvents'], 'empty trace'
   run_paper bench_fig8_speedup scaleout_st4 --scale-out --jobs 1 --sim-threads 4
   fpso1=$(fingerprint scaleout_st1)
   fpso4=$(fingerprint scaleout_st4)
+  # Pinned like the quick table2_is fingerprint, so mode-B event counts
+  # cannot drift unnoticed while st1 and st4 still agree.
+  if [ "$fpso1" != "24785855" ]; then
+    echo "bench_host.sh --check FAILED: pinned quick scale-out fingerprint" \
+         "moved ($fpso1 want 24785855)" >&2
+    exit 1
+  fi
   if [ -z "$fpso1" ] || [ "$fpso1" != "$fpso4" ]; then
     echo "bench_host.sh --check FAILED: scale-out events_dispatched differs" \
          "between --sim-threads 1 and 4 ($fpso1 vs $fpso4)" >&2

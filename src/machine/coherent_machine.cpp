@@ -854,35 +854,39 @@ bool CoherentMachine::insert_line(unsigned cell, mem::SubPageId sp,
   return pa.allocated;
 }
 
-void CoherentMachine::mb_evict_fixup(unsigned cell, mem::SubPageId sp) {
-  auto* pe = dir_find(sp);
-  if (pe == nullptr) return;
-  DirEntry& e = *pe;
-  e.holders.clear(cell);
-  e.placeholders.clear(cell);
-  if (e.owner == static_cast<std::int16_t>(cell)) {
-    e.owner = -1;
-    e.atomic = false;  // evicting a locked line would be a program bug
-  }
-  if (e.holders.none()) {
-    e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
+void CoherentMachine::evict_fixup(unsigned cell, mem::PageId page) {
+  const mem::SubPageId first = page * mem::kSubPagesPerPage;
+  auto& shard = dir_shards_[home_leaf(first)];  // one home per page
+  for (mem::SubPageId sp = first; sp < first + mem::kSubPagesPerPage; ++sp) {
+    DirEntry* pe = shard.find(sp);
+    if (pe == nullptr) continue;
+    DirEntry& e = *pe;
+    e.holders.clear(cell);
+    e.placeholders.clear(cell);
+    if (e.owner == static_cast<std::int16_t>(cell)) {
+      e.owner = -1;
+      e.atomic = false;  // evicting a locked line would be a program bug
+    }
+    if (e.holders.none()) {
+      e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
+    }
   }
 }
 
 void CoherentMachine::on_page_evicted(unsigned cell, mem::PageId page) {
   const unsigned dc = domain_of_cell(cell);
-  for (std::size_t idx = 0; idx < mem::kSubPagesPerPage; ++idx) {
-    const mem::SubPageId sp = page * mem::kSubPagesPerPage + idx;
-    const unsigned dh = home_domain(sp);
-    if (dh == dc) {
-      mb_evict_fixup(cell, sp);
-      continue;
-    }
-    // Remote home: idempotent fire-and-forget fix-up. Channel FIFO order
-    // guarantees it lands before any later request from this domain.
-    par_.send(dc, dh, par_.horizon(),
-              [this, cell, sp] { mb_evict_fixup(cell, sp); });
+  const unsigned dh = home_domain(page * mem::kSubPagesPerPage);
+  if (dh == dc) {
+    evict_fixup(cell, page);
+    return;
   }
+  // Remote home: one idempotent fire-and-forget packet for the whole page.
+  // Same-time order carries no meaning (the fuzzer permutes it), so this
+  // does not rely on channel FIFO: any later request from `cell` is stamped
+  // at this horizon or later and decides only after home_transport's
+  // level-1 transit, by which time the fix-up has run.
+  par_.send(dc, dh, par_.horizon(),
+            [this, cell, page] { evict_fixup(cell, page); });
 }
 
 void CoherentMachine::invalidate_at(unsigned cell, mem::SubPageId sp) {

@@ -9,7 +9,8 @@
 //    keep migratory / atomic / poststore semantics across a domain boundary;
 //  - full I1-I6 audits pass after multi-domain and 1088-cell runs;
 //  - the cross-mode oracle: a registry row gives the same semantic result
-//    in mode A and mode B, within a pinned simulated-time ceiling.
+//    in mode A and mode B, within a pinned simulated-time ceiling, and its
+//    mode-B run pins the page-granular eviction traffic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include "ksr/cache/cell_mask.hpp"
 #include "ksr/check/checker.hpp"
+#include "ksr/machine/factory.hpp"
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/obs/topo.hpp"
@@ -464,15 +466,32 @@ TEST(ScaleOut, ModeBTracingDoesNotPerturbFingerprint) {
 // ------------------------------------------------------- cross-mode oracle
 
 // One registry row at 64 cells (`--scale 64`), run single-domain (mode A,
-// cells_per_domain 0) or on two 32-cell domains (mode B).
-serve::Json run_row(serve::JobSpec spec, unsigned cells_per_domain) {
+// cells_per_domain 0) or on two 32-cell domains (mode B), with the
+// machine's engine and eviction counters beside the result object.
+struct RowRun {
+  serve::Json result;
+  std::uint64_t events = 0;
+  std::uint64_t boundary_packets = 0;
+  std::uint64_t pages_evicted = 0;
+};
+
+RowRun run_row(serve::JobSpec spec, unsigned cells_per_domain,
+               unsigned sim_threads = 1) {
   spec.procs = 64;
   spec.scale = 64;
   spec.cells_per_domain = cells_per_domain;
+  EXPECT_EQ(spec.validate(), "");
+  auto m = machine::make_machine(spec.machine_config(sim_threads));
+  RowRun out;
   std::string err;
-  serve::Json r = serve::Json::parse(serve::execute(spec).result, &err);
+  out.result = serve::Json::parse(serve::run_workload(spec, *m).result, &err);
   EXPECT_TRUE(err.empty()) << err;
-  return r;
+  out.events = m->parallel_engine().events_dispatched();
+  out.boundary_packets = m->parallel_engine().boundary_packets();
+  for (unsigned c = 0; c < m->nproc(); ++c) {
+    out.pages_evicted += m->cell_pmon(c).pages_evicted;
+  }
+  return out;
 }
 
 double field(const serve::Json& r, const char* key) {
@@ -490,12 +509,24 @@ TEST(ScaleOut, CrossModeOracleIs) {
   spec.workload = "is";
   spec.log2_keys = 11;
   spec.log2_buckets = 7;
-  const serve::Json a = run_row(spec, 0);
-  const serve::Json b = run_row(spec, 32);
+  const serve::Json a = run_row(spec, 0).result;
+  const RowRun b = run_row(spec, 32);
   EXPECT_TRUE(a.find("ranks_valid")->as_bool());
-  EXPECT_TRUE(b.find("ranks_valid")->as_bool());
-  const double ratio = field(b, "seconds") / field(a, "seconds");
+  EXPECT_TRUE(b.result.find("ranks_valid")->as_bool());
+  const double ratio = field(b.result, "seconds") / field(a, "seconds");
   EXPECT_LE(ratio, 1.337) << "IS mode-B / mode-A simulated time";  // 1.3366
+  // A page evicted toward a remote home costs one boundary packet and one
+  // event, not one per sub-page (128 per page: 2718416 events, 406422
+  // packets). The simulated time does not move.
+  EXPECT_GT(b.pages_evicted, 0u);
+  for (unsigned t : {1u, 2u, 4u}) {
+    const RowRun r = t == 1 ? b : run_row(spec, 32, t);
+    EXPECT_EQ(r.events, 2334749u) << "sim_threads=" << t;
+    EXPECT_EQ(r.boundary_packets, 22755u) << "sim_threads=" << t;
+    EXPECT_EQ(r.pages_evicted, b.pages_evicted) << "sim_threads=" << t;
+    EXPECT_NEAR(field(r.result, "seconds"), 0.012944, 5e-7)
+        << "sim_threads=" << t;
+  }
 }
 
 TEST(ScaleOut, CrossModeOracleCg) {
@@ -504,8 +535,8 @@ TEST(ScaleOut, CrossModeOracleCg) {
   spec.n = 600;
   spec.nnz_per_row = 7;
   spec.iters = 2;
-  const serve::Json a = run_row(spec, 0);
-  const serve::Json b = run_row(spec, 32);
+  const serve::Json a = run_row(spec, 0).result;
+  const serve::Json b = run_row(spec, 32).result;
   // Bit-equal: the partition must not change a single floating-point op.
   EXPECT_EQ(field(a, "initial_residual"), field(b, "initial_residual"));
   EXPECT_EQ(field(a, "final_residual"), field(b, "final_residual"));
