@@ -3,6 +3,7 @@
 // the global-wakeup-flag barriers, and the cost of intentional false
 // sharing (the MCS packed word vs a padded variant).
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 #include "ksr/sync/atomic.hpp"
 #include "ksr/sync/padded.hpp"
 

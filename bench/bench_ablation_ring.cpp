@@ -3,6 +3,7 @@
 // simultaneous all-remote traffic (§3.1's observation that the ring holds
 // up until a fully populated ring issues simultaneous remote accesses).
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 
 namespace {
 

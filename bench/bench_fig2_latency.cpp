@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 #include "ksr/sync/atomic.hpp"
 
 namespace {

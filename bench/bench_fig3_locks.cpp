@@ -3,64 +3,19 @@
 // workload — hardware exclusive lock vs. the software read-write ticket
 // lock at varying read-sharing percentages.
 //
-// Workload (paper footnote 4): each processor repeatedly accesses data in
-// read or write mode with a delay of 10000 local operations between
-// successive lock requests; the lock is held for 3000 local operations.
+// Workload (paper footnote 4, sync::lock_seconds): each processor repeatedly
+// accesses data in read or write mode with a delay of 10000 local operations
+// between successive lock requests; the lock is held for 3000 local
+// operations.
 //
 // Each (P, variant) cell is an independent simulation — one sweep-harness
 // job per cell, merged in submission order.
 #include "ksr/study/sweep.hpp"
 #include "ksr/sync/locks.hpp"
 
-namespace {
-
 using namespace ksr;         // NOLINT
 using namespace ksr::study;  // NOLINT
-using machine::Cpu;
 using machine::MachineConfig;
-
-constexpr std::uint64_t kHoldOps = 3000;   // local ops while holding
-constexpr std::uint64_t kDelayOps = 10000; // local ops between requests
-constexpr std::uint64_t kCyclesPerOp = 2;
-
-double run_exclusive(machine::Machine& m, int ops) {
-  sync::HardwareLock lock(m);
-  double t = 0;
-  m.run([&](Cpu& cpu) {
-    for (int i = 0; i < ops; ++i) {
-      lock.acquire(cpu);
-      cpu.work(kHoldOps * kCyclesPerOp);
-      lock.release(cpu);
-      cpu.work(kDelayOps * kCyclesPerOp);
-    }
-    if (cpu.seconds() > t) t = cpu.seconds();
-  });
-  return t;
-}
-
-double run_rw(machine::Machine& m, int ops, unsigned read_percent) {
-  sync::TicketRwLock lock(m);
-  double t = 0;
-  m.run([&](Cpu& cpu) {
-    for (int i = 0; i < ops; ++i) {
-      const bool read = cpu.rng().below(100) < read_percent;
-      if (read) {
-        lock.acquire_read(cpu);
-        cpu.work(kHoldOps * kCyclesPerOp);
-        lock.release_read(cpu);
-      } else {
-        lock.acquire_write(cpu);
-        cpu.work(kHoldOps * kCyclesPerOp);
-        lock.release_write(cpu);
-      }
-      cpu.work(kDelayOps * kCyclesPerOp);
-    }
-    if (cpu.seconds() > t) t = cpu.seconds();
-  });
-  return t;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool full = false;
@@ -87,14 +42,16 @@ int main(int argc, char** argv) {
   for (unsigned p : procs) {
     const std::string ps = std::to_string(p);
     jobs.emplace_back([p, ops, ps](Job& job) {
-      return run_exclusive(
-          job.machine(MachineConfig::ksr1(p), "exclusive p=" + ps), ops);
+      return sync::lock_seconds(
+          job.machine(MachineConfig::ksr1(p), "exclusive p=" + ps),
+          sync::LockKind::kHardware, ops);
     });
     for (unsigned rd : read_pcts) {
       jobs.emplace_back([p, ops, rd, ps](Job& job) {
-        return run_rw(job.machine(MachineConfig::ksr1(p),
-                                  "rw" + std::to_string(rd) + " p=" + ps),
-                      ops, rd);
+        return sync::lock_seconds(
+            job.machine(MachineConfig::ksr1(p),
+                        "rw" + std::to_string(rd) + " p=" + ps),
+            sync::LockKind::kReadWrite, ops, rd);
       });
     }
   }

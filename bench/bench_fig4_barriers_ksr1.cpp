@@ -5,6 +5,7 @@
 // job per cell, merged in submission order so the table is bit-identical for
 // any --jobs value.
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   for (sync::BarrierKind kind : kinds) {
     for (unsigned p : procs) {
       jobs.emplace_back([kind, p, episodes](Job& job) {
-        return barrier_episode_seconds(
+        return sync::barrier_episode_seconds(
             job.machine(machine::MachineConfig::ksr1(p),
                         std::string(to_string(kind)) + " p=" +
                             std::to_string(p)),

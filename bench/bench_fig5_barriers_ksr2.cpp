@@ -4,6 +4,7 @@
 //
 // One sweep-harness job per (barrier, P) cell, merged in submission order.
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;         // NOLINT
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   for (sync::BarrierKind kind : kinds) {
     for (unsigned p : procs) {
       jobs.emplace_back([kind, p, episodes](Job& job) {
-        return barrier_episode_seconds(
+        return sync::barrier_episode_seconds(
             job.machine(machine::MachineConfig::ksr2(p),
                         std::string(to_string(kind)) + " p=" +
                             std::to_string(p)),

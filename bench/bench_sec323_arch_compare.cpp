@@ -5,6 +5,7 @@
 // coherent caches; dissemination wins and global-flag spinning hammers one
 // memory module).
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 
 namespace {
 
@@ -23,8 +24,8 @@ void compare(Study& study, const std::string& tag, const std::string& title,
       jobs.emplace_back([cfg, kind, episodes,
                          label = tag + " " + std::string(to_string(kind)) +
                                  " p=" + std::to_string(p)](Job& job) {
-        return barrier_episode_seconds(job.machine(cfg, label), kind,
-                                       episodes);
+        return sync::barrier_episode_seconds(job.machine(cfg, label), kind,
+                                             episodes);
       });
     }
   }

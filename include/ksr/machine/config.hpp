@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "ksr/cache/local_cache.hpp"
 #include "ksr/cache/subcache.hpp"
@@ -214,6 +216,23 @@ struct MachineConfig {
     c.has_prefetch = false;
     c.has_poststore = false;
     return c;
+  }
+
+  /// The preset `name` names (ksr1|ksr2|symmetry|butterfly) at `nproc`
+  /// cells. Throws std::invalid_argument listing the valid names.
+  static MachineConfig named(std::string_view name, unsigned nproc) {
+    constexpr std::pair<std::string_view, MachineConfig (*)(unsigned)>
+        kPresets[] = {{"ksr1", &ksr1},
+                      {"ksr2", &ksr2},
+                      {"symmetry", &symmetry},
+                      {"butterfly", &butterfly}};
+    std::string names;
+    for (const auto& [preset, make] : kPresets) {
+      if (preset == name) return make(nproc);
+      names += (names.empty() ? "" : "|") + std::string(preset);
+    }
+    throw std::invalid_argument("unknown machine '" + std::string(name) +
+                                "' (expected " + names + ")");
   }
 
   /// Shrink both cache capacities by `k` (problem sizes are scaled by the

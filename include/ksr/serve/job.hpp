@@ -42,7 +42,7 @@ struct JobSpec {
   unsigned cells_per_domain = 0; // 0 = single domain
 
   // --- workload ---
-  std::string workload = "cg";   // a workloads() name: ep|cg|is|sp|bt
+  std::string workload = "cg";   // a workloads() name (ep|cg|is|...)
   std::uint64_t seed = 0;        // 0 = the kernel's published default seed
   // Size parameters; 0 (or false) means the workload's registry default
   // (Workload::sizes). Unused parameters for a workload are ignored at
@@ -53,8 +53,12 @@ struct JobSpec {
   bool pad_buckets = false;      // is
   unsigned n = 0;                // cg/sp/bt
   unsigned nnz_per_row = 0;      // cg
-  unsigned iters = 0;            // cg/sp/bt
+  unsigned iters = 0;            // cg/sp/bt; barrier episodes; lock ops
   unsigned log2_pairs = 0;       // ep
+  // The algorithm a barrier or lock job times; "" = the registry default
+  // (Workload::kind). Spellings: sync::barrier_kind_named, lock_kind_named.
+  std::string kind;
+  unsigned read_pct = 0;         // lock rw: percentage of reads, 0-100
   // Checkpoint preset (workloads with a Workload::warmup, i.e. is):
   // restore the machine from this image and run the timed phases instead
   // of the warm-up (docs/CHECKPOINT.md). The *contents* of the file are
@@ -75,9 +79,13 @@ struct JobSpec {
   /// Canonical fixed-field-order serialization — the byte string the cache
   /// key hashes. Includes every field (plus the FNV-1a of the checkpoint
   /// preset's bytes when one is named), so any change to any field, seed or
-  /// preset changes the key.
+  /// preset changes the key. Fields appended after the first store format
+  /// (kind, read_pct) appear only when off their default, so a spec that
+  /// leaves them alone keeps the key it always had.
   [[nodiscard]] std::string canonical() const;
 
+  /// Every field by its JSON name, in canonical order; like canonical(),
+  /// leaves out an appended field still at its default.
   [[nodiscard]] Json to_json() const;
   /// Populate from a JSON object (unknown keys are errors — a typo'd knob
   /// must not silently run with defaults). Fields absent keep defaults.
@@ -123,9 +131,16 @@ struct Workload {
   /// The untimed warm-up alone, ending at the quiescent boundary where a
   /// restore_from checkpoint is captured; null when there is none.
   void (*warmup)(machine::Machine& m, const JobSpec& spec) = nullptr;
+  /// The kind an empty JobSpec::kind resolves to (null: takes no kind).
+  const char* kind = nullptr;
+  /// Validation of the resolved spec beyond validate()'s own; throws
+  /// std::invalid_argument with the diagnostic. Null when there is none.
+  void (*check)(const JobSpec& spec) = nullptr;
 };
 
-/// The registry: ep, cg, is, sp, bt, in that order.
+/// The registry: ep, cg, is, sp, bt (the NAS kernels), then probe, lock
+/// and barrier (the Fig. 2 latency probes, the Fig. 3 lock workload and
+/// the Fig. 4/5 barrier episodes), in that order.
 [[nodiscard]] const std::vector<Workload>& workloads();
 
 struct JobOutcome {

@@ -14,7 +14,6 @@
 #include "ksr/obs/session.hpp"
 #include "ksr/study/metrics.hpp"
 #include "ksr/study/table.hpp"
-#include "ksr/sync/barrier.hpp"
 
 // The one sweep harness behind every paper bench binary and ksrsim's run
 // commands. A binary declares its simulations as jobs; the harness builds
@@ -161,25 +160,5 @@ class Study {
   std::uint64_t warm_saved_ms_ = 0;
   bool closed_ = false;
 };
-
-/// Mean barrier episode time on `m` using `kind`, over `episodes` episodes
-/// with small random arrival skew (as the paper measures).
-inline double barrier_episode_seconds(machine::Machine& m,
-                                      sync::BarrierKind kind, int episodes) {
-  auto barrier = sync::make_barrier(m, kind);
-  double total = 0;
-  m.run([&](machine::Cpu& cpu) {
-    // One warm-up episode outside the timed region.
-    barrier->arrive(cpu);
-    const double t0 = cpu.seconds();
-    for (int e = 0; e < episodes; ++e) {
-      cpu.work(cpu.rng().below(500));
-      barrier->arrive(cpu);
-    }
-    const double dt = cpu.seconds() - t0;
-    if (dt > total) total = dt;
-  });
-  return total / episodes;
-}
 
 }  // namespace ksr::study

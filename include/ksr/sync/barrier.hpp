@@ -111,4 +111,10 @@ class Barrier {
                                                     BarrierKind kind,
                                                     bool use_poststore = true);
 
+/// The Fig. 4/5 experiment: mean simulated seconds per episode of a `kind`
+/// barrier on every cell of `m`, over `episodes` episodes after one untimed
+/// warm-up, each arrival skewed by up to 500 cycles of work.
+[[nodiscard]] double barrier_episode_seconds(machine::Machine& m,
+                                             BarrierKind kind, int episodes);
+
 }  // namespace ksr::sync

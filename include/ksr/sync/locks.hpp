@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ksr/machine/machine.hpp"
@@ -86,5 +87,26 @@ class TicketRwLock {
   Padded<std::uint32_t> serving_pub_;              // spin target
   bool use_poststore_;
 };
+
+/// Every lock the Fig. 3 workload can time: the paper's two (the hardware
+/// lock and the ticket read-write lock), then the spin-lock family of
+/// ksr/sync/spinlocks.hpp in SpinLockKind's order.
+enum class LockKind {
+  kHardware, kReadWrite, kTestAndSet, kTestAndSetBackoff, kTicket, kAnderson,
+  kMcsQueue
+};
+
+/// The kind a command-line spelling names:
+/// hw|rw|tas|tas-backoff|ticket|anderson|mcs-queue. Throws
+/// std::invalid_argument listing every spelling on an unknown name.
+[[nodiscard]] LockKind lock_kind_named(std::string_view name);
+
+/// The Fig. 3 experiment (paper footnote 4): simulated seconds until every
+/// cell of `m` has done `ops` operations on one lock of `kind`, each holding
+/// it for 3000 local operations and waiting 10000 before the next request.
+/// A kReadWrite operation is a read with probability `read_pct`%, else a
+/// write; the other kinds ignore `read_pct`.
+[[nodiscard]] double lock_seconds(machine::Machine& m, LockKind kind, int ops,
+                                  unsigned read_pct = 0);
 
 }  // namespace ksr::sync

@@ -14,27 +14,20 @@
 #include "ksr/nas/ep.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/nas/sp.hpp"
+#include "ksr/sync/barrier.hpp"
+#include "ksr/sync/locks.hpp"
 
 namespace ksr::serve {
 
 namespace {
 
-struct MachinePreset {
-  const char* name;
-  machine::MachineConfig (*make)(unsigned nproc);
-};
-
-constexpr MachinePreset kMachines[] = {
-    {"ksr1", &machine::MachineConfig::ksr1},
-    {"ksr2", &machine::MachineConfig::ksr2},
-    {"symmetry", &machine::MachineConfig::symmetry},
-    {"butterfly", &machine::MachineConfig::butterfly},
-};
-
 // The JobSpec field table: the one list of fields behind canonical(),
 // to_json(), from_json() and flags(). Order is the canonical key order, so
-// a row must never move. The CLI flag is the JSON name with '_' -> '-'
-// unless spelled out; a "no-" flag clears its bool.
+// a row must never move. A new row is appended with `appended` set:
+// canonical() and to_json() leave it out while it is at its default, so a
+// spec that never sets it keeps the bytes, and the cache key, it had before
+// the row existed. The CLI flag is the JSON name with '_' -> '-' unless
+// spelled out; a "no-" flag clears its bool.
 struct Field {
   const char* json;
   const char* cli;  // nullptr = derived from `json`
@@ -42,6 +35,7 @@ struct Field {
                std::uint64_t JobSpec::*, bool JobSpec::*>
       member;
   const char* help;
+  bool appended = false;
 };
 
 const Field kFields[] = {
@@ -65,33 +59,27 @@ const Field kFields[] = {
      "is: pad per-cpu buckets to sub-page boundaries"},
     {"n", nullptr, &JobSpec::n, "N  cg/sp/bt: problem size"},
     {"nnz_per_row", nullptr, &JobSpec::nnz_per_row, "N  cg: nonzeros per row"},
-    {"iters", nullptr, &JobSpec::iters, "N  cg/sp/bt: iterations"},
+    {"iters", nullptr, &JobSpec::iters,
+     "N  cg/sp/bt: iterations; barrier: episodes; lock: ops per cell"},
     {"log2_pairs", nullptr, &JobSpec::log2_pairs, "N  ep: log2 pair count"},
     {"restore_from", nullptr, &JobSpec::restore_from,
      "FILE  start from this warm-up checkpoint (is only)"},
+    {"kind", nullptr, &JobSpec::kind,
+     "K  barrier or lock algorithm (an unknown one lists all)", true},
+    {"read_pct", nullptr, &JobSpec::read_pct,
+     "N  lock rw: percentage of reads (0-100)", true},
 };
 
-template <typename Table>
-auto find_named(const Table& table, const std::string& name)
-    -> decltype(&*std::begin(table)) {
-  for (const auto& e : table) {
-    if (name == e.name) return &e;
+/// The registry row `name` names. Throws std::invalid_argument listing
+/// every row on an unknown name.
+const Workload& workload_named(const std::string& name) {
+  std::string names;
+  for (const Workload& w : workloads()) {
+    if (name == w.name) return w;
+    names += (names.empty() ? "" : "|") + std::string(w.name);
   }
-  return nullptr;
-}
-
-/// "unknown <what> '<name>' (expected a|b|c)", listing the table's names.
-template <typename Table>
-std::string unknown(const char* what, const std::string& name,
-                    const Table& table) {
-  std::string s = std::string("unknown ") + what + " '" + name +
-                  "' (expected ";
-  for (const auto& e : table) {
-    s += e.name;
-    s += '|';
-  }
-  s.back() = ')';
-  return s;
+  throw std::invalid_argument("unknown workload '" + name + "' (expected " +
+                              names + ")");
 }
 
 // ---- The workload registry rows. Each run function reads resolved sizes.
@@ -169,18 +157,79 @@ void run_bt_job(machine::Machine& m, const JobSpec& s, Json& r) {
   r.set("checksum", Json::real(res.checksum));
 }
 
-/// `spec` with every size field its workload uses resolved to the
-/// registry default when left at 0. Throws on an unknown workload.
-JobSpec resolved(const JobSpec& spec, const Workload** entry) {
-  *entry = find_named(workloads(), spec.workload);
-  if (*entry == nullptr) {
-    throw std::invalid_argument(unknown("workload", spec.workload,
-                                        workloads()));
+void run_probe_job(machine::Machine& m, const JobSpec&, Json& r) {
+  auto arr = m.alloc<double>("probe", 4096);
+  auto flag = m.alloc<int>("flag", 1);
+  double sub = 0, local = 0, remote = 0;
+  m.run([&](machine::Cpu& cpu) {
+    if (cpu.id() == 0) {
+      for (std::size_t i = 0; i < 4096; i += 16) cpu.write(arr, i, 1.0);
+      // Sub-cache hit.
+      (void)cpu.read(arr, 0);
+      double t0 = cpu.seconds();
+      for (int k = 0; k < 100; ++k) (void)cpu.read(arr, 0);
+      sub = (cpu.seconds() - t0) / 100;
+      // Local-cache-ish: stride sub-blocks.
+      t0 = cpu.seconds();
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < 4096; i += 8, ++k) (void)cpu.read(arr, i);
+      local = (cpu.seconds() - t0) / static_cast<double>(k);
+      cpu.write(flag, 0, 1);
+    } else if (cpu.id() == 1) {
+      while (cpu.read(flag, 0) == 0) cpu.work(10);
+      const double t0 = cpu.seconds();
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < 4096; i += 16, ++k) (void)cpu.read(arr, i);
+      remote = (cpu.seconds() - t0) / static_cast<double>(k);
+    }
+  });
+  r.set("subcache_read_seconds", Json::real(sub));
+  r.set("local_read_seconds", Json::real(local));
+  r.set("remote_read_seconds", Json::real(remote));
+}
+
+void check_probe(const JobSpec& s) {
+  if (s.procs < 2) {
+    throw std::invalid_argument(
+        "probe needs procs >= 2 (cell 1 reads what cell 0 wrote)");
   }
+}
+
+void run_lock_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  r.set("kind", Json::str(s.kind));
+  const sync::LockKind kind = sync::lock_kind_named(s.kind);
+  r.set("seconds", Json::real(sync::lock_seconds(
+                       m, kind, static_cast<int>(s.iters), s.read_pct)));
+}
+
+void check_lock(const JobSpec& s) { (void)sync::lock_kind_named(s.kind); }
+
+void run_barrier_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  r.set("kind", Json::str(s.kind));
+  const sync::BarrierKind kind = sync::barrier_kind_named(s.kind);
+  r.set("seconds", Json::real(sync::barrier_episode_seconds(
+                       m, kind, static_cast<int>(s.iters))));
+  std::uint64_t ring_requests = 0;
+  for (unsigned c = 0; c < m.nproc(); ++c) {
+    ring_requests += m.cell_pmon(c).ring_requests;
+  }
+  r.set("ring_requests", Json::uint(ring_requests));
+}
+
+void check_barrier(const JobSpec& s) {
+  (void)sync::barrier_kind_named(s.kind);
+}
+
+/// `spec` with every size field its workload uses resolved to the
+/// registry default when left at 0, and an empty kind to the registry's.
+/// Throws on an unknown workload.
+JobSpec resolved(const JobSpec& spec, const Workload** entry) {
+  *entry = &workload_named(spec.workload);
   JobSpec s = spec;
   for (const Workload::Size& size : (*entry)->sizes) {
     if (s.*size.member == 0) s.*size.member = size.value;
   }
+  if (s.kind.empty() && (*entry)->kind != nullptr) s.kind = (*entry)->kind;
   return s;
 }
 
@@ -198,16 +247,17 @@ const std::vector<Workload>& workloads() {
        &warm_up_is},
       {"sp", {{&JobSpec::n, 16}, {&JobSpec::iters, 2}}, &run_sp_job},
       {"bt", {{&JobSpec::n, 10}, {&JobSpec::iters, 2}}, &run_bt_job},
+      {"probe", {}, &run_probe_job, nullptr, nullptr, &check_probe},
+      {"lock", {{&JobSpec::iters, 50}}, &run_lock_job, nullptr, "hw",
+       &check_lock},
+      {"barrier", {{&JobSpec::iters, 25}}, &run_barrier_job, nullptr,
+       "tournament-m", &check_barrier},
   };
   return table;
 }
 
 machine::MachineConfig JobSpec::machine_config(unsigned sim_threads) const {
-  const MachinePreset* preset = find_named(kMachines, machine);
-  if (preset == nullptr) {
-    throw std::invalid_argument(unknown("machine", machine, kMachines));
-  }
-  machine::MachineConfig cfg = preset->make(procs);
+  machine::MachineConfig cfg = machine::MachineConfig::named(machine, procs);
   if (scale > 1) cfg = cfg.scaled_by(scale);
   if (!snarf) cfg.read_snarfing = false;
   cfg.sched_fuzz_seed = fuzz_seed;
@@ -218,19 +268,18 @@ machine::MachineConfig JobSpec::machine_config(unsigned sim_threads) const {
 }
 
 std::string JobSpec::validate() const {
-  if (find_named(kMachines, machine) == nullptr) {
-    return unknown("machine", machine, kMachines);
-  }
-  const Workload* w = find_named(workloads(), workload);
-  if (w == nullptr) return unknown("workload", workload, workloads());
   if (procs == 0) return "procs must be >= 1";
   if (scale == 0) return "scale must be >= 1";
-  if (!restore_from.empty() && w->warmup == nullptr) {
-    return "restore_from needs a workload with a warm-up checkpoint "
-           "boundary; '" + workload + "' has none";
-  }
+  if (read_pct > 100) return "read_pct must be <= 100";
   try {
-    machine_config(1).validate();
+    const Workload* w = nullptr;
+    const JobSpec s = resolved(*this, &w);  // throws on an unknown workload
+    if (!restore_from.empty() && w->warmup == nullptr) {
+      return "restore_from needs a workload with a warm-up checkpoint "
+             "boundary; '" + workload + "' has none";
+    }
+    machine_config(1).validate();  // throws on an unknown machine, too
+    if (w->check != nullptr) w->check(s);
   } catch (const std::exception& e) {
     return e.what();
   }
@@ -238,10 +287,11 @@ std::string JobSpec::validate() const {
 }
 
 std::string JobSpec::canonical() const {
-  // Fixed field order, every field always present. This string — not the
-  // JSON spelling the client sent — is what the cache key hashes and what
-  // each store file records for verification, so field-order or whitespace
-  // differences between clients can never split or alias a cache slot.
+  // Fixed field order, every field present (an appended one only when
+  // set). This string — not the JSON spelling the client sent — is what
+  // the cache key hashes and what each store file records for
+  // verification, so field-order or whitespace differences between clients
+  // can never split or alias a cache slot.
   std::string c;
   c.reserve(192);
   auto add = [&c](const char* k, const std::string& v) {
@@ -255,6 +305,7 @@ std::string JobSpec::canonical() const {
         [&](auto member) {
           const auto& v = this->*member;
           using T = std::decay_t<decltype(v)>;
+          if (f.appended && v == JobSpec{}.*member) return;
           if constexpr (std::is_same_v<T, bool>) {
             add(f.json, v ? "1" : "0");
           } else if constexpr (!std::is_same_v<T, std::string>) {
@@ -284,6 +335,7 @@ Json JobSpec::to_json() const {
         [&](auto member) {
           const auto& v = this->*member;
           using T = std::decay_t<decltype(v)>;
+          if (f.appended && v == JobSpec{}.*member) return;
           if constexpr (std::is_same_v<T, bool>) {
             j.set(f.json, Json::boolean(v));
           } else if constexpr (std::is_same_v<T, std::string>) {

@@ -426,4 +426,20 @@ std::unique_ptr<Barrier> make_barrier(machine::Machine& m, BarrierKind kind,
   return nullptr;
 }
 
+double barrier_episode_seconds(Machine& m, BarrierKind kind, int episodes) {
+  auto barrier = make_barrier(m, kind);
+  double total = 0;
+  m.run([&](Cpu& cpu) {
+    barrier->arrive(cpu);  // warm-up, outside the timed region
+    const double t0 = cpu.seconds();
+    for (int e = 0; e < episodes; ++e) {
+      cpu.work(cpu.rng().below(500));
+      barrier->arrive(cpu);
+    }
+    const double dt = cpu.seconds() - t0;
+    if (dt > total) total = dt;
+  });
+  return total / episodes;
+}
+
 }  // namespace ksr::sync

@@ -1,6 +1,11 @@
 #include "ksr/sync/locks.hpp"
 
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
 #include "ksr/sync/atomic.hpp"
+#include "ksr/sync/spinlocks.hpp"
 
 namespace ksr::sync {
 
@@ -131,6 +136,79 @@ void TicketRwLock::release_write(machine::Cpu& cpu) {
   lock_meta(cpu);
   advance(cpu);
   unlock_meta(cpu);
+}
+
+namespace {
+
+// The spin kinds map onto SpinLockKind by offset.
+static_assert(static_cast<int>(LockKind::kMcsQueue) -
+                  static_cast<int>(LockKind::kTestAndSet) ==
+              static_cast<int>(SpinLockKind::kMcsQueue));
+
+// In LockKind order.
+constexpr std::string_view kLockNames[] = {
+    "hw", "rw", "tas", "tas-backoff", "ticket", "anderson", "mcs-queue"};
+
+constexpr std::uint64_t kHoldCycles = 3000 * 2;    // 3000 local ops held
+constexpr std::uint64_t kDelayCycles = 10000 * 2;  // 10000 between requests
+
+/// Every cell runs `ops` critical sections (`section` acquires, holds and
+/// releases), each followed by the delay; the latest finish time.
+template <typename Section>
+double time_sections(machine::Machine& m, int ops, Section section) {
+  double t = 0;
+  m.run([&](machine::Cpu& cpu) {
+    for (int i = 0; i < ops; ++i) {
+      section(cpu);
+      cpu.work(kDelayCycles);
+    }
+    if (cpu.seconds() > t) t = cpu.seconds();
+  });
+  return t;
+}
+
+}  // namespace
+
+LockKind lock_kind_named(std::string_view name) {
+  std::string names;
+  for (std::size_t k = 0; k < std::size(kLockNames); ++k) {
+    if (kLockNames[k] == name) return static_cast<LockKind>(k);
+    names += (names.empty() ? "" : "|") + std::string(kLockNames[k]);
+  }
+  throw std::invalid_argument("unknown lock kind '" + std::string(name) +
+                              "' (" + names + ")");
+}
+
+double lock_seconds(machine::Machine& m, LockKind kind, int ops,
+                    unsigned read_pct) {
+  auto exclusive = [&](auto& lock) {
+    return time_sections(m, ops, [&](machine::Cpu& cpu) {
+      lock.acquire(cpu);
+      cpu.work(kHoldCycles);
+      lock.release(cpu);
+    });
+  };
+  if (kind == LockKind::kHardware) {
+    HardwareLock lock(m);
+    return exclusive(lock);
+  }
+  if (kind == LockKind::kReadWrite) {
+    TicketRwLock lock(m);
+    return time_sections(m, ops, [&](machine::Cpu& cpu) {
+      if (cpu.rng().below(100) < read_pct) {
+        lock.acquire_read(cpu);
+        cpu.work(kHoldCycles);
+        lock.release_read(cpu);
+      } else {
+        lock.acquire_write(cpu);
+        cpu.work(kHoldCycles);
+        lock.release_write(cpu);
+      }
+    });
+  }
+  return exclusive(*make_spinlock(
+      m, static_cast<SpinLockKind>(static_cast<int>(kind) -
+                                   static_cast<int>(LockKind::kTestAndSet))));
 }
 
 }  // namespace ksr::sync

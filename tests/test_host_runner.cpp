@@ -21,6 +21,7 @@
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/study/sweep.hpp"
+#include "ksr/sync/barrier.hpp"
 
 namespace {
 

@@ -544,6 +544,28 @@ TEST(ScaleOut, CrossModeOracleCg) {
   EXPECT_LE(ratio, 1.116) << "CG mode-B / mode-A simulated time";  // 1.1155
 }
 
+// The barrier and lock rows (Figs. 4 and 3). No semantic result to
+// compare; the barrier's partition penalty is far above the kernels'.
+TEST(ScaleOut, CrossModeOracleBarrier) {
+  serve::JobSpec spec;
+  spec.workload = "barrier";
+  spec.kind = "tournament-m";
+  spec.iters = 5;
+  const double a = field(run_row(spec, 0).result, "seconds");
+  const double b = field(run_row(spec, 32).result, "seconds");
+  EXPECT_LE(b / a, 3.227) << "barrier mode-B / mode-A time";  // 3.2262
+}
+
+TEST(ScaleOut, CrossModeOracleLock) {
+  serve::JobSpec spec;
+  spec.workload = "lock";
+  spec.kind = "hw";
+  spec.iters = 10;
+  const double a = field(run_row(spec, 0).result, "seconds");
+  const double b = field(run_row(spec, 32).result, "seconds");
+  EXPECT_LE(b / a, 1.040) << "hw lock mode-B / mode-A time";  // 1.0396
+}
+
 // ---------------------------------------------------------- 1088-cell smoke
 
 void touch_all_cells(machine::KsrMachine& m, unsigned nproc) {

@@ -19,11 +19,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <iterator>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ksr/check/checker.hpp"
@@ -34,6 +36,7 @@
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/core.hpp"
 #include "ksr/serve/server.hpp"
+#include "ksr/sync/barrier.hpp"
 
 namespace ksr::serve {
 namespace {
@@ -114,7 +117,9 @@ JobSpec small_job(const std::string& w) {
   s.scale = 64;
   if (w == "ep") {
     s.log2_pairs = 9;
-  } else {  // sp, bt
+  } else if (w == "lock" || w == "barrier") {
+    s.iters = 3;
+  } else if (w != "probe") {  // sp, bt
     s.n = w == "sp" ? 8 : 6;
     s.iters = 1;
   }
@@ -122,7 +127,7 @@ JobSpec small_job(const std::string& w) {
 }
 
 TEST(ServeRegistry, RunWorkloadWithObserversMatchesExecuteForEveryEntry) {
-  ASSERT_EQ(workloads().size(), 5u);
+  ASSERT_EQ(workloads().size(), 8u);
   for (const Workload& w : workloads()) {
     const JobSpec spec = small_job(w.name);
     ASSERT_TRUE(spec.validate().empty()) << w.name << ": " << spec.validate();
@@ -151,8 +156,101 @@ TEST(ServeRegistry, UnknownNamesListTheTable) {
   EXPECT_THROW((void)s.machine_config(1), std::invalid_argument);
   s = small_is();
   s.workload = "mg";
-  EXPECT_NE(s.validate().find("(expected ep|cg|is|sp|bt)"),
+  EXPECT_NE(s.validate().find("(expected ep|cg|is|sp|bt|probe|lock|barrier)"),
             std::string::npos);
+}
+
+// Every bad input is a diagnostic before any simulation, and a bad spec
+// submitted to the core is an error response that is never stored.
+TEST(ServeRegistry, BadSyncInputsAreRejectedBeforeRunning) {
+  auto spec = [](const char* workload, const char* kind, unsigned procs) {
+    JobSpec s;
+    s.workload = workload;
+    s.kind = kind;
+    s.procs = procs;
+    return s;
+  };
+  JobSpec rw = spec("lock", "rw", 4);
+  rw.read_pct = 150;
+  const std::vector<std::pair<JobSpec, std::string>> bad = {
+      {rw, "read_pct must be <= 100"},
+      {spec("lock", "bogus", 4),
+       "unknown lock kind 'bogus' "
+       "(hw|rw|tas|tas-backoff|ticket|anderson|mcs-queue)"},
+      {spec("barrier", "bogus", 4), "unknown barrier kind 'bogus' (system|"},
+      {spec("probe", "", 1), "probe needs procs >= 2"},
+  };
+  ServeCore::Options opt;  // memory-only store
+  opt.jobs = 1;
+  ServeCore core(opt);
+  for (const auto& [s, diagnostic] : bad) {
+    EXPECT_NE(s.validate().find(diagnostic), std::string::npos)
+        << s.validate();
+    const ServeCore::Response r = core.submit(s);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find(diagnostic), std::string::npos) << r.error;
+  }
+  const ServeCore::Counters c = core.counters();
+  EXPECT_EQ(c.failures, bad.size());
+  EXPECT_EQ(c.cache.stores, 0u);
+  EXPECT_EQ(c.executed, 0u);
+
+  // iters 0 is the registry default (25 episodes, 50 lock operations), not
+  // a division by zero.
+  for (const auto& [workload, iters] :
+       {std::pair<const char*, unsigned>{"barrier", 25}, {"lock", 50}}) {
+    JobSpec zero = spec(workload, "", 2);
+    JobSpec explicit_default = zero;
+    explicit_default.iters = iters;
+    EXPECT_EQ(execute(zero).result, execute(explicit_default).result)
+        << workload;
+  }
+}
+
+double seconds_of(const JobSpec& spec) {
+  std::string err;
+  const Json r = Json::parse(execute(spec).result, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  return r.find("seconds")->as_double();
+}
+
+std::string cell(double v, int decimals) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
+// The lock row is Fig. 3's workload: its quick table's cells at 25
+// operations per cell.
+TEST(ServeRegistry, LockRowGivesFig3Cells) {
+  JobSpec rw;
+  rw.workload = "lock";
+  rw.kind = "rw";
+  rw.read_pct = 40;
+  rw.procs = 4;
+  rw.iters = 25;
+  EXPECT_EQ(cell(seconds_of(rw), 4), "0.0341");
+  JobSpec hw;
+  hw.workload = "lock";
+  hw.kind = "hw";
+  hw.procs = 8;
+  hw.iters = 25;
+  EXPECT_EQ(cell(seconds_of(hw), 4), "0.0670");
+}
+
+// The barrier row is Fig. 4's episode loop: its tournament(M) cell at the
+// quick table's 16 cells and 5 episodes.
+TEST(ServeRegistry, BarrierRowGivesFig4Cell) {
+  JobSpec spec;
+  spec.workload = "barrier";
+  spec.kind = "tournament-m";
+  spec.procs = 16;
+  spec.iters = 5;
+  const double row = seconds_of(spec);
+  auto m = machine::make_machine(machine::MachineConfig::ksr1(16));
+  EXPECT_EQ(row, sync::barrier_episode_seconds(
+                     *m, sync::BarrierKind::kTournamentM, 5));
+  EXPECT_EQ(cell(row * 1e6, 1), "82.5");
 }
 
 TEST(ServeFingerprint, ModeBJobCountsEveryDomain) {
@@ -202,6 +300,8 @@ TEST(ServeKey, SensitiveToEveryFieldAndVersionStamp) {
       {"nnz_per_row", [](JobSpec* s) { s->nnz_per_row = 5; }},
       {"iters", [](JobSpec* s) { s->iters = 3; }},
       {"log2_pairs", [](JobSpec* s) { s->log2_pairs = 9; }},
+      {"kind", [](JobSpec* s) { s->kind = "rw"; }},
+      {"read_pct", [](JobSpec* s) { s->read_pct = 40; }},
   };
   std::set<std::uint64_t> keys{k0};
   for (const auto& [name, mutate] : mutations) {
@@ -278,7 +378,7 @@ TEST(ServeSpec, JsonRoundTripsEveryField) {
 }
 
 TEST(ServeSpec, FlagsReachEveryJsonField) {
-  // ksrsim's spellings of all 17 fields -> JobSpec -> to_json().
+  // ksrsim's spellings of all 19 fields -> JobSpec -> to_json().
   const char* argv[] = {
       "ksrsim",          "--machine",      "ksr2",   "--procs",
       "16",              "--scale=4",      "--no-snarf",
@@ -289,20 +389,27 @@ TEST(ServeSpec, FlagsReachEveryJsonField) {
       "8",               "--pad-buckets",  "--n",
       "300",             "--nnz-per-row",  "7",
       "--iters",         "3",              "--log2-pairs",
-      "11",              "--restore-from", "preset.ckpt"};
+      "11",              "--restore-from", "preset.ckpt",
+      "--kind",          "rw",             "--read-pct",
+      "40"};
   JobSpec s;
   ASSERT_TRUE(util::parse_flags(static_cast<int>(std::size(argv)),
                                 const_cast<char**>(argv), 1, s.flags()));
   JobSpec want = every_field_set();
   want.restore_from = "preset.ckpt";
+  want.kind = "rw";
+  want.read_pct = 40;
   EXPECT_EQ(s, want);
   const Json j = s.to_json();
   const Json defaults = JobSpec{}.to_json();
-  ASSERT_EQ(j.members().size(), 17u);
-  ASSERT_EQ(s.flags().size(), 17u);
-  for (std::size_t i = 0; i < j.members().size(); ++i) {
-    EXPECT_NE(j.members()[i].second.dump(), defaults.members()[i].second.dump())
-        << j.members()[i].first << " was not set by its flag";
+  ASSERT_EQ(j.members().size(), 19u);
+  ASSERT_EQ(s.flags().size(), 19u);
+  // The two appended fields are left out at their defaults.
+  ASSERT_EQ(defaults.members().size(), 17u);
+  for (const auto& [key, value] : j.members()) {
+    const Json* d = defaults.find(key);
+    EXPECT_TRUE(d == nullptr || d->dump() != value.dump())
+        << key << " was not set by its flag";
   }
 }
 

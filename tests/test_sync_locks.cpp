@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ksr/machine/ksr_machine.hpp"
@@ -171,6 +173,35 @@ TEST(LockShape, ReadSharingBeatsExclusiveSerialization) {
     return t;
   };
   EXPECT_LT(run_readers(), run_exclusive());
+}
+
+TEST(LockKindNamed, ParsesEveryCliSpelling) {
+  const std::pair<const char*, LockKind> table[] = {
+      {"hw", LockKind::kHardware},
+      {"rw", LockKind::kReadWrite},
+      {"tas", LockKind::kTestAndSet},
+      {"tas-backoff", LockKind::kTestAndSetBackoff},
+      {"ticket", LockKind::kTicket},
+      {"anderson", LockKind::kAnderson},
+      {"mcs-queue", LockKind::kMcsQueue}};
+  for (const auto& [name, kind] : table) {
+    EXPECT_EQ(lock_kind_named(name), kind) << name;
+  }
+  EXPECT_THROW((void)lock_kind_named("test&set"), std::invalid_argument);
+}
+
+// Every kind times the same workload: more cells contending for one lock
+// never finish sooner.
+TEST(LockSeconds, EveryKindSlowsWithContention) {
+  for (const LockKind kind :
+       {LockKind::kHardware, LockKind::kReadWrite, LockKind::kTestAndSet,
+        LockKind::kTestAndSetBackoff, LockKind::kTicket, LockKind::kAnderson,
+        LockKind::kMcsQueue}) {
+    machine::KsrMachine one(machine::MachineConfig::ksr1(1));
+    machine::KsrMachine four(machine::MachineConfig::ksr1(4));
+    EXPECT_LT(lock_seconds(one, kind, 5), lock_seconds(four, kind, 5))
+        << static_cast<int>(kind);
+  }
 }
 
 }  // namespace

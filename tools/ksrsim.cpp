@@ -1,10 +1,10 @@
 // ksrsim — command-line driver for the simulated KSR-1 and its experiment
-// suite. Lets a user run any kernel, barrier or probe on any machine model
-// without writing code:
+// suite. Lets a user run any workload-registry row (NAS kernel, probe, lock,
+// barrier) on any machine model without writing code:
 //
-//   ksrsim probe     --machine ksr1 --procs 32
-//   ksrsim barrier   --kind tournament-m --procs 32 --episodes 50
-//   ksrsim lock      --kind rw --read-pct 60 --procs 16 --ops 100
+//   ksrsim kernel    --name probe --machine ksr1 --procs 32
+//   ksrsim kernel    --name barrier --kind tournament-m --procs 32 --iters 50
+//   ksrsim kernel    --name lock --kind rw --read-pct 60 --procs 16 --iters 100
 //   ksrsim kernel    --name cg --procs 16 --scale 64
 //   ksrsim sweep     --name is --procs 1,2,4,8,16,32 --scale 64
 //   ksrsim serve     --socket ksrsim.sock --store ksrsim_store
@@ -12,12 +12,12 @@
 //   ksrsim campaign  presets/campaigns/fig8_quick.json --store ksrsim_store
 //
 // Run `ksrsim help` for the full reference.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -30,9 +30,6 @@
 #include "ksr/serve/server.hpp"
 #include "ksr/study/metrics.hpp"
 #include "ksr/study/sweep.hpp"
-#include "ksr/sync/barrier.hpp"
-#include "ksr/sync/locks.hpp"
-#include "ksr/sync/spinlocks.hpp"
 #include "ksr/util/flags.hpp"
 
 namespace {
@@ -49,10 +46,6 @@ struct Cli {
   std::vector<unsigned> sweep_procs = {1, 2, 4, 8, 16};
   study::BenchOptions run;  // --csv, --jobs, --sim-threads, observability
   bool check = false;
-  std::string kind;
-  unsigned episodes = 25;
-  unsigned ops = 50;
-  unsigned read_pct = 0;
   std::string checkpoint_at;
   std::string socket = "ksrsim.sock";
   std::string store;
@@ -67,10 +60,6 @@ struct Cli {
         {"jobs", &run.jobs, "N  host shards (0 = one per core)"},
         {"check", &check, "audit ALLCACHE invariants (docs/CHECKING.md)"},
         {"csv", &run.csv, "CSV output where applicable"},
-        {"kind", &kind, "K  barrier (default tournament-m) or lock (hw)"},
-        {"episodes", &episodes, "E  barrier episodes (default 25)"},
-        {"ops", &ops, "N  lock operations per cell (default 50)"},
-        {"read-pct", &read_pct, "N  rw lock: percentage of reads"},
         {"checkpoint-at", &checkpoint_at,
          "FILE  kernel: checkpoint the warm-up, then restore it"},
         {"socket", &socket, "PATH  daemon socket (default ksrsim.sock)"},
@@ -89,11 +78,6 @@ struct Cli {
     return all;
   }
 };
-
-/// The machine config the spec flags name.
-machine::MachineConfig machine_config(const Cli& cli) {
-  return cli.spec.machine_config(cli.run.sim_threads);
-}
 
 // With --check, attach the ALLCACHE invariant checker for the lifetime of
 // the run and audit the whole machine at scope exit (docs/CHECKING.md). In
@@ -138,151 +122,6 @@ class CheckScope {
 };
 
 // ------------------------------------------------------------- commands
-
-int cmd_probe(Cli& cli) {
-  cli.spec.procs = std::max(cli.spec.procs, 2u);
-  study::Study study(cli.run, "ksrsim_probe");
-  struct Probe {
-    double sub = 0, local = 0, remote = 0;
-  };
-  const Probe probe = study.run<Probe>({[&cli](study::Job& job) {
-    machine::Machine& m = job.machine(machine_config(cli), "probe");
-    CheckScope check(cli.check, m);
-    auto arr = m.alloc<double>("probe", 4096);
-    auto flag = m.alloc<int>("flag", 1);
-    Probe p;
-    m.run([&](machine::Cpu& cpu) {
-      if (cpu.id() == 0) {
-        for (std::size_t i = 0; i < 4096; i += 16) cpu.write(arr, i, 1.0);
-        // Sub-cache hit.
-        (void)cpu.read(arr, 0);
-        double t0 = cpu.seconds();
-        for (int r = 0; r < 100; ++r) (void)cpu.read(arr, 0);
-        p.sub = (cpu.seconds() - t0) / 100;
-        // Local-cache-ish: stride sub-blocks.
-        t0 = cpu.seconds();
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < 4096; i += 8, ++k) (void)cpu.read(arr, i);
-        p.local = (cpu.seconds() - t0) / static_cast<double>(k);
-        cpu.write(flag, 0, 1);
-      } else if (cpu.id() == 1) {
-        while (cpu.read(flag, 0) == 0) cpu.work(10);
-        const double t0 = cpu.seconds();
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < 4096; i += 16, ++k) (void)cpu.read(arr, i);
-        p.remote = (cpu.seconds() - t0) / static_cast<double>(k);
-      }
-    });
-    return p;
-  }})[0];
-  std::printf("machine: %s, %u cells\n",
-              machine::to_string(machine_config(cli).kind), cli.spec.procs);
-  std::printf("  repeat-read (sub-cache)   : %7.3f us\n", probe.sub * 1e6);
-  std::printf("  stride-read (local level) : %7.3f us\n", probe.local * 1e6);
-  std::printf("  remote read               : %7.3f us\n", probe.remote * 1e6);
-  return study.close() ? 0 : 1;
-}
-
-int cmd_barrier(Cli& cli) {
-  const sync::BarrierKind kind = sync::barrier_kind_named(
-      cli.kind.empty() ? "tournament-m" : cli.kind);
-  const int episodes = static_cast<int>(cli.episodes);
-  study::Study study(cli.run, "ksrsim_barrier");
-  struct Timing {
-    double seconds = 0;
-    std::uint64_t ring_requests = 0;
-  };
-  const Timing r = study.run<Timing>({[&](study::Job& job) {
-    machine::Machine& m =
-        job.machine(machine_config(cli), std::string(to_string(kind)));
-    CheckScope check(cli.check, m);
-    Timing t{study::barrier_episode_seconds(m, kind, episodes)};
-    for (unsigned c = 0; c < m.nproc(); ++c) {
-      t.ring_requests += m.cell_pmon(c).ring_requests;
-    }
-    return t;
-  }})[0];
-  std::printf("%s on %s, %u procs: %.1f us/episode "
-              "(%llu network transactions total)\n",
-              std::string(to_string(kind)).c_str(),
-              machine::to_string(machine_config(cli).kind), cli.spec.procs,
-              r.seconds * 1e6,
-              static_cast<unsigned long long>(r.ring_requests));
-  return study.close() ? 0 : 1;
-}
-
-/// Simulated seconds for every cell to finish `ops` operations on a lock
-/// of `kind` (hw, rw or a spin lock).
-double time_lock(machine::Machine& m, const std::string& kind, int ops,
-                 unsigned read_pct) {
-  double t = 0;
-  if (kind == "rw") {
-    sync::TicketRwLock lock(m);
-    m.run([&](machine::Cpu& cpu) {
-      for (int i = 0; i < ops; ++i) {
-        const bool rd = cpu.rng().below(100) < read_pct;
-        if (rd) {
-          lock.acquire_read(cpu);
-          cpu.work(6000);
-          lock.release_read(cpu);
-        } else {
-          lock.acquire_write(cpu);
-          cpu.work(6000);
-          lock.release_write(cpu);
-        }
-        cpu.work(20000);
-      }
-      if (cpu.seconds() > t) t = cpu.seconds();
-    });
-  } else if (kind == "hw") {
-    sync::HardwareLock lock(m);
-    m.run([&](machine::Cpu& cpu) {
-      for (int i = 0; i < ops; ++i) {
-        lock.acquire(cpu);
-        cpu.work(6000);
-        lock.release(cpu);
-        cpu.work(20000);
-      }
-      if (cpu.seconds() > t) t = cpu.seconds();
-    });
-  } else {
-    static const std::map<std::string, sync::SpinLockKind> kinds = {
-        {"tas", sync::SpinLockKind::kTestAndSet},
-        {"tas-backoff", sync::SpinLockKind::kTestAndSetBackoff},
-        {"ticket", sync::SpinLockKind::kTicket},
-        {"anderson", sync::SpinLockKind::kAnderson},
-        {"mcs-queue", sync::SpinLockKind::kMcsQueue}};
-    const auto it = kinds.find(kind);
-    if (it == kinds.end()) {
-      throw std::invalid_argument("unknown lock kind '" + kind + "'");
-    }
-    auto lock = sync::make_spinlock(m, it->second);
-    m.run([&](machine::Cpu& cpu) {
-      for (int i = 0; i < ops; ++i) {
-        lock->acquire(cpu);
-        cpu.work(6000);
-        lock->release(cpu);
-        cpu.work(20000);
-      }
-      if (cpu.seconds() > t) t = cpu.seconds();
-    });
-  }
-  return t;
-}
-
-int cmd_lock(Cli& cli) {
-  const int ops = static_cast<int>(cli.ops);
-  const std::string kind = cli.kind.empty() ? "hw" : cli.kind;
-  study::Study study(cli.run, "ksrsim_lock");
-  const double t = study.run<double>({[&](study::Job& job) {
-    machine::Machine& m = job.machine(machine_config(cli), kind);
-    CheckScope check(cli.check, m);
-    return time_lock(m, kind, ops, cli.read_pct);
-  }})[0];
-  std::printf("%s lock, %u procs, %d ops/proc: %.4f s total, %.1f us/op\n",
-              kind.c_str(), cli.spec.procs, ops, t, t / ops * 1e6);
-  return study.close() ? 0 : 1;
-}
 
 /// The served job's path as a sweep-harness job: build the spec's machine,
 /// attach --check, run the workload and return its result object.
@@ -363,7 +202,12 @@ int cmd_sweep(Cli& cli) {
   for (std::size_t i = 0; i < procs.size(); ++i) {
     std::string err;
     const serve::Json result = serve::Json::parse(results[i], &err);
-    measured.emplace_back(procs[i], result.find("seconds")->as_double());
+    const serve::Json* seconds = result.find("seconds");
+    if (seconds == nullptr) {
+      throw std::invalid_argument("sweep: '" + cli.spec.workload +
+                                  "' reports no seconds");
+    }
+    measured.emplace_back(procs[i], seconds->as_double());
   }
   study::TextTable t({"procs", "time (s)", "speedup", "efficiency",
                       "serial fraction"});
@@ -482,7 +326,7 @@ int cmd_campaign(Cli& cli) {
 }
 
 int cmd_help() {
-  // The kernel vocabulary and size defaults come from the workload
+  // The workload vocabulary and size defaults come from the workload
   // registry, the flag spellings from the spec's rows.
   Cli cli;
   const std::vector<util::Flag> spec_rows = cli.spec.flags();
@@ -498,19 +342,15 @@ int cmd_help() {
           [&](const util::Flag& f) { return f.target == field; });
       sizes += " --" + row->name + " " + std::to_string(size.value);
     }
+    if (w.kind != nullptr) sizes += std::string(" --kind ") + w.kind;
     sizes += "\n";
   }
   std::printf(
       "ksrsim — drive the simulated KSR-1 from the command line\n"
       "\n"
       "commands:\n"
-      "  probe    latency probes            [--machine M --procs P]\n"
-      "  barrier  time a barrier algorithm  [--kind K --procs P --episodes E]\n"
-      "  lock     time a lock               [--kind hw|rw|tas|tas-backoff|\n"
-      "                                       ticket|anderson|mcs-queue\n"
-      "                                       --read-pct N --ops N]\n"
-      "  kernel   run one NAS kernel and print its result object (the bytes\n"
-      "           a served job of the same flags caches)\n"
+      "  kernel   run one workload-registry row and print its result object\n"
+      "           (the bytes a served job of the same flags caches)\n"
       "                                     [--name %s --procs P]\n",
       names.c_str());
   std::puts(
@@ -537,32 +377,36 @@ int cmd_help() {
       "\nobservability (docs/OBSERVABILITY.md; never perturbs simulated "
       "time):\n%s",
       util::flag_help(cli.run.obs.flags()).c_str());
-  std::printf("\nkernel sizes (0 = the default shown):\n%s", sizes.c_str());
+  std::printf("\nworkload sizes (0 = the default shown):\n%s", sizes.c_str());
   return 0;
 }
 
 struct Command {
   const char* name;
   int (*run)(Cli& cli);
-  unsigned procs;  // --procs default
 };
 
 constexpr Command kCommands[] = {
-    {"probe", &cmd_probe, 2},   {"barrier", &cmd_barrier, 16},
-    {"lock", &cmd_lock, 8},     {"kernel", &cmd_kernel, 8},
-    {"sweep", &cmd_sweep, 8},   {"serve", &cmd_serve, 8},
-    {"submit", &cmd_submit, 8}, {"campaign", &cmd_campaign, 8},
+    {"kernel", &cmd_kernel}, {"sweep", &cmd_sweep},
+    {"serve", &cmd_serve},   {"submit", &cmd_submit},
+    {"campaign", &cmd_campaign},
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string cmd = argc < 2 ? "help" : argv[1];
+  if (cmd == "help") return cmd_help();
   const auto c = std::find_if(std::begin(kCommands), std::end(kCommands),
                               [&](const Command& k) { return cmd == k.name; });
-  if (c == std::end(kCommands)) return cmd_help();
+  if (c == std::end(kCommands)) {
+    // An unknown command fails, so a script calling one cannot pass.
+    std::fprintf(stderr, "ksrsim: unknown command '%s'\n\n", cmd.c_str());
+    ::dup2(STDERR_FILENO, STDOUT_FILENO);  // the help goes to stderr
+    cmd_help();
+    return 2;
+  }
   Cli cli;
-  cli.spec.procs = c->procs;
   std::vector<util::Flag> rows = cli.rows();
   if (c->run == &cmd_sweep) {
     // sweep takes a list of processor counts, one simulation each.
