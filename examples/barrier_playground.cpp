@@ -8,7 +8,6 @@
 // Machines: ksr1, ksr2, symmetry, butterfly.
 // Barriers: counter, tree, tree-m, dissemination, tournament, tournament-m,
 //           mcs, mcs-m, system.
-#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -17,27 +16,12 @@
 #include "ksr/sync/barrier.hpp"
 #include "ksr/util/parse.hpp"
 
-namespace {
-
-/// argv[i] as a positive count, or `fallback` when absent.
-unsigned count(int argc, char** argv, int i, unsigned fallback) {
-  std::uint64_t v = fallback;
-  if (argc > i && (!ksr::util::parse_u64(argv[i], &v) || v == 0 ||
-                   v > INT32_MAX)) {
-    throw std::invalid_argument(std::string("not a positive count: '") +
-                                argv[i] + "'");
-  }
-  return static_cast<unsigned>(v);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   using namespace ksr;  // NOLINT
   const sync::BarrierKind kind =
       sync::barrier_kind_named(argc > 1 ? argv[1] : "tournament-m");
-  const unsigned procs = count(argc, argv, 3, 16);
-  const int episodes = static_cast<int>(count(argc, argv, 4, 25));
+  const unsigned procs = util::count_arg(argc, argv, 3, 16);
+  const int episodes = static_cast<int>(util::count_arg(argc, argv, 4, 25));
   auto m = machine::make_machine(
       machine::MachineConfig::named(argc > 2 ? argv[2] : "ksr1", procs));
 

@@ -4,18 +4,19 @@
 //
 //   $ ./cg_solver [n] [nnz_per_row] [iterations]
 #include <cstdio>
-#include <string>
+#include <stdexcept>
 
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/cg.hpp"
+#include "ksr/util/parse.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ksr;  // NOLINT
 
   nas::CgConfig cfg;
-  cfg.n = argc > 1 ? std::stoul(argv[1]) : 800;
-  cfg.nnz_per_row = argc > 2 ? std::stoul(argv[2]) : 15;
-  cfg.iterations = argc > 3 ? static_cast<unsigned>(std::stoul(argv[3])) : 6;
+  cfg.n = util::count_arg(argc, argv, 1, 800);
+  cfg.nnz_per_row = util::count_arg(argc, argv, 2, 15);
+  cfg.iterations = util::count_arg(argc, argv, 3, 6);
 
   // Host-side reference first: what should the residual be?
   const nas::CgResult ref = cg_reference(cfg);
@@ -58,4 +59,7 @@ int main(int argc, char** argv) {
               "processor lets each produce its slice of y with no\n"
               "synchronization at all (paper Section 3.3.1).\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "cg_solver: %s\n", e.what());
+  return 1;
 }

@@ -15,20 +15,14 @@
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/obs/tracer.hpp"
 #include "ksr/sync/barrier.hpp"
+#include "ksr/util/parse.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ksr;  // NOLINT
 
   const std::string name = argc > 1 ? argv[1] : "tournament-m";
-  const unsigned procs =
-      argc > 2 ? static_cast<unsigned>(std::stoul(argv[2])) : 4u;
-  sync::BarrierKind kind{};
-  try {
-    kind = sync::barrier_kind_named(name);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  const unsigned procs = util::count_arg(argc, argv, 2, 4);
+  const sync::BarrierKind kind = sync::barrier_kind_named(name);
 
   machine::KsrMachine m(machine::MachineConfig::ksr1(procs));
   auto barrier = sync::make_barrier(m, kind);
@@ -73,4 +67,7 @@ int main(int argc, char** argv) {
               "(disjoint pairs riding the ring in parallel).\n",
               procs, procs);
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "coherence_autopsy: %s\n", e.what());
+  return 1;
 }

@@ -6,20 +6,21 @@
 //
 //   $ ./ring_trace [positions] [slots_per_subring]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ksr/net/ring.hpp"
 #include "ksr/sim/engine.hpp"
 #include "ksr/sim/stats.hpp"
+#include "ksr/util/parse.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ksr;  // NOLINT
 
   net::SlottedRing::Config cfg;
-  cfg.positions = argc > 1 ? static_cast<unsigned>(std::stoul(argv[1])) : 32u;
-  cfg.slots_per_subring =
-      argc > 2 ? static_cast<unsigned>(std::stoul(argv[2])) : 12u;
+  cfg.positions = util::count_arg(argc, argv, 1, 32);
+  cfg.slots_per_subring = util::count_arg(argc, argv, 2, 12);
 
   std::printf("slotted ring: %u positions, 2 x %u slots, hop %llu ns, "
               "circulation %.2f us\n\n",
@@ -68,4 +69,7 @@ int main(int argc, char** argv) {
       2.0 * cfg.slots_per_subring /
           (static_cast<double>(cfg.positions * cfg.hop_ns) / 1000.0));
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "ring_trace: %s\n", e.what());
+  return 1;
 }

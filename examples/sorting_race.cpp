@@ -4,20 +4,19 @@
 //
 //   $ ./sorting_race [log2_keys] [log2_buckets]
 #include <cstdio>
-#include <string>
+#include <stdexcept>
 
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/study/metrics.hpp"
+#include "ksr/util/parse.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ksr;  // NOLINT
 
   nas::IsConfig cfg;
-  cfg.log2_keys =
-      argc > 1 ? static_cast<unsigned>(std::stoul(argv[1])) : 14u;
-  cfg.log2_buckets =
-      argc > 2 ? static_cast<unsigned>(std::stoul(argv[2])) : 9u;
+  cfg.log2_keys = util::count_arg(argc, argv, 1, 14);
+  cfg.log2_buckets = util::count_arg(argc, argv, 2, 9);
 
   std::printf("Parallel bucket sort of 2^%u keys into 2^%u buckets\n",
               cfg.log2_keys, cfg.log2_buckets);
@@ -42,4 +41,7 @@ int main(int argc, char** argv) {
     std::printf("  p=%2u  f=%.6f\n", row.p, row.serial_fraction);
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "sorting_race: %s\n", e.what());
+  return 1;
 }

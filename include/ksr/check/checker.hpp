@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -48,12 +49,14 @@
 // failing invariant, the cell and sub-page, the heap region name, the
 // directory entry, every cell's line state, and the last 8 protocol events.
 //
-// Wiring: construct one against a CoherentMachine and attach_checker() it.
+// Wiring: a tool opens a check::Scope on its machine (below); a test may
+// construct a checker against a CoherentMachine and attach_checker() it.
 // In a -DKSR_CHECK=ON build the machine calls on_transition() after every
 // committed coherence transition; in a default build the hooks compile to
 // nothing (see check.hpp) and the checker is still usable as an end-of-run
 // audit via audit_all().
 namespace ksr::machine {
+class Machine;
 class CoherentMachine;
 }
 namespace ksr::net {
@@ -153,6 +156,38 @@ class InvariantChecker {
   std::size_t trail_len_ = 0;
   std::size_t trail_next_ = 0;
   sim::Time last_audit_time_ = 0;
+};
+
+/// One run's checker lifecycle, shared by every tool: attaches an
+/// InvariantChecker for the scope's lifetime to a machine with a coherence
+/// directory (nothing on the bus and butterfly models), detaches it at
+/// exit, and returns the end-of-run outcome as a value, so the caller
+/// decides where and in which order to report it. The machine must outlive
+/// the scope.
+class Scope {
+ public:
+  struct Outcome {
+    bool audited = false;   // false: the machine has no coherence directory
+    InvariantChecker::Stats stats;
+    std::string violation;  // the diagnostic; empty when the audit passed
+  };
+
+  explicit Scope(machine::Machine& m);
+  ~Scope();
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  /// Audit the whole machine (InvariantChecker::audit_all). A violation is
+  /// returned in the outcome, never thrown.
+  [[nodiscard]] Outcome audit();
+
+  /// The checker's counts so far, e.g. after a per-transition hook threw
+  /// out of the run; zero when nothing is attached.
+  [[nodiscard]] InvariantChecker::Stats stats() const;
+
+ private:
+  machine::CoherentMachine* cm_;
+  std::optional<InvariantChecker> checker_;
 };
 
 }  // namespace ksr::check

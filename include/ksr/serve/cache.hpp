@@ -37,9 +37,10 @@ class ResultCache {
   explicit ResultCache(std::string dir);
 
   /// True and fills *result (byte-identical to what store() was given) when
-  /// `key` holds a result for `canonical`. Thread-safe.
+  /// `key` holds a result for `canonical`. Thread-safe. A re-probe after a
+  /// counted miss passes `count_miss` false: it counts only a hit.
   [[nodiscard]] bool lookup(const CacheKey& key, const std::string& canonical,
-                            std::string* result);
+                            std::string* result, bool count_miss = true);
 
   /// Persist a completed result. Thread-safe; a concurrent store of the
   /// same key wins-last with identical bytes (results are deterministic).

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 // The one integer-token parser every tool shares.
@@ -89,6 +91,20 @@ namespace ksr::util {
                what, static_cast<int>(s.size()), s.data(),
                static_cast<long long>(def));
   return def;
+}
+
+/// argv[i] as a positive count, or `fallback` when argv has no entry i: the
+/// positional-argument parser of the examples. Throws std::invalid_argument
+/// naming the token when it is not a count in [1, INT32_MAX].
+[[nodiscard]] inline unsigned count_arg(int argc, char** argv, int i,
+                                        unsigned fallback) {
+  std::uint64_t v = fallback;
+  if (argc > i && (!parse_u64(argv[i], &v) || v == 0 ||
+                   v > std::numeric_limits<std::int32_t>::max())) {
+    throw std::invalid_argument(std::string("not a positive count: '") +
+                                argv[i] + "'");
+  }
+  return static_cast<unsigned>(v);
 }
 
 }  // namespace ksr::util

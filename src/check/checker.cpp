@@ -338,4 +338,32 @@ void InvariantChecker::fail(const std::string& invariant, unsigned cell,
   throw ViolationError(os.str());
 }
 
+Scope::Scope(machine::Machine& m)
+    : cm_(dynamic_cast<machine::CoherentMachine*>(&m)) {
+  if (cm_ == nullptr) return;
+  checker_.emplace(*cm_);
+  cm_->attach_checker(&*checker_);
+}
+
+Scope::~Scope() {
+  if (cm_ != nullptr) cm_->attach_checker(nullptr);
+}
+
+Scope::Outcome Scope::audit() {
+  Outcome out;
+  if (!checker_) return out;
+  out.audited = true;
+  try {
+    checker_->audit_all();
+  } catch (const ViolationError& e) {
+    out.violation = e.what();
+  }
+  out.stats = checker_->stats();
+  return out;
+}
+
+InvariantChecker::Stats Scope::stats() const {
+  return checker_ ? checker_->stats() : InvariantChecker::Stats{};
+}
+
 }  // namespace ksr::check

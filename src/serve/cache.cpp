@@ -31,7 +31,15 @@ std::string ResultCache::path_of(const CacheKey& key) const {
 }
 
 bool ResultCache::lookup(const CacheKey& key, const std::string& canonical,
-                         std::string* result) {
+                         std::string* result, bool count_miss) {
+  // Under mu_: a miss, counted unless this is a re-probe.
+  const auto miss = [&](bool load_error) {
+    if (count_miss) {
+      stats_.load_errors += load_error ? 1 : 0;
+      ++stats_.misses;
+    }
+    return false;
+  };
   {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = mem_.find(key.value);
@@ -43,15 +51,12 @@ bool ResultCache::lookup(const CacheKey& key, const std::string& canonical,
       }
       // Same 64-bit key, different spec: a genuine FNV collision. Refuse
       // to alias; both specs will simply re-run.
-      ++stats_.load_errors;
-      ++stats_.misses;
-      return false;
+      return miss(true);
     }
   }
   if (dir_.empty()) {
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.misses;
-    return false;
+    return miss(false);
   }
   // Disk probe outside the lock (one open+read; worst case two threads race
   // to load the same entry, both succeed identically).
@@ -59,8 +64,7 @@ bool ResultCache::lookup(const CacheKey& key, const std::string& canonical,
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) {
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.misses;
-    return false;
+    return miss(false);
   }
   std::string header;
   std::string canon;
@@ -74,9 +78,7 @@ bool ResultCache::lookup(const CacheKey& key, const std::string& canonical,
   if (!valid) {
     // Truncated, hand-edited, or written against a colliding spec: count it
     // and fall through to a re-run (which will overwrite the entry).
-    ++stats_.load_errors;
-    ++stats_.misses;
-    return false;
+    return miss(true);
   }
   mem_[key.value] = Entry{canonical, bytes};
   *result = std::move(bytes);

@@ -66,21 +66,29 @@ ServeCore::Response ServeCore::submit(const JobSpec& spec) {
     return peer;
   }
 
-  // Owner path: execute, store, publish to any waiters.
+  // Owner path: execute, store, publish to any waiters. A previous owner
+  // may have stored this key and left between our miss and taking
+  // ownership, so probe the cache once more (a second miss is not counted)
+  // before simulating.
   Response done;
   done.key = resp.key;
-  try {
-    const JobOutcome out = execute(spec, opt_.sim_threads);
+  if (cache_.lookup(key, canonical, &done.result, /*count_miss=*/false)) {
     done.ok = true;
-    done.result = out.result;
-    cache_.store(key, canonical, out.result);
-    std::lock_guard<std::mutex> lk(inflight_mu_);
-    ++executed_;
-  } catch (const std::exception& e) {
-    // Failures are never cached: the next submission retries.
-    done.error = e.what();
-    std::lock_guard<std::mutex> lk(inflight_mu_);
-    ++failures_;
+    done.cached = true;
+  } else {
+    try {
+      const JobOutcome out = execute(spec, opt_.sim_threads);
+      done.ok = true;
+      done.result = out.result;
+      cache_.store(key, canonical, out.result);
+      std::lock_guard<std::mutex> lk(inflight_mu_);
+      ++executed_;
+    } catch (const std::exception& e) {
+      // Failures are never cached: the next submission retries.
+      done.error = e.what();
+      std::lock_guard<std::mutex> lk(inflight_mu_);
+      ++failures_;
+    }
   }
   std::shared_ptr<Inflight> fl;
   {

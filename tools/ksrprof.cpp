@@ -1,12 +1,13 @@
 // ksrprof — offline trace analysis and simulated-time profiling.
 //
-// Consumes a trace CSV exported by --trace-out FILE.csv (either the merged
-// session format with a leading `job` column, or a raw Tracer::write_csv
-// dump) and prints the same profile report the in-process --report flag
-// produces: per-subpage sharing-pattern classification (read-only,
-// migratory, producer-consumer, falsely-shared, lock) ranked by contention,
-// barrier arrival skew with last-arriver attribution, lock hold-vs-wait
-// decomposition, and per-cpu stall attribution.
+// Consumes a session trace CSV — the one trace-file format, written by
+// --trace-out FILE.csv and by ksrfuzz's FAIL traces: a leading `job`
+// column, `# region job=` and `# job=` footers — and prints, per job, the
+// same profile report the in-process --report flag produces: per-subpage
+// sharing-pattern classification (read-only, migratory, producer-consumer,
+// falsely-shared, lock) ranked by contention, barrier arrival skew with
+// last-arriver attribution, lock hold-vs-wait decomposition, and per-cpu
+// stall attribution.
 //
 //   ksrprof trace.csv                       # report to stdout
 //   ksrprof trace.csv --top 20              # longer ranking tables
@@ -14,8 +15,7 @@
 //   ksrprof trace.csv --flame stacks.txt    # collapsed stacks for
 //                                           # speedscope / inferno
 //
-// Region names come from the `# region ...` footers the session CSV writes;
-// a raw tracer dump has none, so sub-pages print as bare ids. All output is
+// Region names come from the `# region ...` footers. All output is
 // integer-math only: byte-identical across hosts for the same trace.
 #include <cstdint>
 #include <cstdio>
@@ -38,11 +38,6 @@ struct JobTrace {
   std::vector<obs::Tracer::Record> records;
   std::vector<obs::RegionSpan> regions;
   std::uint64_t dropped = 0;
-};
-
-struct ParsedCsv {
-  std::vector<JobTrace> jobs;  // first-appearance order
-  bool has_job_column = false;
 };
 
 [[nodiscard]] std::vector<std::string> split(const std::string& line,
@@ -89,15 +84,17 @@ struct ParsedCsv {
   return line.substr(v0, v1 == std::string::npos ? v1 : v1 - v0);
 }
 
-JobTrace& job_named(ParsedCsv& csv, const std::string& label) {
-  for (JobTrace& j : csv.jobs) {
+JobTrace& job_named(std::vector<JobTrace>& jobs, const std::string& label) {
+  for (JobTrace& j : jobs) {
     if (j.label == label) return j;
   }
-  csv.jobs.push_back({label, {}, {}, 0});
-  return csv.jobs.back();
+  jobs.push_back({label, {}, {}, 0});
+  return jobs.back();
 }
 
-bool parse_csv(std::istream& is, ParsedCsv& out, std::string& err) {
+/// Parse a session trace CSV into its jobs, in first-appearance order.
+bool parse_csv(std::istream& is, std::vector<JobTrace>& out,
+               std::string& err) {
   // A scratch tracer resolves category/event names back to the builtin ids
   // analyze() matches on (unknown names intern past the builtins and are
   // simply ignored by the analyzer).
@@ -107,10 +104,8 @@ bool parse_csv(std::istream& is, ParsedCsv& out, std::string& err) {
     err = "empty input";
     return false;
   }
-  if (line.rfind("job,", 0) == 0) {
-    out.has_job_column = true;
-  } else if (line.rfind("time_ns,", 0) != 0) {
-    err = "unrecognized header '" + line + "'";
+  if (line.rfind("job,time_ns,", 0) != 0) {
+    err = "unrecognized header '" + line + "' (expected a session trace CSV)";
     return false;
   }
   while (std::getline(is, line)) {
@@ -133,25 +128,22 @@ bool parse_csv(std::istream& is, ParsedCsv& out, std::string& err) {
       continue;
     }
     const std::vector<std::string> f = split(line, ',');
-    const std::size_t base = out.has_job_column ? 1 : 0;
-    if (f.size() < base + 6) {
+    if (f.size() != 8) {
       err = "malformed row '" + line + "'";
       return false;
     }
-    JobTrace& j = job_named(out, out.has_job_column ? f[0] : std::string());
+    JobTrace& j = job_named(out, f[0]);
     obs::Tracer::Record r;
-    r.t = to_u64(f[base + 0]);
-    r.cat = names.intern_category(f[base + 1]);
-    r.ev = names.intern_event(f[base + 2]);
-    r.subject = to_u64(f[base + 3]);
-    r.actor = to_u64(f[base + 4]);
-    r.detail = to_i64(f[base + 5]);
-    r.aux = f.size() > base + 6
-                ? static_cast<std::uint32_t>(to_u64(f[base + 6]))
-                : 0;
+    r.t = to_u64(f[1]);
+    r.cat = names.intern_category(f[2]);
+    r.ev = names.intern_event(f[3]);
+    r.subject = to_u64(f[4]);
+    r.actor = to_u64(f[5]);
+    r.detail = to_i64(f[6]);
+    r.aux = static_cast<std::uint32_t>(to_u64(f[7]));
     j.records.push_back(r);
   }
-  if (out.jobs.empty()) {
+  if (out.empty()) {
     err = "no records";
     return false;
   }
@@ -163,10 +155,10 @@ int usage(const std::vector<ksr::util::Flag>& rows) {
       stderr,
       "usage: ksrprof TRACE.csv [flags]\n"
       "\n"
-      "TRACE.csv is a --trace-out export (merged session CSV or a raw\n"
-      "tracer dump). Writes a simulated-time profile: sharing-pattern\n"
-      "classification per sub-page, barrier/lock critical paths, stall\n"
-      "attribution.\n"
+      "TRACE.csv is a session trace CSV (a bench's or ksrsim's\n"
+      "--trace-out FILE.csv, or a ksrfuzz FAIL trace). Writes a simulated-\n"
+      "time profile per job: sharing-pattern classification per sub-page,\n"
+      "barrier/lock critical paths, stall attribution.\n"
       "\n%s",
       ksr::util::flag_help(rows).c_str());
   return 2;
@@ -193,9 +185,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ksrprof: cannot open '%s'\n", input.c_str());
     return 1;
   }
-  ParsedCsv csv;
+  std::vector<JobTrace> jobs;
   std::string err;
-  if (!parse_csv(is, csv, err)) {
+  if (!parse_csv(is, jobs, err)) {
     std::fprintf(stderr, "ksrprof: %s: %s\n", input.c_str(), err.c_str());
     return 1;
   }
@@ -219,26 +211,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const JobTrace& j : csv.jobs) {
+  for (const JobTrace& j : jobs) {
     const obs::Analysis a =
         obs::analyze(j.records.data(), j.records.data() + j.records.size(),
                      j.regions, j.dropped);
-    if (csv.has_job_column) out << "=== job " << j.label << " ===\n";
+    out << "=== job " << j.label << " ===\n";
     obs::write_report(out, a, ropt);
-    if (csv.has_job_column) out << '\n';
+    out << '\n';
     if (flame.is_open()) {
-      if (csv.has_job_column) {
-        // Prefix each stack with the job label so merged sweeps stay
-        // separable in the flamegraph.
-        std::ostringstream ss;
-        obs::write_collapsed_stacks(ss, a);
-        std::string stack_line;
-        std::istringstream lines(ss.str());
-        while (std::getline(lines, stack_line)) {
-          flame << j.label << ';' << stack_line << '\n';
-        }
-      } else {
-        obs::write_collapsed_stacks(flame, a);
+      // Prefix each stack with the job label so merged sweeps stay
+      // separable in the flamegraph.
+      std::ostringstream ss;
+      obs::write_collapsed_stacks(ss, a);
+      std::string stack_line;
+      std::istringstream lines(ss.str());
+      while (std::getline(lines, stack_line)) {
+        flame << j.label << ';' << stack_line << '\n';
       }
     }
   }

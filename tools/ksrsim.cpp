@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,61 +80,51 @@ struct Cli {
   }
 };
 
-// With --check, attach the ALLCACHE invariant checker for the lifetime of
-// the run and audit the whole machine at scope exit (docs/CHECKING.md). In
-// a -DKSR_CHECK=ON build every coherence transition is audited as it
-// commits; in a default build only the end-of-run audit runs. A violation
-// prints the trace-backed diagnostic and fails the process via
-// g_check_failed (checked in main after the command returns).
-bool g_check_failed = false;
-
-class CheckScope {
- public:
-  CheckScope(bool check, machine::Machine& m) {
-    if (!check) return;
-    cm_ = dynamic_cast<machine::CoherentMachine*>(&m);
-    if (cm_ == nullptr) {
-      std::cerr << "warning: --check: this machine model has no coherence "
-                   "directory to audit\n";
-      return;
-    }
-    checker_ = std::make_unique<check::InvariantChecker>(*cm_);
-    cm_->attach_checker(checker_.get());
-  }
-  ~CheckScope() {
-    if (checker_ == nullptr) return;
-    try {
-      checker_->audit_all();
-      std::cerr << "[check] invariants ok: transitions="
-                << checker_->stats().transitions
-                << " audits=" << checker_->stats().audits << "\n";
-    } catch (const check::ViolationError& e) {
-      std::cerr << "[check] FAIL\n" << e.what() << "\n";
-      g_check_failed = true;
-    }
-    cm_->attach_checker(nullptr);
-  }
-  CheckScope(const CheckScope&) = delete;
-  CheckScope& operator=(const CheckScope&) = delete;
-
- private:
-  machine::CoherentMachine* cm_ = nullptr;
-  std::unique_ptr<check::InvariantChecker> checker_;
-};
-
 // ------------------------------------------------------------- commands
 
+/// One kernel job's result object and, under --check, its audit outcome.
+struct KernelRun {
+  std::string label;
+  std::string result;
+  std::optional<check::Scope::Outcome> audit;
+};
+
 /// The served job's path as a sweep-harness job: build the spec's machine,
-/// attach --check, run the workload and return its result object.
-std::function<std::string(study::Job&)> kernel_job(const Cli& cli,
-                                                   serve::JobSpec spec) {
+/// attach a check::Scope under --check, run the workload and return its
+/// result object with the audit outcome.
+std::function<KernelRun(study::Job&)> kernel_job(const Cli& cli,
+                                                 serve::JobSpec spec) {
   return [&cli, spec = std::move(spec)](study::Job& job) {
+    KernelRun run{spec.workload + " p=" + std::to_string(spec.procs), {}, {}};
     machine::Machine& m =
-        job.machine(spec.machine_config(cli.run.sim_threads),
-                    spec.workload + " p=" + std::to_string(spec.procs));
-    CheckScope check(cli.check, m);
-    return serve::run_workload(spec, m).result;
+        job.machine(spec.machine_config(cli.run.sim_threads), run.label);
+    std::optional<check::Scope> check;
+    if (cli.check) check.emplace(m);
+    run.result = serve::run_workload(spec, m).result;
+    if (check) run.audit = check->audit();
+    return run;
   };
+}
+
+/// Print each job's `[check]` line on stderr, in submission order so the
+/// lines are the same for any --jobs; false if any audit found a violation.
+bool report_checks(const std::vector<KernelRun>& runs) {
+  bool ok = true;
+  for (const KernelRun& run : runs) {
+    if (!run.audit) continue;
+    const check::Scope::Outcome& a = *run.audit;
+    std::cerr << "[check] " << run.label << ": ";
+    if (!a.audited) {
+      std::cerr << "this machine model has no coherence directory to audit\n";
+    } else if (a.violation.empty()) {
+      std::cerr << "invariants ok: transitions=" << a.stats.transitions
+                << " audits=" << a.stats.audits << "\n";
+    } else {
+      std::cerr << "FAIL\n" << a.violation << "\n";
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 /// The spec flags at `procs` cells, validated; throws with the spec's
@@ -171,10 +162,12 @@ int cmd_kernel(Cli& cli) {
               << donor->parallel_engine().events_dispatched()
               << " events at capture)\n";
   }
+  const std::vector<KernelRun> runs =
+      study.run<KernelRun>({kernel_job(cli, spec)});
+  const bool checked = report_checks(runs);
   // The result object: the exact bytes a served job of this spec caches.
-  const std::string result = study.run<std::string>({kernel_job(cli, spec)})[0];
-  std::printf("%s\n", result.c_str());
-  return study.close() ? 0 : 1;
+  std::printf("%s\n", runs[0].result.c_str());
+  return study.close() && checked ? 0 : 1;
 }
 
 int cmd_sweep(Cli& cli) {
@@ -192,16 +185,17 @@ int cmd_sweep(Cli& cli) {
   // Every processor count is an independent simulation, one job each over
   // --jobs host threads (default one per core). Results merge in
   // submission order, so the table is bit-identical for any --jobs value.
-  std::vector<std::function<std::string(study::Job&)>> jobs;
+  std::vector<std::function<KernelRun(study::Job&)>> jobs;
   for (unsigned p : procs) {
     jobs.push_back(kernel_job(cli, checked_spec(cli, p)));
   }
   study::Study study(cli.run, "ksrsim_sweep");
-  const std::vector<std::string> results = study.run(jobs);
+  const std::vector<KernelRun> runs = study.run(jobs);
+  const bool checked = report_checks(runs);
   std::vector<std::pair<unsigned, double>> measured;
   for (std::size_t i = 0; i < procs.size(); ++i) {
     std::string err;
-    const serve::Json result = serve::Json::parse(results[i], &err);
+    const serve::Json result = serve::Json::parse(runs[i].result, &err);
     const serve::Json* seconds = result.find("seconds");
     if (seconds == nullptr) {
       throw std::invalid_argument("sweep: '" + cli.spec.workload +
@@ -224,7 +218,7 @@ int cmd_sweep(Cli& cli) {
   } else {
     t.print();
   }
-  return study.close() ? 0 : 1;
+  return study.close() && checked ? 0 : 1;
 }
 
 // ----------------------------------------------------- serving commands
@@ -418,8 +412,7 @@ int main(int argc, char** argv) {
   (void)util::parse_flags(argc, argv, 2, rows,
                           c->run == &cmd_campaign ? &cli.manifest : nullptr);
   try {
-    const int rc = c->run(cli);
-    return g_check_failed && rc == 0 ? 1 : rc;
+    return c->run(cli);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ksrsim: %s\n", e.what());
     return 1;
