@@ -3,7 +3,6 @@
 // synchronization per update when parallelized by columns; converting to
 // row-start/column-index gives each processor its own slice of y with no
 // synchronization at all.
-#include "ksr/nas/cg.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -15,10 +14,12 @@ int main(int argc, char** argv) {
   print_header("Sparse matrix format: column-major + locks vs row-major",
                "Figs. 6 & 7 and the parallelisation discussion of §3.3.1");
 
-  nas::CgConfig cfg;
-  cfg.n = opt.quick ? 150 : 400;
-  cfg.nnz_per_row = opt.quick ? 5 : 9;
-  cfg.iterations = 2;
+  serve::JobSpec cg;
+  cg.workload = "cg";
+  cg.scale = 64;
+  cg.n = opt.quick ? 150 : 400;
+  cg.nnz_per_row = opt.quick ? 5 : 9;
+  cg.iters = 2;
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 4} : std::vector<unsigned>{1, 2, 4, 8};
@@ -29,16 +30,17 @@ int main(int argc, char** argv) {
   };
   std::vector<std::function<Point(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, cfg](Job& job) {
-      const auto mc = machine::MachineConfig::ksr1(p).scaled_by(64);
-      const std::string ps = std::to_string(p);
+    serve::JobSpec row = cg;
+    row.procs = p;
+    serve::JobSpec col = row;
+    col.kind = "column-major";
+    jobs.emplace_back([row, col](Job& job) {
+      const std::string ps = std::to_string(row.procs);
       Point pt;
-      pt.row_t = run_cg(job.machine(mc, "cg-rowmajor p=" + ps), cfg).seconds;
-      nas::CgConfig col = cfg;
-      col.format = nas::SparseFormat::kColumnMajor;
-      machine::Machine& m2 = job.machine(mc, "cg-colmajor p=" + ps);
-      pt.col_t = run_cg(m2, col).seconds;
-      for (unsigned c = 0; c < p; ++c) pt.nacks += m2.cell_pmon(c).ring_nacks;
+      pt.row_t = job.run(row, "cg-rowmajor p=" + ps).at("seconds");
+      const JobRun r = job.run(col, "cg-colmajor p=" + ps);
+      pt.col_t = r.at("seconds");
+      pt.nacks = r.machine.total_pmon().ring_nacks;
       return pt;
     });
   }

@@ -24,14 +24,9 @@ BarrierCost barrier_cost(machine::Machine& m, sync::BarrierKind kind,
   auto barrier = sync::make_barrier(m, kind, use_poststore);
   double t = 0;
   std::uint64_t req0 = 0;
-  std::uint64_t req1 = 0;
   m.run([&](Cpu& cpu) {
     barrier->arrive(cpu);
-    if (cpu.id() == 0) {
-      for (unsigned c = 0; c < cpu.nproc(); ++c) {
-        req0 += m.cell_pmon(c).ring_requests;
-      }
-    }
+    if (cpu.id() == 0) req0 = m.total_pmon().ring_requests;
     const double t0 = cpu.seconds();
     for (int e = 0; e < episodes; ++e) {
       cpu.work(cpu.rng().below(500));
@@ -39,11 +34,9 @@ BarrierCost barrier_cost(machine::Machine& m, sync::BarrierKind kind,
     }
     if (cpu.seconds() - t0 > t) t = cpu.seconds() - t0;
   });
-  for (unsigned c = 0; c < m.nproc(); ++c) {
-    req1 += m.cell_pmon(c).ring_requests;
-  }
   return {t / episodes,
-          static_cast<double>(req1 - req0) / episodes};
+          static_cast<double>(m.total_pmon().ring_requests - req0) /
+              episodes};
 }
 
 /// One on/off table: each kind's barrier cost under the `on` and `off`

@@ -48,13 +48,7 @@ Load all_remote_load(Job& job, unsigned nproc, unsigned slots,
       per_access = (cpu.seconds() - t0) / static_cast<double>(n);
     }
   });
-  cache::PerfMonitor total;
-  for (unsigned i = 0; i < nproc; ++i) total.add(m.cell_pmon(i));
-  return {per_access,
-          total.ring_requests
-              ? static_cast<double>(total.inject_wait_ns) /
-                    static_cast<double>(total.ring_requests)
-              : 0.0};
+  return {per_access, m.total_pmon().inject_wait_per_request()};
 }
 
 }  // namespace

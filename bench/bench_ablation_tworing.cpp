@@ -4,8 +4,6 @@
 // same trend is expected for applications that span more than 32
 // processors." The paper only verified this for barriers (Fig. 5); here we
 // run the CG and IS kernels across the boundary on the 64-cell KSR-2.
-#include "ksr/nas/cg.hpp"
-#include "ksr/nas/is.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -17,11 +15,17 @@ int main(int argc, char** argv) {
   print_header("Extension: NAS kernels across the level-1 ring boundary",
                "the Section 4 prediction, beyond the paper's barrier data");
 
-  nas::CgConfig cg;
+  serve::JobSpec cg;
+  cg.machine = "ksr2";
+  cg.scale = 64;
+  cg.workload = "cg";
   cg.n = opt.quick ? 600 : 1200;
   cg.nnz_per_row = opt.quick ? 16 : 40;
-  cg.iterations = opt.quick ? 2 : 4;
-  nas::IsConfig is;
+  cg.iters = opt.quick ? 2 : 4;
+  serve::JobSpec is;
+  is.machine = "ksr2";
+  is.scale = 64;
+  is.workload = "is";
   is.log2_keys = opt.quick ? 13 : 16;
   is.log2_buckets = opt.quick ? 9 : 11;
 
@@ -31,14 +35,11 @@ int main(int argc, char** argv) {
 
   std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
-    const auto mc = machine::MachineConfig::ksr2(p).scaled_by(64);
-    const std::string ps = std::to_string(p);
-    jobs.emplace_back([mc, ps, cg](Job& job) {
-      return run_cg(job.machine(mc, "cg p=" + ps), cg).seconds;
-    });
-    jobs.emplace_back([mc, ps, is](Job& job) {
-      return run_is(job.machine(mc, "is p=" + ps), is).seconds;
-    });
+    for (serve::JobSpec spec : {cg, is}) {
+      spec.procs = p;
+      jobs.emplace_back(
+          [spec](Job& job) { return job.run(spec).at("seconds"); });
+    }
   }
   const std::vector<double> times = study.run(jobs);
 

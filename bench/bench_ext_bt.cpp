@@ -3,8 +3,6 @@
 // compute-dense (5x5 block operations per grid point), so it should scale
 // at least as well as SP — the contrast quantifies how much of SP's
 // behaviour is memory-system-bound.
-#include "ksr/nas/bt.hpp"
-#include "ksr/nas/sp.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -16,16 +14,15 @@ int main(int argc, char** argv) {
   print_header("Extension: Block Tridiagonal application scalability",
                "reference [6]; contrast with Table 3 (SP)");
 
-  nas::BtConfig bt;
+  serve::JobSpec bt;
+  bt.workload = "bt";
+  bt.kind = "prefetch";
+  bt.scale = 16;
   bt.n = opt.quick ? 8 : 16;
-  bt.iterations = opt.quick ? 1 : 2;
-  bt.use_prefetch = true;
-  nas::SpConfig sp;
-  sp.n = opt.quick ? 8 : 16;
-  sp.iterations = bt.iterations;
-  sp.padded_layout = true;
-  sp.use_prefetch = true;
-  const unsigned scale = 16;
+  bt.iters = opt.quick ? 1 : 2;
+  serve::JobSpec sp = bt;
+  sp.workload = "sp";
+  sp.kind = "padded-prefetch";
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 4, 8}
@@ -33,14 +30,12 @@ int main(int argc, char** argv) {
 
   std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
-    const auto mc = machine::MachineConfig::ksr1(p).scaled_by(scale);
-    const std::string ps = std::to_string(p);
-    jobs.emplace_back([mc, ps, bt](Job& job) {
-      return run_bt(job.machine(mc, "bt p=" + ps), bt).seconds_per_iteration;
-    });
-    jobs.emplace_back([mc, ps, sp](Job& job) {
-      return run_sp(job.machine(mc, "sp p=" + ps), sp).seconds_per_iteration;
-    });
+    for (serve::JobSpec spec : {bt, sp}) {
+      spec.procs = p;
+      jobs.emplace_back([spec](Job& job) {
+        return job.run(spec).at("seconds_per_iteration");
+      });
+    }
   }
   const std::vector<double> times = study.run(jobs);
   std::vector<std::pair<unsigned, double>> bt_m, sp_m;

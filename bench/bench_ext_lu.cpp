@@ -4,7 +4,6 @@
 // plane per sweep) makes it the finest-grain synchronization workload in
 // the suite; poststore on the single-reader pipeline flags is the textbook
 // GOOD use of the primitive, complementing SP's poststore pitfall.
-#include "ksr/nas/lu.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -16,28 +15,29 @@ int main(int argc, char** argv) {
   print_header("Extension: LU (SSOR) application scalability",
                "the third NAS application; pipelined wavefront structure");
 
-  nas::LuConfig cfg;
-  cfg.n = opt.quick ? 8 : 16;
-  cfg.iterations = opt.quick ? 1 : 2;
-  const unsigned scale = 16;
+  serve::JobSpec lu;
+  lu.workload = "lu";
+  lu.scale = 16;
+  lu.n = opt.quick ? 8 : 16;
+  lu.iters = opt.quick ? 1 : 2;
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 4, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16};
 
-  nas::LuConfig no_post_cfg = cfg;
-  no_post_cfg.use_poststore = false;
   std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
-    const auto mc = machine::MachineConfig::ksr1(p).scaled_by(scale);
-    const std::string ps = std::to_string(p);
-    jobs.emplace_back([mc, ps, cfg](Job& job) {
-      return run_lu(job.machine(mc, "lu p=" + ps), cfg).seconds_per_iteration;
-    });
-    jobs.emplace_back([mc, ps, no_post_cfg](Job& job) {
-      return run_lu(job.machine(mc, "lu-nopoststore p=" + ps), no_post_cfg)
-          .seconds_per_iteration;
-    });
+    for (const char* kind : {"", "no-poststore"}) {
+      serve::JobSpec spec = lu;
+      spec.procs = p;
+      spec.kind = kind;
+      const std::string label =
+          (spec.kind.empty() ? "lu p=" : "lu-nopoststore p=") +
+          std::to_string(p);
+      jobs.emplace_back([spec, label](Job& job) {
+        return job.run(spec, label).at("seconds_per_iteration");
+      });
+    }
   }
   const std::vector<double> times = study.run(jobs);
   std::vector<std::pair<unsigned, double>> measured;

@@ -4,8 +4,6 @@
 // synchronization (like the barrier study writ small), while FT's
 // per-iteration transpose moves the whole array across the partition — a
 // heavier ring load than even IS's phase 2.
-#include "ksr/nas/ft.hpp"
-#include "ksr/nas/mg.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -17,11 +15,16 @@ int main(int argc, char** argv) {
   print_header("Extension: MG and FT kernel scalability",
                "the two NAS kernels beyond the paper's three");
 
-  nas::MgConfig mg;
-  mg.log2_n = opt.quick ? 4 : 5;
-  mg.v_cycles = opt.quick ? 1 : 2;
-  nas::FtConfig ft;
-  ft.log2_n = opt.quick ? 3 : 4;
+  serve::JobSpec mg;
+  mg.workload = "mg";
+  mg.scale = 16;
+  mg.n = opt.quick ? 16 : 32;
+  mg.iters = opt.quick ? 1 : 2;
+  serve::JobSpec ft;
+  ft.workload = "ft";
+  ft.scale = 64;
+  ft.n = opt.quick ? 8 : 16;
+  ft.iters = 1;
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 4, 8}
@@ -32,24 +35,14 @@ int main(int argc, char** argv) {
   };
   std::vector<std::function<Run(Job&)>> jobs;
   for (unsigned p : procs) {
-    const std::string ps = std::to_string(p);
-    jobs.emplace_back([p, ps, mg](Job& job) {
-      machine::Machine& m = job.machine(
-          machine::MachineConfig::ksr1(p).scaled_by(16), "mg p=" + ps);
-      return Run{run_mg(m, mg).seconds};
-    });
-    jobs.emplace_back([p, ps, ft](Job& job) {
-      machine::Machine& m = job.machine(
-          machine::MachineConfig::ksr1(p).scaled_by(64), "ft p=" + ps);
-      Run r{run_ft(m, ft).seconds};
-      cache::PerfMonitor total;
-      for (unsigned c = 0; c < p; ++c) total.add(m.cell_pmon(c));
-      if (total.ring_requests) {
-        r.wait_per_req = static_cast<double>(total.inject_wait_ns) /
-                         static_cast<double>(total.ring_requests);
-      }
-      return r;
-    });
+    for (serve::JobSpec spec : {mg, ft}) {
+      spec.procs = p;
+      jobs.emplace_back([spec](Job& job) {
+        const JobRun run = job.run(spec);
+        return Run{run.at("seconds"),
+                   run.machine.total_pmon().inject_wait_per_request()};
+      });
+    }
   }
   const std::vector<Run> runs = study.run(jobs);
   std::vector<std::pair<unsigned, double>> mg_m, ft_m;

@@ -24,7 +24,6 @@
 // donor checkpoint to <P>.p<procs>.ckpt; `--restore-from P` re-uses them,
 // skipping even the donor warm-ups.
 #include "ksr/ckpt/checkpoint.hpp"
-#include "ksr/nas/cg.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/study/sweep.hpp"
 
@@ -114,11 +113,15 @@ int main(int argc, char** argv) {
                scale_out ? "Fig. 8 extrapolated past the paper's 32 cells"
                          : "Fig. 8, Section 3.3");
 
-  nas::CgConfig cg;
+  serve::JobSpec cg;
+  cg.workload = "cg";
+  cg.scale = 64;
   cg.n = opt.quick ? 600 : 1750;
   cg.nnz_per_row = opt.quick ? 24 : 72;
-  cg.iterations = opt.quick ? 2 : 4;
-  nas::IsConfig is;
+  cg.iters = opt.quick ? 2 : 4;
+  serve::JobSpec is;
+  is.workload = "is";
+  is.scale = 64;
   is.log2_keys = opt.quick ? 13 : 16;
   is.log2_buckets = opt.quick ? 9 : 11;
 
@@ -128,30 +131,27 @@ int main(int argc, char** argv) {
                 : (opt.quick ? std::vector<unsigned>{1, 4, 16}
                              : std::vector<unsigned>{1, 2, 4, 8, 16, 24, 32});
 
-  auto make_cfg = [scale_out](unsigned p) {
-    machine::MachineConfig c = machine::MachineConfig::ksr1(p).scaled_by(64);
-    if (scale_out) c = c.with_cells_per_domain(scale_out_cpd(p));
-    return c;
+  auto spec_at = [scale_out](serve::JobSpec spec, unsigned p) {
+    spec.procs = p;
+    if (scale_out) spec.cells_per_domain = scale_out_cpd(p);
+    return spec;
+  };
+  auto registry_job = [scale_out](const serve::JobSpec& spec) {
+    return [spec, scale_out](Job& job) {
+      const JobRun run = job.run(spec);
+      Run r;
+      r.seconds = run.at("seconds");
+      if (scale_out) r.point.capture(run.machine);
+      return r;
+    };
   };
 
   std::vector<std::function<Run(Job&)>> jobs;
   for (unsigned p : procs) {
     const std::string ps = std::to_string(p);
-    jobs.emplace_back([p, ps, cg, scale_out, &make_cfg](Job& job) {
-      machine::Machine& m = job.machine(make_cfg(p), "cg p=" + ps);
-      Run r;
-      r.seconds = run_cg(m, cg).seconds;
-      if (scale_out) r.point.capture(m);
-      return r;
-    });
+    jobs.emplace_back(registry_job(spec_at(cg, p)));
     if (!split_is) {
-      jobs.emplace_back([p, ps, is, scale_out, &make_cfg](Job& job) {
-        machine::Machine& m = job.machine(make_cfg(p), "is p=" + ps);
-        Run r;
-        r.seconds = run_is(m, is).seconds;
-        if (scale_out) r.point.capture(m);
-        return r;
-      });
+      jobs.emplace_back(registry_job(spec_at(is, p)));
       continue;
     }
     // Split-phase IS: prefetch on and off share one warm-up. Under
@@ -160,7 +160,11 @@ int main(int argc, char** argv) {
     // re-simulates its own warm-up. Restore preserves the donor's event
     // and quantum counters, so the two modes report identical totals.
     jobs.emplace_back([&, p, ps](Job& job) {
-      nas::IsConfig is_np = is;
+      const machine::MachineConfig mc = spec_at(is, p).machine_config(1);
+      nas::IsConfig is_pf;
+      is_pf.log2_keys = is.log2_keys;
+      is_pf.log2_buckets = is.log2_buckets;
+      nas::IsConfig is_np = is_pf;
       is_np.use_prefetch = false;
       const std::string suffix = ".p" + ps + ".ckpt";
       const std::string save_path =
@@ -170,8 +174,8 @@ int main(int argc, char** argv) {
       Run r;
       std::vector<std::byte> image;
       {
-        machine::Machine& m = job.machine(make_cfg(p), "is p=" + ps);
-        nas::IsSplit split(m, is);
+        machine::Machine& m = job.machine(mc, "is p=" + ps);
+        nas::IsSplit split(m, is_pf);
         if (!load_path.empty()) {
           m.restore_from(load_path);
         } else {
@@ -190,7 +194,7 @@ int main(int argc, char** argv) {
         r.seconds = split.run_ranked().seconds;
         if (scale_out) r.point.capture(m);
       }
-      machine::Machine& m = job.machine(make_cfg(p), "is(no-pf) p=" + ps);
+      machine::Machine& m = job.machine(mc, "is(no-pf) p=" + ps);
       nas::IsSplit split(m, is_np);
       if (!load_path.empty()) {
         m.restore_from(load_path);

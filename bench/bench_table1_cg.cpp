@@ -9,7 +9,6 @@
 //
 // Every measurement is an independent simulation, one sweep-harness job
 // each, merged in submission order (bit-identical output for any --jobs).
-#include "ksr/nas/cg.hpp"
 #include "ksr/study/sweep.hpp"
 
 namespace {
@@ -30,25 +29,24 @@ int main(int argc, char** argv) {
   print_header("Conjugate Gradient scalability",
                "Table 1 and Fig. 8 (CG), Section 3.3.1");
 
-  nas::CgConfig cfg;
-  cfg.n = opt.quick ? 600 : 1750;
-  cfg.nnz_per_row = opt.quick ? 24 : 72;  // ~126k nonzeros at default size
-  cfg.iterations = opt.quick ? 3 : 6;
-  const unsigned scale = 64;
+  serve::JobSpec cg;
+  cg.workload = "cg";
+  cg.scale = 64;
+  cg.n = opt.quick ? 600 : 1750;
+  cg.nnz_per_row = opt.quick ? 24 : 72;  // ~126k nonzeros at default size
+  cg.iters = opt.quick ? 3 : 6;
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 2, 8}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
 
-  auto machine_cfg = [scale](unsigned p) {
-    return machine::MachineConfig::ksr1(p).scaled_by(scale);
-  };
   std::vector<std::function<CgPoint(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, cfg, &machine_cfg](Job& job) {
-      const nas::CgResult r = run_cg(
-          job.machine(machine_cfg(p), "cg p=" + std::to_string(p)), cfg);
-      return CgPoint{r.seconds, r.nnz};
+    serve::JobSpec spec = cg;
+    spec.procs = p;
+    jobs.emplace_back([spec](Job& job) {
+      const JobRun r = job.run(spec);
+      return CgPoint{r.at("seconds"), static_cast<std::uint64_t>(r.at("nnz"))};
     });
   }
   const std::vector<CgPoint> points = study.run(jobs);
@@ -68,8 +66,8 @@ int main(int argc, char** argv) {
                row.p == 1 ? "-" : TextTable::num(row.efficiency, 3),
                row.p == 1 ? "-" : TextTable::num(row.serial_fraction, 6)});
   }
-  std::cout << "datasize n = " << cfg.n << ", nonzeros = " << nnz
-            << ", machine caches scaled by 1/" << scale << "\n";
+  std::cout << "datasize n = " << cg.n << ", nonzeros = " << nnz
+            << ", machine caches scaled by 1/" << cg.scale << "\n";
   if (opt.csv) {
     t.print_csv();
   } else {
@@ -87,15 +85,17 @@ int main(int argc, char** argv) {
   // One ablation run per job, base and variant separate (2 per processor
   // count) for better host load balance.
   auto ablation = [&](const std::string& base_tag, const std::string& var_tag,
-                      const nas::CgConfig& variant) {
+                      const char* variant) {
     std::vector<std::function<double(Job&)>> ab_jobs;
     for (unsigned p : ab_procs) {
       const std::string ps = std::to_string(p);
-      for (const auto& run :
-           {std::pair{base_tag, cfg}, std::pair{var_tag, variant}}) {
-        ab_jobs.emplace_back([p, c = run.second, label = run.first + " p=" + ps,
-                              &machine_cfg](Job& job) {
-          return run_cg(job.machine(machine_cfg(p), label), c).seconds;
+      for (const auto& [tag, kind] :
+           {std::pair{base_tag, ""}, std::pair{var_tag, variant}}) {
+        serve::JobSpec spec = cg;
+        spec.procs = p;
+        spec.kind = kind;
+        ab_jobs.emplace_back([spec, label = tag + " p=" + ps](Job& job) {
+          return job.run(spec, label).at("seconds");
         });
       }
     }
@@ -105,10 +105,8 @@ int main(int argc, char** argv) {
   // ---- Poststore ablation (§3.3.1): propagate q-slices as produced so the
   // serial section does not stall fetching them.
   std::cout << "\n--- poststore ablation ---\n";
-  nas::CgConfig with_poststore = cfg;
-  with_poststore.use_poststore = true;
   const std::vector<double> ps =
-      ablation("cg-nopoststore", "cg-poststore", with_poststore);
+      ablation("cg-nopoststore", "cg-poststore", "poststore");
 
   TextTable pt({"Processors", "no poststore (s)", "poststore (s)", "gain"});
   for (std::size_t i = 0; i < ab_procs.size(); ++i) {
@@ -129,10 +127,8 @@ int main(int argc, char** argv) {
   // ---- Prefetch ablation: the implementation pulls the rewritten p vector
   // ahead of each mat-vec ("prefetch ... used quite extensively", §4).
   std::cout << "\n--- prefetch ablation ---\n";
-  nas::CgConfig without_prefetch = cfg;
-  without_prefetch.use_prefetch = false;
   const std::vector<double> pf =
-      ablation("cg-prefetch", "cg-noprefetch", without_prefetch);
+      ablation("cg-prefetch", "cg-noprefetch", "no-prefetch");
 
   TextTable ft({"Processors", "prefetch (s)", "no prefetch (s)", "gain"});
   for (std::size_t i = 0; i < ab_procs.size(); ++i) {

@@ -5,7 +5,6 @@
 // Every processor count is an independent simulation, one sweep-harness job
 // each; results merge in submission order, keeping the table and --csv
 // output bit-identical for any --jobs.
-#include "ksr/nas/is.hpp"
 #include "ksr/study/sweep.hpp"
 
 namespace {
@@ -33,10 +32,11 @@ int main(int argc, char** argv) {
   print_header("Integer Sort scalability",
                "Table 2 and Figs. 8 & 9, Section 3.3.2");
 
-  nas::IsConfig cfg;
-  cfg.log2_keys = opt.quick ? 14 : 17;  // paper: 2^23; scaled with the caches
-  cfg.log2_buckets = opt.quick ? 9 : 11;
-  const unsigned scale = 64;
+  serve::JobSpec is;
+  is.workload = "is";
+  is.scale = 64;
+  is.log2_keys = opt.quick ? 14 : 17;  // paper: 2^23; scaled with the caches
+  is.log2_buckets = opt.quick ? 9 : 11;
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 2, 8}
@@ -44,20 +44,12 @@ int main(int argc, char** argv) {
 
   std::vector<std::function<IsPoint(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, scale, cfg](Job& job) {
-      machine::Machine& m =
-          job.machine(machine::MachineConfig::ksr1(p).scaled_by(scale),
-                      "is p=" + std::to_string(p));
-      const nas::IsResult r = run_is(m, cfg);
-      // Mean slot wait per ring transaction: the saturation indicator the
-      // authors read off the hardware monitor.
-      cache::PerfMonitor total;
-      for (unsigned i = 0; i < p; ++i) total.add(m.cell_pmon(i));
-      return IsPoint{r.seconds, r.ranks_valid,
-                     total.ring_requests
-                         ? static_cast<double>(total.inject_wait_ns) /
-                               static_cast<double>(total.ring_requests)
-                         : 0.0};
+    serve::JobSpec spec = is;
+    spec.procs = p;
+    jobs.emplace_back([spec](Job& job) {
+      const JobRun r = job.run(spec);
+      return IsPoint{r.at("seconds"), r.result.find("ranks_valid")->as_bool(),
+                     r.machine.total_pmon().inject_wait_per_request()};
     });
   }
   const std::vector<IsPoint> points = study.run(jobs);
@@ -80,9 +72,9 @@ int main(int argc, char** argv) {
                row.p == 1 ? "-" : TextTable::num(row.serial_fraction, 6),
                TextTable::num(points[i].wait_per_req, 0)});
   }
-  std::cout << "Number of input keys = 2^" << cfg.log2_keys
-            << ", buckets = 2^" << cfg.log2_buckets
-            << ", machine caches scaled by 1/" << scale
+  std::cout << "Number of input keys = 2^" << is.log2_keys
+            << ", buckets = 2^" << is.log2_buckets
+            << ", machine caches scaled by 1/" << is.scale
             << ", ranks valid = " << (all_valid ? "yes" : "NO") << "\n";
   if (opt.csv) {
     t.print_csv();
@@ -106,15 +98,15 @@ int main(int argc, char** argv) {
                                              : std::vector<unsigned>{8, 16, 32};
   std::vector<std::function<PrefetchPoint(Job&)>> ab_jobs;
   for (unsigned p : ab_procs) {
-    ab_jobs.emplace_back([p, scale, cfg](Job& job) {
-      const auto mc = machine::MachineConfig::ksr1(p).scaled_by(scale);
-      const std::string ps = std::to_string(p);
-      PrefetchPoint pt;
-      pt.with_pf = run_is(job.machine(mc, "is-prefetch p=" + ps), cfg).seconds;
-      nas::IsConfig c2 = cfg;
-      c2.use_prefetch = false;
-      pt.without = run_is(job.machine(mc, "is-noprefetch p=" + ps), c2).seconds;
-      return pt;
+    serve::JobSpec with_pf = is;
+    with_pf.procs = p;
+    serve::JobSpec without = with_pf;
+    without.kind = "no-prefetch";
+    ab_jobs.emplace_back([with_pf, without](Job& job) {
+      const std::string ps = std::to_string(with_pf.procs);
+      return PrefetchPoint{
+          job.run(with_pf, "is-prefetch p=" + ps).at("seconds"),
+          job.run(without, "is-noprefetch p=" + ps).at("seconds")};
     });
   }
   const std::vector<PrefetchPoint> ab = study.run(ab_jobs);

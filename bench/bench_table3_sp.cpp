@@ -1,7 +1,6 @@
 // Reproduces Table 3: Scalar Pentadiagonal time per iteration and speedup
 // vs processors (optimised variant: padded layout + prefetch, as the paper's
 // Table 3 configuration).
-#include "ksr/nas/sp.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -13,12 +12,12 @@ int main(int argc, char** argv) {
   print_header("Scalar Pentadiagonal application scalability",
                "Table 3, Section 3.3.3");
 
-  nas::SpConfig cfg;
-  cfg.n = opt.quick ? 16 : 32;  // paper: 64^3; scaled with the caches
-  cfg.iterations = opt.quick ? 1 : 2;
-  cfg.padded_layout = true;
-  cfg.use_prefetch = true;
-  const unsigned scale = 16;
+  serve::JobSpec sp;
+  sp.workload = "sp";
+  sp.kind = "padded-prefetch";
+  sp.scale = 16;
+  sp.n = opt.quick ? 16 : 32;  // paper: 64^3; scaled with the caches
+  sp.iters = opt.quick ? 1 : 2;
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 4, 16}
@@ -26,11 +25,10 @@ int main(int argc, char** argv) {
 
   std::vector<std::function<double(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, scale, cfg](Job& job) {
-      machine::Machine& m =
-          job.machine(machine::MachineConfig::ksr1(p).scaled_by(scale),
-                      "sp p=" + std::to_string(p));
-      return run_sp(m, cfg).seconds_per_iteration;
+    serve::JobSpec spec = sp;
+    spec.procs = p;
+    jobs.emplace_back([spec](Job& job) {
+      return job.run(spec).at("seconds_per_iteration");
     });
   }
   const std::vector<double> times = study.run(jobs);
@@ -44,8 +42,8 @@ int main(int argc, char** argv) {
     t.add_row({std::to_string(row.p), TextTable::num(row.seconds, 5),
                row.p == 1 ? "-" : TextTable::num(row.speedup, 1)});
   }
-  std::cout << "data-size = " << cfg.n << "x" << cfg.n << "x" << cfg.n
-            << ", machine caches scaled by 1/" << scale << "\n";
+  std::cout << "data-size = " << sp.n << "x" << sp.n << "x" << sp.n
+            << ", machine caches scaled by 1/" << sp.scale << "\n";
   if (opt.csv) {
     t.print_csv();
   } else {

@@ -1,7 +1,6 @@
 // Reproduces Table 4: the SP optimization ladder at 30 processors —
 // base layout -> data padding/alignment -> prefetching — plus the poststore
 // experiment the paper reports as a slowdown (§3.3.3).
-#include "ksr/nas/sp.hpp"
 #include "ksr/study/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -13,24 +12,23 @@ int main(int argc, char** argv) {
   print_header("Scalar Pentadiagonal optimization ladder (30 processors)",
                "Table 4, Section 3.3.3");
 
-  const unsigned nproc = opt.quick ? 8 : 30;
-  const unsigned scale = 16;
-  nas::SpConfig base;
+  serve::JobSpec base;
+  base.workload = "sp";
+  base.procs = opt.quick ? 8 : 30;
+  base.scale = 16;
   base.n = opt.quick ? 16 : 32;
-  base.iterations = opt.quick ? 1 : 2;
+  base.iters = opt.quick ? 1 : 2;
 
   struct Variant {
     const char* name;
-    bool padded;
-    bool prefetch;
-    bool poststore;
+    const char* kind;  // the sp row's cumulative ladder
     const char* paper;
   };
   const Variant variants[] = {
-      {"Base version", false, false, false, "2.54 s/iter"},
-      {"Data padding and alignment", true, false, false, "2.14 (-15.7%)"},
-      {"  + prefetching appropriate data", true, true, false, "1.89 (-11.7%)"},
-      {"  + poststore (pitfall)", true, true, true, "slowdown"},
+      {"Base version", "", "2.54 s/iter"},
+      {"Data padding and alignment", "padded", "2.14 (-15.7%)"},
+      {"  + prefetching appropriate data", "padded-prefetch", "1.89 (-11.7%)"},
+      {"  + poststore (pitfall)", "padded-prefetch-poststore", "slowdown"},
   };
 
   struct Rung {
@@ -39,18 +37,12 @@ int main(int argc, char** argv) {
   };
   std::vector<std::function<Rung(Job&)>> jobs;
   for (const Variant& v : variants) {
-    nas::SpConfig cfg = base;
-    cfg.padded_layout = v.padded;
-    cfg.use_prefetch = v.prefetch;
-    cfg.use_poststore = v.poststore;
-    jobs.emplace_back([nproc, scale, cfg, name = v.name](Job& job) {
-      machine::Machine& m = job.machine(
-          machine::MachineConfig::ksr1(nproc).scaled_by(scale), name);
-      Rung r{run_sp(m, cfg).seconds_per_iteration};
-      for (unsigned i = 0; i < nproc; ++i) {
-        r.allocs += m.cell_pmon(i).subcache_block_allocs;
-      }
-      return r;
+    serve::JobSpec spec = base;
+    spec.kind = v.kind;
+    jobs.emplace_back([spec, name = v.name](Job& job) {
+      const JobRun run = job.run(spec, name);
+      return Rung{run.at("seconds_per_iteration"),
+                  run.machine.total_pmon().subcache_block_allocs};
     });
   }
   const std::vector<Rung> rungs = study.run(jobs);
@@ -58,7 +50,6 @@ int main(int argc, char** argv) {
   TextTable t({"Optimization", "Time per iteration (s)", "vs previous",
                "paper (64^3, 30 procs)"});
   double prev = 0;
-  std::uint64_t base_allocs = 0, padded_allocs = 0;
   for (std::size_t i = 0; i < std::size(variants); ++i) {
     const Variant& v = variants[i];
     const Rung& r = rungs[i];
@@ -66,8 +57,6 @@ int main(int argc, char** argv) {
     if (prev > 0) {
       delta = TextTable::num((1.0 - r.seconds / prev) * 100.0, 1) + "%";
     }
-    if (!v.padded) base_allocs = r.allocs;
-    if (v.padded && !v.prefetch && !v.poststore) padded_allocs = r.allocs;
     t.add_row({v.name, TextTable::num(r.seconds, 5), delta, v.paper});
     prev = r.seconds;
   }
@@ -77,7 +66,7 @@ int main(int argc, char** argv) {
     t.print();
     std::cout
         << "\nMechanism check: 2 KB sub-cache block allocations fell from "
-        << base_allocs << " (base)\nto " << padded_allocs
+        << rungs[0].allocs << " (base)\nto " << rungs[1].allocs
         << " (padded) — the random-replacement thrash the paper found\nwith"
            " the hardware monitor and fixed by data re-organisation. The\n"
            "poststore row should be SLOWER than its predecessor: the next\n"

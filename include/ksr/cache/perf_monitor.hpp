@@ -59,6 +59,14 @@ struct PerfMonitor {
     poststores_issued -= o.poststores_issued;
   }
 
+  /// Mean slot wait per ring transaction (ns; 0 with no transactions): the
+  /// ring-saturation indicator the paper reads off the hardware monitor.
+  [[nodiscard]] double inject_wait_per_request() const noexcept {
+    return ring_requests ? static_cast<double>(inject_wait_ns) /
+                               static_cast<double>(ring_requests)
+                         : 0.0;
+  }
+
   void add(const PerfMonitor& o) noexcept {
     subcache_hits += o.subcache_hits;
     subcache_misses += o.subcache_misses;

@@ -229,7 +229,8 @@ struct MachineConfig {
     std::string names;
     for (const auto& [preset, make] : kPresets) {
       if (preset == name) return make(nproc);
-      names += (names.empty() ? "" : "|") + std::string(preset);
+      if (!names.empty()) names += '|';
+      names += preset;
     }
     throw std::invalid_argument("unknown machine '" + std::string(name) +
                                 "' (expected " + names + ")");

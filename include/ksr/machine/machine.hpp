@@ -138,6 +138,13 @@ class Machine {
   /// Per-cell perf-monitor access (hardware monitor equivalent).
   [[nodiscard]] virtual cache::PerfMonitor& cell_pmon(unsigned cell) = 0;
 
+  /// Every cell's perf monitor summed: the machine-wide view.
+  [[nodiscard]] cache::PerfMonitor total_pmon() {
+    cache::PerfMonitor total;
+    for (unsigned c = 0; c < nproc(); ++c) total.add(cell_pmon(c));
+    return total;
+  }
+
   /// Attach (or detach with nullptr) a structured event tracer. The
   /// coherence engine and interconnects log to it; hot paths pay only a
   /// null test when no tracer is attached. On a multi-domain machine the

@@ -34,9 +34,6 @@ class MetricsRegistry {
  public:
   static constexpr sim::Duration kDefaultPeriodNs = 100'000;  // 100 us
 
-  /// Sum the per-cell performance monitors of `m` (the machine-wide view).
-  [[nodiscard]] static cache::PerfMonitor aggregate(machine::Machine& m);
-
   /// Start sampling `m` every `period_ns` of simulated time. Call before
   /// Machine::run() (a restore() may come in between: the chain is armed
   /// when the run starts); the sampling chain ends with the run. A registry

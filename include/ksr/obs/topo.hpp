@@ -91,12 +91,12 @@ struct Snapshot {
 /// condensed traffic summary. Integer math only.
 void write_report(std::ostream& os, const Snapshot& s);
 
-/// Long-format heatmap CSV (`src_leaf,dst_leaf,packets`, non-zero cells
-/// only), with an optional leading `job` label column for merged sweeps.
+/// Long-format heatmap CSV rows (`job,src_leaf,dst_leaf,packets`, non-zero
+/// cells only) for the job labelled `job_label`.
 void write_matrix_csv(std::ostream& os, const Snapshot& s,
-                      const std::string& job_label = {});
+                      const std::string& job_label);
 
-/// Header line for a merged matrix CSV (written once per file).
-void write_matrix_csv_header(std::ostream& os, bool with_job_column);
+/// Header line of a matrix CSV (written once per file).
+void write_matrix_csv_header(std::ostream& os);
 
 }  // namespace ksr::obs::topo

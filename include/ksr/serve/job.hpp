@@ -28,8 +28,10 @@ namespace ksr::serve {
 /// old version becomes unreachable and re-runs on first request. The
 /// pinned-fingerprint stage of scripts/bench_host.sh --check is the tripwire
 /// that tells you a bump is due. Version 2: events_dispatched counts every
-/// domain of a multi-domain machine, not domain 0 only.
-inline constexpr std::uint32_t kCodeVersion = 2;
+/// domain of a multi-domain machine, not domain 0 only. Version 3: `kind`
+/// selects a variant on the NAS rows (it was keyed but ignored there), so a
+/// result stored under an older version could be a wrong hit.
+inline constexpr std::uint32_t kCodeVersion = 3;
 
 struct JobSpec {
   // --- machine knobs (machine_config() vocabulary) ---
@@ -51,12 +53,15 @@ struct JobSpec {
   unsigned log2_keys = 0;        // is
   unsigned log2_buckets = 0;     // is
   bool pad_buckets = false;      // is
-  unsigned n = 0;                // cg/sp/bt
+  unsigned n = 0;                // cg/sp/bt/lu; mg/ft grid edge (2^k)
   unsigned nnz_per_row = 0;      // cg
-  unsigned iters = 0;            // cg/sp/bt; barrier episodes; lock ops
+  unsigned iters = 0;            // cg/sp/bt/lu; mg V-cycles; ft FFT steps;
+                                 // barrier episodes; lock ops
   unsigned log2_pairs = 0;       // ep
-  // The algorithm a barrier or lock job times; "" = the registry default
-  // (Workload::kind). Spellings: sync::barrier_kind_named, lock_kind_named.
+  // The algorithm a barrier or lock job times ("" = the registry default,
+  // Workload::kind; spellings: sync::barrier_kind_named, lock_kind_named),
+  // or the variant a NAS job runs ("" = the kernel's defaults; spellings
+  // in docs/SERVING.md, an unknown one lists them).
   std::string kind;
   unsigned read_pct = 0;         // lock rw: percentage of reads, 0-100
   // Checkpoint preset (workloads with a Workload::warmup, i.e. is):
@@ -131,16 +136,16 @@ struct Workload {
   /// The untimed warm-up alone, ending at the quiescent boundary where a
   /// restore_from checkpoint is captured; null when there is none.
   void (*warmup)(machine::Machine& m, const JobSpec& spec) = nullptr;
-  /// The kind an empty JobSpec::kind resolves to (null: takes no kind).
+  /// The kind an empty JobSpec::kind resolves to (null: it stays empty).
   const char* kind = nullptr;
   /// Validation of the resolved spec beyond validate()'s own; throws
   /// std::invalid_argument with the diagnostic. Null when there is none.
   void (*check)(const JobSpec& spec) = nullptr;
 };
 
-/// The registry: ep, cg, is, sp, bt (the NAS kernels), then probe, lock
-/// and barrier (the Fig. 2 latency probes, the Fig. 3 lock workload and
-/// the Fig. 4/5 barrier episodes), in that order.
+/// The registry: ep, cg, is, sp, bt, mg, ft, lu (the NAS kernels), then
+/// probe, lock and barrier (the Fig. 2 latency probes, the Fig. 3 lock
+/// workload and the Fig. 4/5 barrier episodes), in that order.
 [[nodiscard]] const std::vector<Workload>& workloads();
 
 struct JobOutcome {

@@ -5,13 +5,16 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ksr/host/sweep_runner.hpp"
 #include "ksr/machine/factory.hpp"
 #include "ksr/obs/session.hpp"
+#include "ksr/serve/job.hpp"
 #include "ksr/study/metrics.hpp"
 #include "ksr/study/table.hpp"
 
@@ -33,9 +36,46 @@
 // bench/report.py folds it into BENCH_host.json.
 namespace ksr::study {
 
+/// What Job::run returns: the registry row's result object and the machine
+/// it ran on, which lives until the job's next call, so its pmon and topo
+/// counters can still be read.
+struct JobRun {
+  serve::Json result;
+  machine::Machine& machine;
+
+  /// The numeric result field `key`; throws std::out_of_range when absent.
+  [[nodiscard]] double at(std::string_view key) const {
+    const serve::Json* v = result.find(key);
+    if (v == nullptr || !v->is_number()) {
+      throw std::out_of_range("no numeric result field '" +
+                              std::string(key) + "'");
+    }
+    return v->as_double();
+  }
+};
+
 /// One job's handle: builds its machines one after another.
 class Job {
  public:
+  /// Run `spec` (a serve::workloads() row) on a machine built from
+  /// spec.machine_config() through machine(), under `label` (default
+  /// "<workload> p=<procs>"). It runs serve::run_workload, as ksrsim and
+  /// the serve daemon do, so the result bytes are serve::execute(spec)'s.
+  /// Throws on an invalid spec or a result object that does not parse.
+  JobRun run(const serve::JobSpec& spec, std::string label = {}) {
+    const std::string bad = spec.validate();
+    if (!bad.empty()) throw std::invalid_argument("job: " + bad);
+    if (label.empty()) {
+      label = spec.workload + " p=" + std::to_string(spec.procs);
+    }
+    machine::Machine& m = machine(spec.machine_config(1), std::move(label));
+    std::string err;
+    serve::Json result =
+        serve::Json::parse(serve::run_workload(spec, m).result, &err);
+    if (!err.empty()) throw std::runtime_error("job: result: " + err);
+    return {std::move(result), m};
+  }
+
   /// Build the machine `cfg` names with --sim-threads applied and attach the
   /// job's observability under `label`. The job's previous machine, if any,
   /// is finished, counted and destroyed first, so a job holds one machine

@@ -56,7 +56,7 @@ Reader open(const std::byte* image, std::size_t n) {
   const std::uint64_t got =
       fnv1a(image + kHeaderBytes, static_cast<std::size_t>(payload));
   if (want != got) {
-    char buf[2 * 16 + 1];
+    char buf[2 * 16 + 2];  // two 16-digit fingerprints, '/', NUL
     std::snprintf(buf, sizeof(buf), "%016llx/%016llx",
                   static_cast<unsigned long long>(want),
                   static_cast<unsigned long long>(got));

@@ -196,9 +196,9 @@ CgResult run_cg(machine::Machine& m, const CgConfig& cfg) {
       if (cfg.use_prefetch && me != 0 && lo < hi) {
         const unsigned depth = m.config().prefetch_depth;
         unsigned issued = 0;
-        for (mem::Sva a = vp.addr(0); a < vp.addr(n);
-             a += mem::kSubPageBytes) {
-          cpu.prefetch(a);
+        for (mem::Sva sva = vp.addr(0); sva < vp.addr(n);
+             sva += mem::kSubPageBytes) {
+          cpu.prefetch(sva);
           if (++issued % depth == 0) cpu.work(190);
         }
       }

@@ -7,16 +7,10 @@
 
 namespace ksr::obs {
 
-cache::PerfMonitor MetricsRegistry::aggregate(machine::Machine& m) {
-  cache::PerfMonitor total;
-  for (unsigned c = 0; c < m.nproc(); ++c) total.add(m.cell_pmon(c));
-  return total;
-}
-
 void MetricsRegistry::sample_now() {
   MetricsSample s;
   s.t = machine_->engine().now();
-  s.pmon = aggregate(*machine_);
+  s.pmon = machine_->total_pmon();
   s.net = machine_->net_snapshot();
   samples_.push_back(s);
 }

@@ -128,7 +128,7 @@ void Session::collect(JobObs obs, const std::string& label) {
       }
       if (matrix_os_) {
         if (!matrix_header_done_) {
-          topo::write_matrix_csv_header(matrix_os_, /*with_job_column=*/true);
+          topo::write_matrix_csv_header(matrix_os_);
           matrix_header_done_ = true;
         }
         topo::write_matrix_csv(matrix_os_, obs.topo_, label);

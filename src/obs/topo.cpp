@@ -138,9 +138,8 @@ void write_report(std::ostream& os, const Snapshot& s) {
   }
 }
 
-void write_matrix_csv_header(std::ostream& os, bool with_job_column) {
-  if (with_job_column) os << "job,";
-  os << "src_leaf,dst_leaf,packets\n";
+void write_matrix_csv_header(std::ostream& os) {
+  os << "job,src_leaf,dst_leaf,packets\n";
 }
 
 void write_matrix_csv(std::ostream& os, const Snapshot& s,
@@ -149,8 +148,7 @@ void write_matrix_csv(std::ostream& os, const Snapshot& s,
     for (unsigned j = 0; j < s.leaves; ++j) {
       const std::uint64_t v = s.traffic_at(i, j);
       if (v == 0) continue;
-      if (!job_label.empty()) os << job_label << ',';
-      os << i << ',' << j << ',' << v << '\n';
+      os << job_label << ',' << i << ',' << j << ',' << v << '\n';
     }
   }
 }

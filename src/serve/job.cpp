@@ -1,7 +1,9 @@
 #include "ksr/serve/job.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <initializer_list>
 #include <iterator>
 #include <stdexcept>
 #include <type_traits>
@@ -12,7 +14,10 @@
 #include "ksr/nas/bt.hpp"
 #include "ksr/nas/cg.hpp"
 #include "ksr/nas/ep.hpp"
+#include "ksr/nas/ft.hpp"
 #include "ksr/nas/is.hpp"
+#include "ksr/nas/lu.hpp"
+#include "ksr/nas/mg.hpp"
 #include "ksr/nas/sp.hpp"
 #include "ksr/sync/barrier.hpp"
 #include "ksr/sync/locks.hpp"
@@ -57,15 +62,16 @@ const Field kFields[] = {
      "N  is: log2 bucket count"},
     {"pad_buckets", nullptr, &JobSpec::pad_buckets,
      "is: pad per-cpu buckets to sub-page boundaries"},
-    {"n", nullptr, &JobSpec::n, "N  cg/sp/bt: problem size"},
+    {"n", nullptr, &JobSpec::n, "N  problem size (mg/ft: a power of two)"},
     {"nnz_per_row", nullptr, &JobSpec::nnz_per_row, "N  cg: nonzeros per row"},
     {"iters", nullptr, &JobSpec::iters,
-     "N  cg/sp/bt: iterations; barrier: episodes; lock: ops per cell"},
+     "N  iterations (mg: V-cycles; barrier: episodes; lock: ops per cell)"},
     {"log2_pairs", nullptr, &JobSpec::log2_pairs, "N  ep: log2 pair count"},
     {"restore_from", nullptr, &JobSpec::restore_from,
      "FILE  start from this warm-up checkpoint (is only)"},
     {"kind", nullptr, &JobSpec::kind,
-     "K  barrier or lock algorithm (an unknown one lists all)", true},
+     "K  barrier/lock algorithm or NAS variant (an unknown one lists all)",
+     true},
     {"read_pct", nullptr, &JobSpec::read_pct,
      "N  lock rw: percentage of reads (0-100)", true},
 };
@@ -76,32 +82,84 @@ const Workload& workload_named(const std::string& name) {
   std::string names;
   for (const Workload& w : workloads()) {
     if (name == w.name) return w;
-    names += (names.empty() ? "" : "|") + std::string(w.name);
+    if (!names.empty()) names += '|';
+    names += w.name;
   }
   throw std::invalid_argument("unknown workload '" + name + "' (expected " +
                               names + ")");
 }
 
 // ---- The workload registry rows. Each run function reads resolved sizes.
+//
+// A NAS row's kernel configuration comes from its *_config() function, the
+// one place a spec maps to a kernel config. An empty kind keeps the
+// kernel's defaults; a named kind is one of the configurations the paper's
+// tables ablate.
 
-void run_ep_job(machine::Machine& m, const JobSpec& s, Json& r) {
+/// Throws std::invalid_argument listing the spellings unless `s.kind` is
+/// empty or one of `kinds`.
+void expect_kind(const JobSpec& s, std::initializer_list<const char*> kinds) {
+  std::string names;
+  for (const char* k : kinds) {
+    if (s.kind == k) return;
+    if (!names.empty()) names += '|';
+    names += k;
+  }
+  if (s.kind.empty()) return;
+  throw std::invalid_argument(
+      names.empty() ? s.workload + " takes no kind (got '" + s.kind + "')"
+                    : "unknown " + s.workload + " kind '" + s.kind +
+                          "' (empty for the default, or " + names + ")");
+}
+
+/// log2 of the grid edge `s.n`, which mg and ft take as a power of two.
+unsigned log2_edge(const JobSpec& s) {
+  if (s.n < 2 || !std::has_single_bit(s.n)) {
+    throw std::invalid_argument(s.workload +
+                                ": n is the grid edge and must be a power "
+                                "of two >= 2 (got " +
+                                std::to_string(s.n) + ")");
+  }
+  return static_cast<unsigned>(std::countr_zero(s.n));
+}
+
+/// A row's validation: its config function throws on what it cannot map.
+template <auto Config>
+void check_config(const JobSpec& s) {
+  (void)Config(s);
+}
+
+nas::EpConfig ep_config(const JobSpec& s) {
+  expect_kind(s, {});
   nas::EpConfig c;
   c.log2_pairs = s.log2_pairs;
   if (s.seed != 0) c.seed = s.seed;
-  const nas::EpResult res = run_ep(m, c);
+  return c;
+}
+
+void run_ep_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  const nas::EpResult res = run_ep(m, ep_config(s));
   r.set("seconds", Json::real(res.seconds));
   r.set("accepted", Json::uint(res.accepted));
   r.set("sum_x", Json::real(res.sum_x));
   r.set("sum_y", Json::real(res.sum_y));
 }
 
-void run_cg_job(machine::Machine& m, const JobSpec& s, Json& r) {
+nas::CgConfig cg_config(const JobSpec& s) {
+  expect_kind(s, {"poststore", "no-prefetch", "column-major"});
   nas::CgConfig c;
   c.n = s.n;
   c.nnz_per_row = s.nnz_per_row;
   c.iterations = s.iters;
   if (s.seed != 0) c.seed = s.seed;
-  const nas::CgResult res = run_cg(m, c);
+  if (s.kind == "poststore") c.use_poststore = true;
+  if (s.kind == "no-prefetch") c.use_prefetch = false;
+  if (s.kind == "column-major") c.format = nas::SparseFormat::kColumnMajor;
+  return c;
+}
+
+void run_cg_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  const nas::CgResult res = run_cg(m, cg_config(s));
   r.set("seconds", Json::real(res.seconds));
   r.set("initial_residual", Json::real(res.initial_residual));
   r.set("final_residual", Json::real(res.final_residual));
@@ -109,11 +167,13 @@ void run_cg_job(machine::Machine& m, const JobSpec& s, Json& r) {
 }
 
 nas::IsConfig is_config(const JobSpec& s) {
+  expect_kind(s, {"no-prefetch"});
   nas::IsConfig c;
   c.log2_keys = s.log2_keys;
   c.log2_buckets = s.log2_buckets;
   c.pad_buckets = s.pad_buckets;
   if (s.seed != 0) c.seed = s.seed;
+  if (s.kind == "no-prefetch") c.use_prefetch = false;
   return c;
 }
 
@@ -137,24 +197,78 @@ void run_is_job(machine::Machine& m, const JobSpec& s, Json& r) {
   r.set("serial_phase_seconds", Json::real(res.serial_phase_seconds));
 }
 
-void run_sp_job(machine::Machine& m, const JobSpec& s, Json& r) {
+// The kinds are Table 4's cumulative ladder; padded-prefetch is Table 3's
+// configuration.
+nas::SpConfig sp_config(const JobSpec& s) {
+  expect_kind(s, {"padded", "padded-prefetch", "padded-prefetch-poststore"});
   nas::SpConfig c;
   c.n = s.n;
   c.iterations = s.iters;
-  const nas::SpResult res = run_sp(m, c);
+  c.padded_layout = !s.kind.empty();
+  c.use_prefetch = s.kind.starts_with("padded-prefetch");
+  c.use_poststore = s.kind == "padded-prefetch-poststore";
+  return c;
+}
+
+/// The row of an iterative NAS application (sp, bt, lu): `Kernel` on the
+/// config `Config` maps the spec to.
+template <auto Config, auto Kernel>
+void run_app_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  const auto res = Kernel(m, Config(s));
   r.set("seconds", Json::real(res.total_seconds));
   r.set("seconds_per_iteration", Json::real(res.seconds_per_iteration));
   r.set("checksum", Json::real(res.checksum));
 }
 
-void run_bt_job(machine::Machine& m, const JobSpec& s, Json& r) {
+nas::BtConfig bt_config(const JobSpec& s) {
+  expect_kind(s, {"prefetch"});
   nas::BtConfig c;
   c.n = s.n;
   c.iterations = s.iters;
-  const nas::BtResult res = run_bt(m, c);
-  r.set("seconds", Json::real(res.total_seconds));
-  r.set("seconds_per_iteration", Json::real(res.seconds_per_iteration));
+  c.use_prefetch = s.kind == "prefetch";
+  return c;
+}
+
+nas::MgConfig mg_config(const JobSpec& s) {
+  expect_kind(s, {});
+  nas::MgConfig c;
+  c.log2_n = log2_edge(s);
+  c.v_cycles = s.iters;
+  if (s.seed != 0) c.seed = s.seed;
+  return c;
+}
+
+void run_mg_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  const nas::MgResult res = run_mg(m, mg_config(s));
+  r.set("seconds", Json::real(res.seconds));
+  r.set("initial_residual", Json::real(res.initial_residual));
+  r.set("final_residual", Json::real(res.final_residual));
   r.set("checksum", Json::real(res.checksum));
+}
+
+nas::FtConfig ft_config(const JobSpec& s) {
+  expect_kind(s, {});
+  nas::FtConfig c;
+  c.log2_n = log2_edge(s);
+  c.iterations = s.iters;
+  if (s.seed != 0) c.seed = s.seed;
+  return c;
+}
+
+void run_ft_job(machine::Machine& m, const JobSpec& s, Json& r) {
+  const nas::FtResult res = run_ft(m, ft_config(s));
+  r.set("seconds", Json::real(res.seconds));
+  r.set("checksum", Json::real(res.checksum));
+  r.set("roundtrip_error", Json::real(res.roundtrip_error));
+}
+
+nas::LuConfig lu_config(const JobSpec& s) {
+  expect_kind(s, {"no-poststore"});
+  nas::LuConfig c;
+  c.n = s.n;
+  c.iterations = s.iters;
+  if (s.kind == "no-poststore") c.use_poststore = false;
+  return c;
 }
 
 void run_probe_job(machine::Machine& m, const JobSpec&, Json& r) {
@@ -209,11 +323,7 @@ void run_barrier_job(machine::Machine& m, const JobSpec& s, Json& r) {
   const sync::BarrierKind kind = sync::barrier_kind_named(s.kind);
   r.set("seconds", Json::real(sync::barrier_episode_seconds(
                        m, kind, static_cast<int>(s.iters))));
-  std::uint64_t ring_requests = 0;
-  for (unsigned c = 0; c < m.nproc(); ++c) {
-    ring_requests += m.cell_pmon(c).ring_requests;
-  }
-  r.set("ring_requests", Json::uint(ring_requests));
+  r.set("ring_requests", Json::uint(m.total_pmon().ring_requests));
 }
 
 void check_barrier(const JobSpec& s) {
@@ -237,16 +347,27 @@ JobSpec resolved(const JobSpec& spec, const Workload** entry) {
 
 const std::vector<Workload>& workloads() {
   static const std::vector<Workload> table = {
-      {"ep", {{&JobSpec::log2_pairs, 13}}, &run_ep_job},
+      {"ep", {{&JobSpec::log2_pairs, 13}}, &run_ep_job, nullptr, nullptr,
+       &check_config<ep_config>},
       {"cg",
        {{&JobSpec::n, 1000}, {&JobSpec::nnz_per_row, 24}, {&JobSpec::iters, 4}},
-       &run_cg_job},
+       &run_cg_job, nullptr, nullptr, &check_config<cg_config>},
       {"is",
        {{&JobSpec::log2_keys, 15}, {&JobSpec::log2_buckets, 10}},
-       &run_is_job,
-       &warm_up_is},
-      {"sp", {{&JobSpec::n, 16}, {&JobSpec::iters, 2}}, &run_sp_job},
-      {"bt", {{&JobSpec::n, 10}, {&JobSpec::iters, 2}}, &run_bt_job},
+       &run_is_job, &warm_up_is, nullptr, &check_config<is_config>},
+      {"sp", {{&JobSpec::n, 16}, {&JobSpec::iters, 2}},
+       &run_app_job<sp_config, nas::run_sp>, nullptr, nullptr,
+       &check_config<sp_config>},
+      {"bt", {{&JobSpec::n, 10}, {&JobSpec::iters, 2}},
+       &run_app_job<bt_config, nas::run_bt>, nullptr, nullptr,
+       &check_config<bt_config>},
+      {"mg", {{&JobSpec::n, 32}, {&JobSpec::iters, 2}}, &run_mg_job, nullptr,
+       nullptr, &check_config<mg_config>},
+      {"ft", {{&JobSpec::n, 16}, {&JobSpec::iters, 1}}, &run_ft_job, nullptr,
+       nullptr, &check_config<ft_config>},
+      {"lu", {{&JobSpec::n, 12}, {&JobSpec::iters, 2}},
+       &run_app_job<lu_config, nas::run_lu>, nullptr, nullptr,
+       &check_config<lu_config>},
       {"probe", {}, &run_probe_job, nullptr, nullptr, &check_probe},
       {"lock", {{&JobSpec::iters, 50}}, &run_lock_job, nullptr, "hw",
        &check_lock},

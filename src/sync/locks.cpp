@@ -173,7 +173,8 @@ LockKind lock_kind_named(std::string_view name) {
   std::string names;
   for (std::size_t k = 0; k < std::size(kLockNames); ++k) {
     if (kLockNames[k] == name) return static_cast<LockKind>(k);
-    names += (names.empty() ? "" : "|") + std::string(kLockNames[k]);
+    if (!names.empty()) names += '|';
+    names += kLockNames[k];
   }
   throw std::invalid_argument("unknown lock kind '" + std::string(name) +
                               "' (" + names + ")");

@@ -250,6 +250,31 @@ TEST(CkptImage, FlippedPayloadByteRejected) {
   EXPECT_THROW(m.restore(image), std::runtime_error);
 }
 
+TEST(CkptImage, CorruptImageMessageNamesBothFullFingerprints) {
+  std::vector<std::byte> image = capture_small_image();
+  image[ckpt::kHeaderBytes + (image.size() / 2)] ^= std::byte{0x10};
+  std::uint64_t header = 0;  // little-endian u64 at offset 20
+  for (int b = 7; b >= 0; --b) {
+    header = (header << 8) | std::to_integer<std::uint64_t>(
+                                 image[20 + static_cast<std::size_t>(b)]);
+  }
+  const std::uint64_t actual =
+      ckpt::fnv1a(image.data() + ckpt::kHeaderBytes,
+                  image.size() - ckpt::kHeaderBytes);
+  char want[2 * 16 + 2];
+  std::snprintf(want, sizeof(want), "%016llx/%016llx",
+                static_cast<unsigned long long>(header),
+                static_cast<unsigned long long>(actual));
+  try {
+    (void)ckpt::open(image);
+    FAIL() << "a corrupt image opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string("fnv1a ") + want + ")"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CkptImage, TruncationRejected) {
   std::vector<std::byte> image = capture_small_image();
   image.resize(image.size() - 1);

@@ -21,10 +21,12 @@ struct Param {
 };
 
 std::string param_name(const testing::TestParamInfo<Param>& info) {
-  return "p" + std::to_string(info.param.nproc) + "_scale" +
-         std::to_string(info.param.scale) + "_ops" +
-         std::to_string(info.param.ops) + "_seed" +
-         std::to_string(info.param.seed);
+  std::string name = "p";
+  name += std::to_string(info.param.nproc) + "_scale" +
+          std::to_string(info.param.scale) + "_ops" +
+          std::to_string(info.param.ops) + "_seed" +
+          std::to_string(info.param.seed);
+  return name;
 }
 
 class CoherenceInvariants : public testing::TestWithParam<Param> {};
@@ -91,7 +93,9 @@ TEST_P(CoherenceInvariants, HoldAfterRandomOpStream) {
       EXPECT_EQ(v.holders, 1ull << v.owner) << "sp=" << sp;
     }
     // 3. Atomic implies a live owner.
-    if (v.atomic) EXPECT_GE(v.owner, 0) << "sp=" << sp;
+    if (v.atomic) {
+      EXPECT_GE(v.owner, 0) << "sp=" << sp;
+    }
     for (unsigned c = 0; c < prm.nproc; ++c) {
       const cache::LineState st = m.cell_line_state(c, sp);
       const bool holder = (v.holders >> c) & 1;

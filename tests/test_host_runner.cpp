@@ -51,7 +51,9 @@ TEST(SweepRunner, MergesResultsInSubmissionOrder) {
   }
   const std::vector<int> out = runner.run(jobs);
   ASSERT_EQ(out.size(), static_cast<std::size_t>(kJobs));
-  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(out[i], i * 10 + 1);
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 10 + 1);
+  }
 }
 
 TEST(SweepRunner, RunIndexedCoversEveryIndexExactlyOnce) {

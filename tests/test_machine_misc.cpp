@@ -19,7 +19,7 @@ TEST(MachineRun, DistinctProgramsPerCell) {
   for (int k = 0; k < 3; ++k) {
     programs.emplace_back([&out, k](Cpu& cpu) {
       cpu.write(out, static_cast<std::size_t>(k) * 32, 100 + k);
-      cpu.work(static_cast<std::uint64_t>(1000) * (k + 1));
+      cpu.work(1000 * static_cast<std::uint64_t>(k + 1));
     });
   }
   const RunResult res = m.run(programs);

@@ -91,8 +91,9 @@ TEST(Heap, RegionLookupBinarySearchOverManyRegions) {
   mem::Heap heap;
   std::vector<const mem::Region*> regions;
   for (int i = 0; i < 100; ++i) {
-    regions.push_back(&heap.alloc(1 + static_cast<std::size_t>(i) * 57,
-                                  "r" + std::to_string(i)));
+    std::string name = "r";
+    name += std::to_string(i);
+    regions.push_back(&heap.alloc(1 + static_cast<std::size_t>(i) * 57, name));
   }
   for (const mem::Region* r : regions) {
     EXPECT_EQ(&heap.region_of(r->base), r);

@@ -117,7 +117,7 @@ TEST(Metrics, AggregateSumsEveryCell) {
   });
   cache::PerfMonitor manual;
   for (unsigned i = 0; i < m.nproc(); ++i) manual.add(m.cell_pmon(i));
-  const cache::PerfMonitor agg = obs::MetricsRegistry::aggregate(m);
+  const cache::PerfMonitor agg = m.total_pmon();
   EXPECT_EQ(agg.ring_requests, manual.ring_requests);
   EXPECT_EQ(agg.localcache_misses, manual.localcache_misses);
   EXPECT_EQ(agg.invalidations_received, manual.invalidations_received);

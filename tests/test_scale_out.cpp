@@ -544,6 +544,49 @@ TEST(ScaleOut, CrossModeOracleCg) {
   EXPECT_LE(ratio, 1.116) << "CG mode-B / mode-A simulated time";  // 1.1155
 }
 
+// The extension kernels. Each partitions by planes, so at these sizes most
+// of the 64 cells own one plane or none; the semantic results must still
+// be bit-equal.
+TEST(ScaleOut, CrossModeOracleMg) {
+  serve::JobSpec spec;
+  spec.workload = "mg";
+  spec.n = 16;
+  spec.iters = 1;
+  const serve::Json a = run_row(spec, 0).result;
+  const serve::Json b = run_row(spec, 32).result;
+  for (const char* key : {"initial_residual", "final_residual", "checksum"}) {
+    EXPECT_EQ(field(a, key), field(b, key)) << key;
+  }
+  const double ratio = field(b, "seconds") / field(a, "seconds");
+  EXPECT_LE(ratio, 1.386) << "MG mode-B / mode-A simulated time";  // 1.3857
+}
+
+TEST(ScaleOut, CrossModeOracleFt) {
+  serve::JobSpec spec;
+  spec.workload = "ft";
+  spec.n = 16;
+  spec.iters = 1;
+  const serve::Json a = run_row(spec, 0).result;
+  const serve::Json b = run_row(spec, 32).result;
+  for (const char* key : {"checksum", "roundtrip_error"}) {
+    EXPECT_EQ(field(a, key), field(b, key)) << key;
+  }
+  const double ratio = field(b, "seconds") / field(a, "seconds");
+  EXPECT_LE(ratio, 1.267) << "FT mode-B / mode-A simulated time";  // 1.2668
+}
+
+TEST(ScaleOut, CrossModeOracleLu) {
+  serve::JobSpec spec;
+  spec.workload = "lu";
+  spec.n = 12;
+  spec.iters = 1;
+  const serve::Json a = run_row(spec, 0).result;
+  const serve::Json b = run_row(spec, 32).result;
+  EXPECT_EQ(field(a, "checksum"), field(b, "checksum"));
+  const double ratio = field(b, "seconds") / field(a, "seconds");
+  EXPECT_LE(ratio, 1.423) << "LU mode-B / mode-A simulated time";  // 1.4225
+}
+
 // The barrier and lock rows (Figs. 4 and 3). No semantic result to
 // compare; the barrier's partition penalty is far above the kernels'.
 TEST(ScaleOut, CrossModeOracleBarrier) {

@@ -32,6 +32,13 @@
 #include "ksr/ckpt/checkpoint.hpp"
 #include "ksr/machine/coherent_machine.hpp"
 #include "ksr/machine/factory.hpp"
+#include "ksr/nas/bt.hpp"
+#include "ksr/nas/cg.hpp"
+#include "ksr/nas/ft.hpp"
+#include "ksr/nas/is.hpp"
+#include "ksr/nas/lu.hpp"
+#include "ksr/nas/mg.hpp"
+#include "ksr/nas/sp.hpp"
 #include "ksr/obs/tracer.hpp"
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/core.hpp"
@@ -119,7 +126,10 @@ JobSpec small_job(const std::string& w) {
     s.log2_pairs = 9;
   } else if (w == "lock" || w == "barrier") {
     s.iters = 3;
-  } else if (w != "probe") {  // sp, bt
+  } else if (w == "mg" || w == "ft") {
+    s.n = 8;
+    s.iters = 1;
+  } else if (w != "probe") {  // sp, bt, lu
     s.n = w == "sp" ? 8 : 6;
     s.iters = 1;
   }
@@ -127,7 +137,7 @@ JobSpec small_job(const std::string& w) {
 }
 
 TEST(ServeRegistry, RunWorkloadWithObserversMatchesExecuteForEveryEntry) {
-  ASSERT_EQ(workloads().size(), 8u);
+  ASSERT_EQ(workloads().size(), 11u);
   for (const Workload& w : workloads()) {
     const JobSpec spec = small_job(w.name);
     ASSERT_TRUE(spec.validate().empty()) << w.name << ": " << spec.validate();
@@ -155,9 +165,173 @@ TEST(ServeRegistry, UnknownNamesListTheTable) {
             std::string::npos);
   EXPECT_THROW((void)s.machine_config(1), std::invalid_argument);
   s = small_is();
-  s.workload = "mg";
-  EXPECT_NE(s.validate().find("(expected ep|cg|is|sp|bt|probe|lock|barrier)"),
+  s.workload = "hpl";
+  EXPECT_NE(s.validate().find(
+                "(expected ep|cg|is|sp|bt|mg|ft|lu|probe|lock|barrier)"),
             std::string::npos);
+}
+
+// The mg/ft/lu rows and every NAS kind variant are exactly the direct
+// kernel call with the matching hand-built config on the same machine:
+// the registry maps a spec to a config and adds no simulation of its own.
+TEST(ServeRegistry, NasRowsAndKindsMatchDirectKernelCalls) {
+  using Direct = double (*)(machine::Machine&, const JobSpec&);
+  struct Case {
+    const char* workload;
+    const char* kind;
+    Direct direct;
+  };
+  const Case cases[] = {
+      {"mg", "",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::MgConfig c;
+         c.log2_n = 3;  // n = 8
+         c.v_cycles = s.iters;
+         return nas::run_mg(m, c).seconds;
+       }},
+      {"ft", "",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::FtConfig c;
+         c.log2_n = 3;
+         c.iterations = s.iters;
+         return nas::run_ft(m, c).seconds;
+       }},
+      {"lu", "",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::LuConfig c;
+         c.n = s.n;
+         c.iterations = s.iters;
+         return nas::run_lu(m, c).total_seconds;
+       }},
+      {"lu", "no-poststore",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::LuConfig c;
+         c.n = s.n;
+         c.iterations = s.iters;
+         c.use_poststore = false;
+         return nas::run_lu(m, c).total_seconds;
+       }},
+      {"is", "no-prefetch",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::IsConfig c;
+         c.log2_keys = s.log2_keys;
+         c.log2_buckets = s.log2_buckets;
+         c.use_prefetch = false;
+         return nas::run_is(m, c).seconds;
+       }},
+      {"cg", "poststore",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::CgConfig c;
+         c.n = s.n;
+         c.nnz_per_row = s.nnz_per_row;
+         c.iterations = s.iters;
+         c.use_poststore = true;
+         return nas::run_cg(m, c).seconds;
+       }},
+      {"cg", "no-prefetch",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::CgConfig c;
+         c.n = s.n;
+         c.nnz_per_row = s.nnz_per_row;
+         c.iterations = s.iters;
+         c.use_prefetch = false;
+         return nas::run_cg(m, c).seconds;
+       }},
+      {"cg", "column-major",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::CgConfig c;
+         c.n = s.n;
+         c.nnz_per_row = s.nnz_per_row;
+         c.iterations = s.iters;
+         c.format = nas::SparseFormat::kColumnMajor;
+         return nas::run_cg(m, c).seconds;
+       }},
+      {"sp", "padded",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::SpConfig c;
+         c.n = s.n;
+         c.iterations = s.iters;
+         c.padded_layout = true;
+         return nas::run_sp(m, c).total_seconds;
+       }},
+      {"sp", "padded-prefetch",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::SpConfig c;
+         c.n = s.n;
+         c.iterations = s.iters;
+         c.padded_layout = true;
+         c.use_prefetch = true;
+         return nas::run_sp(m, c).total_seconds;
+       }},
+      {"sp", "padded-prefetch-poststore",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::SpConfig c;
+         c.n = s.n;
+         c.iterations = s.iters;
+         c.padded_layout = true;
+         c.use_prefetch = true;
+         c.use_poststore = true;
+         return nas::run_sp(m, c).total_seconds;
+       }},
+      {"bt", "prefetch",
+       [](machine::Machine& m, const JobSpec& s) {
+         nas::BtConfig c;
+         c.n = s.n;
+         c.iterations = s.iters;
+         c.use_prefetch = true;
+         return nas::run_bt(m, c).total_seconds;
+       }},
+  };
+  for (const Case& c : cases) {
+    JobSpec s = small_job(c.workload);
+    s.kind = c.kind;
+    const std::string name = s.workload + "/" + s.kind;
+    ASSERT_EQ(s.validate(), "") << name;
+    auto served = machine::make_machine(s.machine_config(1));
+    std::string err;
+    const Json r = Json::parse(run_workload(s, *served).result, &err);
+    ASSERT_TRUE(err.empty()) << err;
+    auto direct = machine::make_machine(s.machine_config(1));
+    const double seconds = c.direct(*direct, s);
+    EXPECT_EQ(r.find("seconds")->as_double(), seconds) << name;
+    EXPECT_EQ(served->parallel_engine().events_dispatched(),
+              direct->parallel_engine().events_dispatched())
+        << name;
+  }
+}
+
+TEST(ServeRegistry, BadNasKindsAndSizesListTheSpellings) {
+  const std::pair<const char*, const char*> bad_kinds[] = {
+      {"is", "(empty for the default, or no-prefetch)"},
+      {"cg", "(empty for the default, or poststore|no-prefetch|column-major)"},
+      {"sp",
+       "(empty for the default, or padded|padded-prefetch|"
+       "padded-prefetch-poststore)"},
+      {"bt", "(empty for the default, or prefetch)"},
+      {"lu", "(empty for the default, or no-poststore)"},
+  };
+  for (const auto& [workload, spellings] : bad_kinds) {
+    JobSpec s = small_job(workload);
+    s.kind = "bogus";
+    EXPECT_EQ(s.validate(), std::string("unknown ") + workload +
+                                " kind 'bogus' " + spellings);
+  }
+  for (const char* workload : {"ep", "mg", "ft"}) {
+    JobSpec s = small_job(workload);
+    s.kind = "bogus";
+    EXPECT_EQ(s.validate(), std::string(workload) + " takes no kind (got "
+                                                     "'bogus')");
+  }
+  for (const char* workload : {"mg", "ft"}) {
+    JobSpec s = small_job(workload);
+    for (unsigned n : {1u, 12u}) {
+      s.n = n;
+      EXPECT_NE(s.validate().find("must be a power of two >= 2 (got " +
+                                  std::to_string(n) + ")"),
+                std::string::npos)
+          << s.validate();
+    }
+  }
 }
 
 // Every bad input is a diagnostic before any simulation, and a bad spec
@@ -343,20 +517,22 @@ JobSpec every_field_set() {
 
 TEST(ServeKey, CanonicalStringAndKeyArePinned) {
   // The bytes every store file was keyed under: the field table must
-  // reproduce them exactly, or every cached result silently misses.
+  // reproduce them exactly, or every cached result silently misses. The
+  // key values also hash kCodeVersion, so they move when it is bumped
+  // (3: `kind` now selects a NAS variant); the canonical strings never do.
   const JobSpec s = every_field_set();
   EXPECT_EQ(s.canonical(),
             "machine=ksr2;procs=16;scale=4;snarf=0;fuzz_seed=1099511627776;"
             "cells_per_leaf=8;cells_per_domain=16;workload=is;"
             "seed=5000000000;log2_keys=12;log2_buckets=8;pad_buckets=1;"
             "n=300;nnz_per_row=7;iters=3;log2_pairs=11;ckpt=-;");
-  EXPECT_EQ(derive_key(s).hex(), "b1e73e209d833647");
+  EXPECT_EQ(derive_key(s).hex(), "d5f0bd254da43f7c");
   EXPECT_EQ(JobSpec{}.canonical(),
             "machine=ksr1;procs=8;scale=1;snarf=1;fuzz_seed=0;"
             "cells_per_leaf=0;cells_per_domain=0;workload=cg;seed=0;"
             "log2_keys=0;log2_buckets=0;pad_buckets=0;n=0;nnz_per_row=0;"
             "iters=0;log2_pairs=0;ckpt=-;");
-  EXPECT_EQ(derive_key(JobSpec{}).hex(), "92d822e80674cb93");
+  EXPECT_EQ(derive_key(JobSpec{}).hex(), "16d5e4ea495201a8");
 }
 
 TEST(ServeSpec, JsonRoundTripsEveryField) {

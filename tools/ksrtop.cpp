@@ -20,12 +20,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ksr/util/flags.hpp"
+#include "ksr/util/parse.hpp"
 
 namespace {
 
@@ -167,25 +167,38 @@ int rank_matrix(const std::string& path, const std::string& job,
                  path.c_str());
     return 1;
   }
+  // The CSV is machine-written (obs::Session) in one dialect, so anything
+  // else is a broken file, not something to guess around.
+  std::size_t line_no = 1;
+  auto bad = [&](const char* what) {
+    std::fprintf(stderr, "ksrtop: %s:%zu: %s\n", path.c_str(), line_no, what);
+    return 1;
+  };
   std::string line;
-  if (!std::getline(is, line)) return 0;
-  const bool has_job = line.rfind("job,", 0) == 0;
+  if (!std::getline(is, line) || line != "job,src_leaf,dst_leaf,packets") {
+    return bad("expected the header 'job,src_leaf,dst_leaf,packets'");
+  }
   struct Pair {
     std::string job;
     std::uint64_t src = 0, dst = 0, packets = 0;
   };
+  // Fields come off the right, so a job label may itself hold commas.
+  auto pop_field = [&line](std::uint64_t* out) {
+    const std::size_t comma = line.rfind(',');
+    if (comma == std::string::npos) return false;
+    const bool ok = ksr::util::parse_u64(
+        std::string_view(line).substr(comma + 1), out);
+    line.resize(comma);
+    return ok;
+  };
   std::vector<Pair> pairs;
   while (std::getline(is, line)) {
-    std::stringstream ss(line);
+    ++line_no;
     Pair p;
-    std::string f;
-    if (has_job && !std::getline(ss, p.job, ',')) continue;
-    if (!std::getline(ss, f, ',')) continue;
-    p.src = to_u64(f);
-    if (!std::getline(ss, f, ',')) continue;
-    p.dst = to_u64(f);
-    if (!std::getline(ss, f, ',')) continue;
-    p.packets = to_u64(f);
+    if (!pop_field(&p.packets) || !pop_field(&p.dst) || !pop_field(&p.src)) {
+      return bad("expected JOB,SRC_LEAF,DST_LEAF,PACKETS");
+    }
+    p.job = line;
     if (!job.empty() && p.job != job) continue;
     if (p.src == p.dst) continue;  // cross-leaf pressure is the question
     pairs.push_back(std::move(p));
@@ -199,8 +212,7 @@ int rank_matrix(const std::string& path, const std::string& job,
   std::cout << "## top cross-leaf pairs by packets\n";
   for (std::size_t i = 0; i < std::min(top_n, pairs.size()); ++i) {
     const Pair& p = pairs[i];
-    if (!p.job.empty()) std::cout << "job " << p.job << " ";
-    std::cout << "pair " << p.src << "->" << p.dst
+    std::cout << "job " << p.job << " pair " << p.src << "->" << p.dst
               << " packets=" << p.packets << "\n";
   }
   return 0;
