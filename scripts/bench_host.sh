@@ -16,12 +16,11 @@
 # change it.
 #
 # --check is a fast smoke mode for CI (the `perf-smoke` ctest label): it
-# runs the quick variants, re-runs one binary to assert the fingerprint is
-# reproducible, runs one paper binary with --jobs 1 and --jobs 4 to assert
-# the parallel sweep runner's determinism contract (events_dispatched and
-# the --csv stream must be byte-identical for any job count), repeats that
-# jobs-1/jobs-4 check over every paper bench binary, and exits non-zero on
-# any failure. It writes only to a temporary directory.
+# runs the quick variants, asserts that --sim-threads and the observability
+# flags change neither the fingerprint nor the --csv stream, and exits
+# non-zero on any failure. It writes only to a temporary directory. Every
+# paper bench's outputs at --jobs 4 are pinned by the golden_digests ctest
+# (scripts/golden.sh, bench/golden.tsv), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,40 +97,9 @@ if [ "$QUICK" = 0 ]; then
 fi
 
 if [ "$CHECK" = 1 ]; then
-  # Determinism smoke: a second run must reproduce the fingerprint exactly.
-  run_paper bench_fig4_barriers_ksr1 fig4_rerun
   fp1=$(fingerprint fig4)
-  fp2=$(fingerprint fig4_rerun)
-  if [ -z "$fp1" ] || [ "$fp1" != "$fp2" ]; then
-    echo "bench_host.sh --check FAILED: events_dispatched not reproducible" \
-         "($fp1 vs $fp2)" >&2
-    exit 1
-  fi
-  if ! cmp -s "$TMP/fig4.csv" "$TMP/fig4_rerun.csv"; then
-    echo "bench_host.sh --check FAILED: --csv output not reproducible" >&2
-    exit 1
-  fi
-  # Parallel-runner determinism: sharding a sweep over 4 host threads must
-  # change neither the event fingerprint nor a byte of the CSV output.
   run_paper bench_table2_is table2_is_j1 --jobs 1
-  run_paper bench_table2_is table2_is_j4 --jobs 4
   fpj1=$(fingerprint table2_is_j1)
-  fpj4=$(fingerprint table2_is_j4)
-  if [ "$fpj1" != "574025" ]; then
-    echo "bench_host.sh --check FAILED: pinned quick table2_is fingerprint" \
-         "moved ($fpj1 want 574025)" >&2
-    exit 1
-  fi
-  if [ -z "$fpj1" ] || [ "$fpj1" != "$fpj4" ]; then
-    echo "bench_host.sh --check FAILED: events_dispatched differs between" \
-         "--jobs 1 and --jobs 4 ($fpj1 vs $fpj4)" >&2
-    exit 1
-  fi
-  if ! cmp -s "$TMP/table2_is_j1.csv" "$TMP/table2_is_j4.csv"; then
-    echo "bench_host.sh --check FAILED: --csv output differs between" \
-         "--jobs 1 and --jobs 4" >&2
-    exit 1
-  fi
   # Single-simulation parallel engine determinism (docs/PARALLEL.md):
   # threading one simulation over 4 host threads must change neither the
   # event fingerprint nor a byte of the CSV output vs --sim-threads 1.
@@ -321,36 +289,6 @@ assert isinstance(d['traceEvents'], list) and d['traceEvents'], 'empty trace'
          "point telemetry lines" >&2
     exit 1
   fi
-  # Every paper bench binary runs through the one sweep harness
-  # (include/ksr/study/sweep.hpp): each must print exactly one [host] line,
-  # and --jobs 4 must reproduce --jobs 1's stdout and fingerprint.
-  for src in bench/bench_*.cpp; do
-    bin=$(basename "$src" .cpp)
-    [ "$bin" = bench_sim_throughput ] && continue
-    if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
-      echo "bench_host.sh --check FAILED: $bin not built" >&2
-      exit 1
-    fi
-    run_paper "$bin" "${bin}_j1" --jobs 1 > /dev/null
-    run_paper "$bin" "${bin}_j4" --jobs 4 > /dev/null
-    for tag in "${bin}_j1" "${bin}_j4"; do
-      if [ "$(grep -c '^\[host\] bench=' "$TMP/$tag.host")" != 1 ]; then
-        echo "bench_host.sh --check FAILED: $tag printed no single [host]" \
-             "line" >&2
-        exit 1
-      fi
-    done
-    if [ "$(fingerprint "${bin}_j1")" != "$(fingerprint "${bin}_j4")" ]; then
-      echo "bench_host.sh --check FAILED: $bin events_dispatched differs" \
-           "between --jobs 1 and --jobs 4" >&2
-      exit 1
-    fi
-    if ! cmp -s "$TMP/${bin}_j1.csv" "$TMP/${bin}_j4.csv"; then
-      echo "bench_host.sh --check FAILED: $bin stdout differs between" \
-           "--jobs 1 and --jobs 4" >&2
-      exit 1
-    fi
-  done
   # Serving-layer equivalence (docs/SERVING.md): the fig8_quick campaign
   # manifest expands to the same six points the direct bench sweeps, so the
   # sum of its per-job events_dispatched must equal the direct [host]
@@ -399,9 +337,8 @@ print(sum(json.loads(l)['result']['events_dispatched']
     --host "$TMP/table2_is.host" --host "$TMP/fig4.host" \
     ${CAMPAIGN_ARGS[@]+"${CAMPAIGN_ARGS[@]}"} \
     --mode quick --out "$TMP/BENCH_host.json"
-  echo "bench_host.sh --check OK (fingerprint $fp1 reproducible," \
-       "jobs-1/jobs-4 fingerprint $fpj1 identical, sim-threads-1/4" \
-       "fingerprint $fpst1 identical, traced fingerprint $fpt identical)"
+  echo "bench_host.sh --check OK (sim-threads-1/4 fingerprint $fpst1" \
+       "identical, traced fingerprint $fpt identical)"
   exit 0
 fi
 
