@@ -3,19 +3,17 @@
 // workload — hardware exclusive lock vs. the software read-write ticket
 // lock at varying read-sharing percentages.
 //
-// Workload (paper footnote 4, sync::lock_seconds): each processor repeatedly
-// accesses data in read or write mode with a delay of 10000 local operations
-// between successive lock requests; the lock is held for 3000 local
-// operations.
+// Workload (paper footnote 4, the `lock` registry row): each processor
+// repeatedly accesses data in read or write mode with a delay of 10000 local
+// operations between successive lock requests; the lock is held for 3000
+// local operations.
 //
 // Each (P, variant) cell is an independent simulation — one sweep-harness
 // job per cell, merged in submission order.
 #include "ksr/study/sweep.hpp"
-#include "ksr/sync/locks.hpp"
 
 using namespace ksr;         // NOLINT
 using namespace ksr::study;  // NOLINT
-using machine::MachineConfig;
 
 int main(int argc, char** argv) {
   bool full = false;
@@ -24,7 +22,7 @@ int main(int argc, char** argv) {
   Study study(opt, "fig3_locks");
   // Paper: "for 500 operations". Scaled default keeps the event count sane;
   // --full uses the paper's 500.
-  const int ops = full ? 500 : (opt.quick ? 25 : 40);
+  const unsigned ops = full ? 500 : (opt.quick ? 25 : 40);
 
   print_header("Lock performance (" + std::to_string(ops) +
                    " operations per processor)",
@@ -38,22 +36,24 @@ int main(int argc, char** argv) {
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
   const std::vector<unsigned> read_pcts{0, 20, 40, 60, 80, 100};
 
+  // The lock row: kind hw is the exclusive lock, rw the read-write lock at
+  // read_pct percent reads.
   std::vector<std::function<double(Job&)>> jobs;
-  for (unsigned p : procs) {
-    const std::string ps = std::to_string(p);
-    jobs.emplace_back([p, ops, ps](Job& job) {
-      return sync::lock_seconds(
-          job.machine(MachineConfig::ksr1(p), "exclusive p=" + ps),
-          sync::LockKind::kHardware, ops);
+  auto add = [&](unsigned p, const char* kind, unsigned rd, std::string label) {
+    serve::JobSpec spec;
+    spec.workload = "lock";
+    spec.kind = kind;
+    spec.procs = p;
+    spec.iters = ops;
+    spec.read_pct = rd;
+    label += " p=" + std::to_string(p);
+    jobs.emplace_back([spec, label](Job& job) {
+      return job.run(spec, label).at("seconds");
     });
-    for (unsigned rd : read_pcts) {
-      jobs.emplace_back([p, ops, rd, ps](Job& job) {
-        return sync::lock_seconds(
-            job.machine(MachineConfig::ksr1(p),
-                        "rw" + std::to_string(rd) + " p=" + ps),
-            sync::LockKind::kReadWrite, ops, rd);
-      });
-    }
+  };
+  for (unsigned p : procs) {
+    add(p, "hw", 0, "exclusive");
+    for (unsigned rd : read_pcts) add(p, "rw", rd, "rw" + std::to_string(rd));
   }
   const std::vector<double> cells = study.run(jobs);
 

@@ -4,8 +4,7 @@
 // tournament(M)) and on a Butterfly-like machine (parallel paths but no
 // coherent caches; dissemination wins and global-flag spinning hammers one
 // memory module).
-#include "ksr/study/sweep.hpp"
-#include "ksr/sync/barrier.hpp"
+#include "ksr/study/barrier_grid.hpp"
 
 namespace {
 
@@ -13,35 +12,12 @@ using namespace ksr;         // NOLINT
 using namespace ksr::study;  // NOLINT
 
 void compare(Study& study, const std::string& tag, const std::string& title,
-             const machine::MachineConfig& base_cfg,
-             const std::vector<unsigned>& procs, int episodes, bool csv) {
-  const auto kinds = sync::all_barrier_kinds();
-  std::vector<std::function<double(Job&)>> jobs;
-  for (sync::BarrierKind kind : kinds) {
-    for (unsigned p : procs) {
-      machine::MachineConfig cfg = base_cfg;
-      cfg.nproc = p;
-      jobs.emplace_back([cfg, kind, episodes,
-                         label = tag + " " + std::string(to_string(kind)) +
-                                 " p=" + std::to_string(p)](Job& job) {
-        return sync::barrier_episode_seconds(job.machine(cfg, label), kind,
-                                             episodes);
-      });
-    }
-  }
-  const std::vector<double> cells = study.run(jobs);
-
-  std::vector<std::string> headers{"barrier \\ procs"};
-  for (unsigned p : procs) headers.push_back(std::to_string(p));
-  TextTable t(headers);
-  std::size_t j = 0;
-  for (sync::BarrierKind kind : kinds) {
-    std::vector<std::string> row{std::string(to_string(kind))};
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-      row.push_back(TextTable::num(cells[j++] * 1e6, 1));
-    }
-    t.add_row(row);
-  }
+             const std::string& machine, const std::vector<unsigned>& procs,
+             unsigned episodes, bool csv) {
+  serve::JobSpec base;
+  base.machine = machine;
+  base.iters = episodes;
+  const TextTable t = barrier_grid(study, base, procs, tag + " ").table;
   std::cout << "\n--- " << title << " ---\n";
   if (csv) {
     t.print_csv();
@@ -55,7 +31,7 @@ void compare(Study& study, const std::string& tag, const std::string& title,
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
   Study study(opt, "sec323_arch_compare");
-  const int episodes = opt.quick ? 5 : 20;
+  const unsigned episodes = opt.quick ? 5 : 20;
   print_header("Barriers across architectures: Symmetry bus & Butterfly MIN",
                "Section 3.2.3");
 
@@ -63,7 +39,7 @@ int main(int argc, char** argv) {
       opt.quick ? std::vector<unsigned>{4, 16} : std::vector<unsigned>{4, 8, 12, 16};
 
   compare(study, "bus", "Sequent Symmetry model (single snooping bus)",
-          machine::MachineConfig::symmetry(16), procs, episodes, opt.csv);
+          "symmetry", procs, episodes, opt.csv);
   std::cout
       << "Expected (paper): the bus serializes all communication, so the\n"
          "parallel-path algorithms lose their edge; counter is competitive\n"
@@ -76,7 +52,7 @@ int main(int argc, char** argv) {
                 : std::vector<unsigned>{8, 16, 24, 32};
   compare(study, "butterfly",
           "BBN Butterfly model (multistage network, no coherent caches)",
-          machine::MachineConfig::butterfly(32), bprocs, episodes, opt.csv);
+          "butterfly", bprocs, episodes, opt.csv);
   std::cout
       << "Expected (paper): with no caches, every spin poll crosses the\n"
          "network: global-wakeup-flag variants and the counter hammer a\n"

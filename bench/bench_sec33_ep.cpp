@@ -13,41 +13,49 @@ int main(int argc, char** argv) {
   print_header("Embarrassingly Parallel kernel scalability",
                "Section 3.3 (EP), first paragraph");
 
-  nas::EpConfig cfg;
-  cfg.log2_pairs = opt.quick ? 12 : 15;
+  serve::JobSpec spec;
+  spec.workload = "ep";
+  spec.log2_pairs = opt.quick ? 12 : 15;
   // ~50 FP operations per generated pair (transform + tally), matching the
   // instruction mix that sustains ~11 of the 40 peak MFlops per cell.
   constexpr double kFlopsPerPair = 50.0;
 
+  nas::EpConfig cfg;
+  cfg.log2_pairs = spec.log2_pairs;
   const nas::EpResult ref = nas::ep_reference(cfg);
+  serve::Json ref_counts = serve::Json::array();
+  for (std::uint64_t c : ref.annulus_counts) {
+    ref_counts.push(serve::Json::uint(c));
+  }
 
   const std::vector<unsigned> procs =
       opt.quick ? std::vector<unsigned>{1, 4, 16}
                 : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
 
-  std::vector<std::function<nas::EpResult(Job&)>> jobs;
+  // The ep row's result: seconds, and accepted and annulus_counts to check
+  // against the serial host reference.
+  std::vector<std::function<serve::Json(Job&)>> jobs;
   for (unsigned p : procs) {
-    jobs.emplace_back([p, cfg](Job& job) {
-      return run_ep(job.machine(machine::MachineConfig::ksr1(p),
-                                "ep p=" + std::to_string(p)),
-                    cfg);
-    });
+    spec.procs = p;
+    jobs.emplace_back([spec](Job& job) { return job.run(spec).result; });
   }
-  const std::vector<nas::EpResult> results = study.run(jobs);
+  const std::vector<serve::Json> results = study.run(jobs);
 
   TextTable t({"Processors", "Time (s)", "Speedup", "Efficiency",
                "MFLOPS/cell", "bit-identical"});
   std::vector<std::pair<unsigned, double>> measured;
   for (std::size_t i = 0; i < procs.size(); ++i) {
     const unsigned p = procs[i];
-    const nas::EpResult& r = results[i];
-    measured.emplace_back(p, r.seconds);
-    const bool same = r.accepted == ref.accepted &&
-                      r.annulus_counts == ref.annulus_counts;
+    const serve::Json& r = results[i];
+    const double seconds = r.find("seconds")->as_double();
+    measured.emplace_back(p, seconds);
+    const bool same =
+        r.find("accepted")->dump() == std::to_string(ref.accepted) &&
+        r.find("annulus_counts")->dump() == ref_counts.dump();
     const double mflops = static_cast<double>(1ull << cfg.log2_pairs) *
-                          kFlopsPerPair / r.seconds / p / 1e6;
-    const auto& row = study::scaling_rows(measured).back();
-    t.add_row({std::to_string(p), TextTable::num(r.seconds, 5),
+                          kFlopsPerPair / seconds / p / 1e6;
+    const study::ScalingRow row = study::scaling_rows(measured).back();
+    t.add_row({std::to_string(p), TextTable::num(seconds, 5),
                TextTable::num(row.speedup, 3),
                p == 1 ? "-" : TextTable::num(row.efficiency, 3),
                TextTable::num(mflops, 1), same ? "yes" : "NO!"});

@@ -29,7 +29,7 @@
 //     in submission order after the batch completes. Host scheduling can
 //     reorder *execution* freely but never *observation*, so tables, CSV
 //     output and events_dispatched fingerprints are byte-identical for any
-//     --jobs value (enforced by scripts/bench_host.sh --check).
+//     --jobs value (enforced by the golden_digests ctest).
 //   * jobs() == 1 runs every job inline on the calling thread — the exact
 //     serial execution, with no pool threads created at all.
 //

@@ -26,12 +26,14 @@ namespace ksr::serve {
 /// Bump when a change moves any pinned fingerprint (simulated semantics,
 /// kernel schedules, machine timing): every cached result keyed under the
 /// old version becomes unreachable and re-runs on first request. The
-/// pinned-fingerprint stage of scripts/bench_host.sh --check is the tripwire
-/// that tells you a bump is due. Version 2: events_dispatched counts every
+/// golden_digests ctest (bench/golden.tsv) is the tripwire that tells you a
+/// bump is due. Version 2: events_dispatched counts every
 /// domain of a multi-domain machine, not domain 0 only. Version 3: `kind`
 /// selects a variant on the NAS rows (it was keyed but ignored there), so a
-/// result stored under an older version could be a wrong hit.
-inline constexpr std::uint32_t kCodeVersion = 3;
+/// result stored under an older version could be a wrong hit. Version 4: the
+/// ep row reports annulus_counts and the barrier row four more machine-wide
+/// counters, so an older stored result lacks fields a reader may expect.
+inline constexpr std::uint32_t kCodeVersion = 4;
 
 struct JobSpec {
   // --- machine knobs (machine_config() vocabulary) ---
@@ -92,6 +94,9 @@ struct JobSpec {
   /// Every field by its JSON name, in canonical order; like canonical(),
   /// leaves out an appended field still at its default.
   [[nodiscard]] Json to_json() const;
+  /// Every field by its JSON name, in canonical order, appended ones
+  /// included (the campaign CSV's spec columns).
+  [[nodiscard]] Json all_fields() const;
   /// Populate from a JSON object (unknown keys are errors — a typo'd knob
   /// must not silently run with defaults). Fields absent keep defaults.
   static bool from_json(const Json& j, JobSpec* out, std::string* err);

@@ -31,9 +31,9 @@
 // events_dispatched sums parallel_engine().events_dispatched() over every
 // machine, so it covers every domain of a multi-domain run. It is the
 // bit-determinism fingerprint: identical for any --jobs, --sim-threads or
-// observability flags (scripts/bench_host.sh --check). The line goes to
-// stderr so --csv stdout stays byte-for-byte diffable between builds;
-// bench/report.py folds it into BENCH_host.json.
+// observability flags (scripts/bench_host.sh --check, bench/golden.tsv).
+// The line goes to stderr so --csv stdout stays byte-for-byte diffable
+// between builds; bench/report.py folds it into BENCH_host.json.
 namespace ksr::study {
 
 /// What Job::run returns: the registry row's result object and the machine

@@ -62,9 +62,12 @@ enum class BarrierKind {
 /// All nine kinds, in the order the paper's figures list them.
 [[nodiscard]] std::vector<BarrierKind> all_barrier_kinds();
 
-/// The kind a command-line spelling names: to_string() lower-cased with
-/// "(M)" spelled "-m" (counter, tree-m, tournament-m, mcs, mcs-m, ...).
-/// Throws std::invalid_argument listing every spelling on an unknown name.
+/// The command-line spelling of `k`: to_string() lower-cased with "(M)"
+/// spelled "-m" (counter, tree-m, tournament-m, mcs, mcs-m, ...).
+[[nodiscard]] std::string barrier_kind_spelling(BarrierKind k);
+
+/// The kind a command-line spelling names. Throws std::invalid_argument
+/// listing every spelling on an unknown name.
 [[nodiscard]] BarrierKind barrier_kind_named(std::string_view name);
 
 class Barrier {

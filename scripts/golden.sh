@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Output digests of every paper bench and campaign preset (bench/golden.tsv).
 #
-#   scripts/golden.sh [--build-dir DIR] [--jobs N] [--out FILE] [--check]
+#   scripts/golden.sh [--build-dir DIR] [--check]
 #
 # Runs each bench/bench_*.cpp binary (bench_sim_throughput excepted) at
 # --quick --csv with every observability output on, and each
@@ -9,23 +9,19 @@
 # `<source> <output> <digest>` row per file: stdout, the [host]
 # events_dispatched, the trace/metrics CSVs, the report, the topo report and
 # its matrix CSV where one is written, and each campaign's .jsonl and .csv.
-# Default: re-record bench/golden.tsv at --jobs 1. --check writes FILE
-# (default golden.tsv here) and diffs it against bench/golden.tsv; every
-# differing row names the bench and the file.
+# Default: re-record bench/golden.tsv at --jobs 1. --check runs at --jobs 4,
+# writes golden.tsv in the current directory and diffs it against
+# bench/golden.tsv; every differing row names the bench and the file.
 set -euo pipefail
-BUILD_DIR=build JOBS=1 OUT= CHECK=0
+BUILD_DIR=build JOBS=1 OUT=bench/golden.tsv CHECK=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --build-dir) BUILD_DIR="$(cd "$2" && pwd)"; shift 2 ;;
-    --jobs) JOBS="$2"; shift 2 ;;
-    --out) OUT="$(realpath -m "$2")"; shift 2 ;;
-    --check) CHECK=1; shift ;;
+    --check) CHECK=1 JOBS=4 OUT="$PWD/golden.tsv"; shift ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
-[ "$CHECK" = 1 ] && OUT="${OUT:-$PWD/golden.tsv}"
 cd "$(dirname "$0")/.."
-OUT="${OUT:-bench/golden.tsv}"
 T="$(mktemp -d)"
 trap 'rm -rf "$T"' EXIT
 digest() { sha256sum "$1" | cut -c1-16; }

@@ -130,8 +130,24 @@ CampaignOutcome run_campaign(const Campaign& campaign, ServeCore& core,
   // Deterministic result database: no wall clocks, no cached flags — a
   // resumed campaign must reproduce the cold run's files byte for byte.
   std::string jsonl;
-  std::string csv =
-      "index,workload,machine,procs,scale,key,events_dispatched,seconds\n";
+  // Spec columns: every JobSpec field in canonical order, so two jobs that
+  // differ in any field differ in a column, not only in `key`.
+  std::string csv = "index";
+  const Json columns = JobSpec{}.all_fields();
+  for (const auto& [field, v] : columns.members()) csv += ',' + field;
+  csv += ",key,events_dispatched,seconds\n";
+  auto cell = [&csv](const std::string& v) {  // RFC 4180 quoting if needed
+    if (v.find_first_of(",\"\r\n") == std::string::npos) {
+      csv += v;
+      return;
+    }
+    csv += '"';
+    for (char c : v) {
+      if (c == '"') csv += '"';
+      csv += c;
+    }
+    csv += '"';
+  };
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const ServeCore::Response& r = rs[i];
     const JobSpec& spec = campaign.jobs[i];
@@ -169,10 +185,13 @@ CampaignOutcome run_campaign(const Campaign& campaign, ServeCore& core,
         seconds = s->dump();
       }
     }
-    csv += std::to_string(i) + ',' + spec.workload + ',' + spec.machine +
-           ',' + std::to_string(spec.procs) + ',' +
-           std::to_string(spec.scale) + ',' + r.key + ',' + events + ',' +
-           seconds + '\n';
+    csv += std::to_string(i);
+    const Json fields = spec.all_fields();
+    for (const auto& [field, v] : fields.members()) {
+      csv += ',';
+      cell(v.is_string() ? v.as_string() : v.dump());
+    }
+    csv += ',' + r.key + ',' + events + ',' + seconds + '\n';
   }
   if (!out_prefix.empty()) {
     ckpt::atomic_write_file(out_prefix + ".jsonl", jsonl);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <initializer_list>
 #include <iterator>
@@ -143,10 +144,20 @@ void run_ep_job(machine::Machine& m, const JobSpec& s, Json& r) {
   r.set("accepted", Json::uint(res.accepted));
   r.set("sum_x", Json::real(res.sum_x));
   r.set("sum_y", Json::real(res.sum_y));
+  Json counts = Json::array();
+  for (std::uint64_t c : res.annulus_counts) counts.push(Json::uint(c));
+  r.set("annulus_counts", std::move(counts));
 }
 
 nas::CgConfig cg_config(const JobSpec& s) {
   expect_kind(s, {"poststore", "no-prefetch", "column-major"});
+  if (s.n < 3 || s.nnz_per_row < 2) {
+    // Such a system is solved exactly before the last iteration, whose step
+    // then divides 0 by 0.
+    throw std::invalid_argument(
+        "cg needs n >= 3 and nnz_per_row >= 2 (got n " + std::to_string(s.n) +
+        ", nnz_per_row " + std::to_string(s.nnz_per_row) + ")");
+  }
   nas::CgConfig c;
   c.n = s.n;
   c.nnz_per_row = s.nnz_per_row;
@@ -201,6 +212,10 @@ void run_is_job(machine::Machine& m, const JobSpec& s, Json& r) {
 // configuration.
 nas::SpConfig sp_config(const JobSpec& s) {
   expect_kind(s, {"padded", "padded-prefetch", "padded-prefetch-poststore"});
+  if (s.n < 2) {  // the line solves run back from n - 2
+    throw std::invalid_argument("sp needs n >= 2 (got " +
+                                std::to_string(s.n) + ")");
+  }
   nas::SpConfig c;
   c.n = s.n;
   c.iterations = s.iters;
@@ -323,7 +338,14 @@ void run_barrier_job(machine::Machine& m, const JobSpec& s, Json& r) {
   const sync::BarrierKind kind = sync::barrier_kind_named(s.kind);
   r.set("seconds", Json::real(sync::barrier_episode_seconds(
                        m, kind, static_cast<int>(s.iters))));
-  r.set("ring_requests", Json::uint(m.total_pmon().ring_requests));
+  // Machine-wide counters, read after the run while the machine is
+  // quiescent.
+  const cache::PerfMonitor pmon = m.total_pmon();
+  r.set("ring_requests", Json::uint(pmon.ring_requests));
+  r.set("ring_nacks", Json::uint(pmon.ring_nacks));
+  r.set("invalidations_received", Json::uint(pmon.invalidations_received));
+  r.set("snarfs", Json::uint(pmon.snarfs));
+  r.set("poststores_issued", Json::uint(pmon.poststores_issued));
 }
 
 void check_barrier(const JobSpec& s) {
@@ -449,14 +471,18 @@ std::string JobSpec::canonical() const {
   return c;
 }
 
-Json JobSpec::to_json() const {
+namespace {
+
+/// The spec's fields by JSON name in canonical order; an appended field at
+/// its default only when `every_field`.
+Json fields_json(const JobSpec& s, bool every_field) {
   Json j = Json::object();
   for (const Field& f : kFields) {
     std::visit(
         [&](auto member) {
-          const auto& v = this->*member;
+          const auto& v = s.*member;
           using T = std::decay_t<decltype(v)>;
-          if (f.appended && v == JobSpec{}.*member) return;
+          if (!every_field && f.appended && v == JobSpec{}.*member) return;
           if constexpr (std::is_same_v<T, bool>) {
             j.set(f.json, Json::boolean(v));
           } else if constexpr (std::is_same_v<T, std::string>) {
@@ -469,6 +495,12 @@ Json JobSpec::to_json() const {
   }
   return j;
 }
+
+}  // namespace
+
+Json JobSpec::to_json() const { return fields_json(*this, false); }
+
+Json JobSpec::all_fields() const { return fields_json(*this, true); }
 
 bool JobSpec::from_json(const Json& j, JobSpec* out, std::string* err) {
   if (!j.is_object()) {
@@ -553,6 +585,12 @@ JobOutcome run_workload(const JobSpec& spec, machine::Machine& m) {
   r.set("machine", Json::str(s.machine));
   r.set("procs", Json::uint(s.procs));
   w->run(m, s, r);
+  for (const auto& [field, v] : r.members()) {
+    if (v.kind() == Json::Kind::kDouble && !std::isfinite(v.as_double())) {
+      throw std::runtime_error(s.workload + ": result field '" + field +
+                               "' is " + v.dump() + ", not a finite number");
+    }
+  }
   JobOutcome out;
   out.events = m.parallel_engine().events_dispatched();
   r.set("events_dispatched", Json::uint(out.events));

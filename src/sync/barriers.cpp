@@ -380,18 +380,22 @@ std::vector<BarrierKind> all_barrier_kinds() {
           BarrierKind::kMcsM};
 }
 
+std::string barrier_kind_spelling(BarrierKind k) {
+  std::string spelled;  // "tournament(M)" -> "tournament-m"
+  for (char c : to_string(k)) {
+    if (c == '(') {
+      spelled += '-';
+    } else if (c != ')') {
+      spelled += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return spelled;
+}
+
 BarrierKind barrier_kind_named(std::string_view name) {
   std::string names;
   for (BarrierKind k : all_barrier_kinds()) {
-    std::string spelled;  // "tournament(M)" -> "tournament-m"
-    for (char c : to_string(k)) {
-      if (c == '(') {
-        spelled += '-';
-      } else if (c != ')') {
-        spelled += static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-      }
-    }
+    const std::string spelled = barrier_kind_spelling(k);
     if (spelled == name) return k;
     names += (names.empty() ? "" : "|") + spelled;
   }

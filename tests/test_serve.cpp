@@ -34,6 +34,7 @@
 #include "ksr/machine/factory.hpp"
 #include "ksr/nas/bt.hpp"
 #include "ksr/nas/cg.hpp"
+#include "ksr/nas/ep.hpp"
 #include "ksr/nas/ft.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/nas/lu.hpp"
@@ -334,6 +335,68 @@ TEST(ServeRegistry, BadNasKindsAndSizesListTheSpellings) {
   }
 }
 
+// Every NAS row at the smallest sizes (the `ksrsim kernel --name W --n N
+// --procs P --scale 64` commands) either fails validate() with a diagnostic
+// or runs to a result of finite numbers: no crash, abort or NaN.
+TEST(ServeRegistry, NasRowsAtTinySizesFailValidationOrStayFinite) {
+  for (const char* workload :
+       {"ep", "cg", "is", "sp", "bt", "mg", "ft", "lu"}) {
+    for (unsigned n : {1u, 2u, 3u}) {
+      for (unsigned procs : {1u, 4u, 16u}) {
+        JobSpec s;
+        s.workload = workload;
+        s.n = n;
+        s.procs = procs;
+        s.scale = 64;
+        const std::string at = std::string(workload) + " n=" +
+                               std::to_string(n) + " p=" +
+                               std::to_string(procs);
+        if (!s.validate().empty()) continue;  // a diagnostic, nothing run
+        std::string result;
+        ASSERT_NO_THROW(result = execute(s).result) << at;
+        std::string err;
+        (void)Json::parse(result, &err);
+        EXPECT_TRUE(err.empty()) << at << ": " << err;
+      }
+    }
+  }
+  JobSpec sp = small_job("sp");
+  sp.n = 1;
+  EXPECT_EQ(sp.validate(), "sp needs n >= 2 (got 1)");
+  JobSpec cg = small_job("cg");
+  cg.nnz_per_row = 1;
+  EXPECT_EQ(cg.validate(),
+            "cg needs n >= 3 and nnz_per_row >= 2 (got n 120, nnz_per_row 1)");
+}
+
+// A result holding a non-finite number fails the job with a diagnostic
+// naming the field: its bytes, which are not JSON, are never returned or
+// stored.
+TEST(ServeRegistry, NonFiniteResultFailsTheJobAndIsNeverStored) {
+  JobSpec s = small_cg(1);  // CG solves this system exactly, then 0/0
+  s.n = 3;
+  s.nnz_per_row = 4;
+  s.iters = 30;
+  ASSERT_TRUE(s.validate().empty()) << s.validate();
+  const std::string diagnostic = "cg: result field 'final_residual' is ";
+  try {
+    (void)execute(s);
+    ADD_FAILURE() << "a NaN residual ran to a result";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).find(diagnostic), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find("not a finite number"),
+              std::string::npos);
+  }
+  ServeCore::Options opt;  // memory-only store
+  opt.jobs = 1;
+  ServeCore core(opt);
+  const ServeCore::Response r = core.submit(s);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find(diagnostic), std::string::npos) << r.error;
+  EXPECT_EQ(core.counters().cache.stores, 0u);
+  EXPECT_FALSE(core.submit(s).cached);
+}
+
 // Every bad input is a diagnostic before any simulation, and a bad spec
 // submitted to the core is an error response that is never stored.
 TEST(ServeRegistry, BadSyncInputsAreRejectedBeforeRunning) {
@@ -425,6 +488,43 @@ TEST(ServeRegistry, BarrierRowGivesFig4Cell) {
   EXPECT_EQ(row, sync::barrier_episode_seconds(
                      *m, sync::BarrierKind::kTournamentM, 5));
   EXPECT_EQ(cell(row * 1e6, 1), "82.5");
+  // Its machine-wide counters are the machine's pmon totals after the run.
+  std::string err;
+  const Json r = Json::parse(execute(spec).result, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const cache::PerfMonitor pmon = m->total_pmon();
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"ring_requests", pmon.ring_requests},
+      {"ring_nacks", pmon.ring_nacks},
+      {"invalidations_received", pmon.invalidations_received},
+      {"snarfs", pmon.snarfs},
+      {"poststores_issued", pmon.poststores_issued}};
+  for (const auto& [field, want] : counters) {
+    std::uint64_t got = 0;
+    ASSERT_NE(r.find(field), nullptr) << field;
+    ASSERT_TRUE(r.find(field)->as_u64(&got)) << field;
+    EXPECT_EQ(got, want) << field;
+  }
+}
+
+// The ep row reports the annulus counts Section 3.3's bench checks against
+// the serial host reference.
+TEST(ServeRegistry, EpRowReportsTheReferenceAnnulusCounts) {
+  const JobSpec spec = small_job("ep");
+  std::string err;
+  const Json r = Json::parse(execute(spec).result, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  nas::EpConfig cfg;
+  cfg.log2_pairs = spec.log2_pairs;
+  const nas::EpResult ref = nas::ep_reference(cfg);
+  ASSERT_NE(r.find("annulus_counts"), nullptr);
+  const std::vector<Json>& counts = r.find("annulus_counts")->items();
+  ASSERT_EQ(counts.size(), ref.annulus_counts.size());
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    std::uint64_t c = 0;
+    EXPECT_TRUE(counts[k].as_u64(&c));
+    EXPECT_EQ(c, ref.annulus_counts[k]) << "annulus " << k;
+  }
 }
 
 TEST(ServeFingerprint, ModeBJobCountsEveryDomain) {
@@ -519,20 +619,21 @@ TEST(ServeKey, CanonicalStringAndKeyArePinned) {
   // The bytes every store file was keyed under: the field table must
   // reproduce them exactly, or every cached result silently misses. The
   // key values also hash kCodeVersion, so they move when it is bumped
-  // (3: `kind` now selects a NAS variant); the canonical strings never do.
+  // (4: the ep and barrier rows report more fields); the canonical strings
+  // never do.
   const JobSpec s = every_field_set();
   EXPECT_EQ(s.canonical(),
             "machine=ksr2;procs=16;scale=4;snarf=0;fuzz_seed=1099511627776;"
             "cells_per_leaf=8;cells_per_domain=16;workload=is;"
             "seed=5000000000;log2_keys=12;log2_buckets=8;pad_buckets=1;"
             "n=300;nnz_per_row=7;iters=3;log2_pairs=11;ckpt=-;");
-  EXPECT_EQ(derive_key(s).hex(), "d5f0bd254da43f7c");
+  EXPECT_EQ(derive_key(s).hex(), "517b7aa0a33a4f8d");
   EXPECT_EQ(JobSpec{}.canonical(),
             "machine=ksr1;procs=8;scale=1;snarf=1;fuzz_seed=0;"
             "cells_per_leaf=0;cells_per_domain=0;workload=cg;seed=0;"
             "log2_keys=0;log2_buckets=0;pad_buckets=0;n=0;nnz_per_row=0;"
             "iters=0;log2_pairs=0;ckpt=-;");
-  EXPECT_EQ(derive_key(JobSpec{}).hex(), "16d5e4ea495201a8");
+  EXPECT_EQ(derive_key(JobSpec{}).hex(), "341e782f0518f241");
 }
 
 TEST(ServeSpec, JsonRoundTripsEveryField) {
