@@ -1,15 +1,21 @@
 // Host-side performance of the simulator itself (google-benchmark): event
-// dispatch rate, cache-model access path, ring transactions, and a whole
-// barrier episode. These are real wall-clock measurements (unlike the
-// paper-table binaries, which report simulated seconds).
+// dispatch rate, cache-model access path, ring transactions, a whole
+// barrier episode, and the serve cache's key for a checkpoint preset.
+// These are real wall-clock measurements (unlike the paper-table binaries,
+// which report simulated seconds).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <array>
+#include <filesystem>
+#include <string>
 
 #include "ksr/cache/local_cache.hpp"
 #include "ksr/cache/subcache.hpp"
+#include "ksr/machine/factory.hpp"
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/net/ring.hpp"
+#include "ksr/serve/job.hpp"
 #include "ksr/sim/engine.hpp"
 #include "ksr/sim/parallel_engine.hpp"
 #include "ksr/sync/barrier.hpp"
@@ -193,6 +199,33 @@ void BM_BarrierEpisode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10);
 }
 BENCHMARK(BM_BarrierEpisode)->Arg(8)->Arg(32);
+
+// Keying a checkpoint-preset spec, the serve cache's per-hit cost: the
+// canonical string digests every byte of the preset. The preset is a
+// captured 64-cell IS warm-up image (about 1.5 MB).
+void BM_PresetKey(benchmark::State& state) {
+  serve::JobSpec spec;
+  spec.workload = "is";
+  spec.procs = 64;
+  spec.scale = 64;
+  spec.log2_keys = 11;
+  spec.log2_buckets = 7;
+  spec.restore_from = (std::filesystem::temp_directory_path() /
+                       ("ksr_bm_preset_" + std::to_string(::getpid()) +
+                        ".ckpt"))
+                          .string();
+  {
+    auto m = machine::make_machine(spec.machine_config(1));
+    serve::run_warmup(spec, *m);
+    m->checkpoint_to(spec.restore_from);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::derive_key(spec));
+  }
+  state.SetItemsProcessed(state.iterations());
+  std::filesystem::remove(spec.restore_from);
+}
+BENCHMARK(BM_PresetKey);
 
 }  // namespace
 

@@ -186,4 +186,17 @@ inline void atomic_write_file(const std::string& path,
 void write_file(const std::string& path, const std::vector<std::byte>& image);
 [[nodiscard]] std::vector<std::byte> read_file(const std::string& path);
 
+/// XXH64 with seed 0 over a byte range: the published xxHash algorithm
+/// (four lanes of little-endian 8-byte loads per 32-byte stripe), written
+/// here so the digest does not depend on a library version. It folds eight
+/// bytes per step where fnv1a folds one, so it is the content digest for
+/// whole files; the image header keeps fnv1a (format v1).
+[[nodiscard]] std::uint64_t xxh64(const std::byte* data,
+                                  std::size_t n) noexcept;
+
+/// xxh64 of a whole file, streamed through one fixed 64 KiB buffer: equal
+/// to xxh64 over read_file(path), without holding the image. The serve
+/// cache keys a checkpoint preset by it. Throws like read_file.
+[[nodiscard]] std::uint64_t digest_file(const std::string& path);
+
 }  // namespace ksr::ckpt

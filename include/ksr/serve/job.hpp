@@ -84,8 +84,8 @@ struct JobSpec {
       unsigned sim_threads) const;
 
   /// Canonical fixed-field-order serialization — the byte string the cache
-  /// key hashes. Includes every field (plus the FNV-1a of the checkpoint
-  /// preset's bytes when one is named), so any change to any field, seed or
+  /// key hashes. Includes every field (plus ckpt::digest_file of the
+  /// checkpoint preset when one is named), so any change to any field, seed or
   /// preset changes the key. Fields appended after the first store format
   /// (kind, read_pct) appear only when off their default, so a spec that
   /// leaves them alone keeps the key it always had.

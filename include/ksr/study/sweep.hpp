@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -124,7 +125,11 @@ class Study {
         sim_threads_(opt.sim_threads),
         session_(opt.obs, name_),
         runner_(opt.jobs) {}
-  ~Study() { (void)close(); }
+  // A Study left by an exception produced no result: its outputs still
+  // close (the session's destructor), but it prints no [host] fingerprint.
+  ~Study() {
+    if (std::uncaught_exceptions() == 0) (void)close();
+  }
   Study(const Study&) = delete;
   Study& operator=(const Study&) = delete;
 

@@ -4,21 +4,13 @@
 
 #include "ksr/cache/cell_mask.hpp"
 #include "ksr/cache/state.hpp"
+#include "ksr/ckpt/checkpoint.hpp"
 #include "ksr/machine/coherent_machine.hpp"
 #include "ksr/net/ring.hpp"
 
 namespace ksr::check {
 
 namespace {
-
-[[nodiscard]] std::uint64_t fnv1a(const std::byte* p, std::size_t n) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(p[i]);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// First cell of a mask, clamped for diagnostics (masks here are non-empty
 /// at every call site, but a defensive 0 beats UB in an error path).
@@ -279,7 +271,7 @@ std::uint64_t InvariantChecker::subpage_hash(mem::SubPageId sp,
     const mem::Region& r = m_.heap().region_of(base);
     const std::byte* p = r.data.get() + (base - r.base);
     *mapped = true;
-    return fnv1a(p, mem::kSubPageBytes);
+    return ckpt::fnv1a(p, mem::kSubPageBytes);
   } catch (const std::out_of_range&) {
     *mapped = false;
     return 0;

@@ -29,6 +29,13 @@ std::vector<std::size_t> partition_rows(const std::vector<std::size_t>& row_star
   return bounds;
 }
 
+/// A CG step ratio. Once the residual is exactly zero (a small system is
+/// solved before the last iteration) p, q and rho are all zero, and the
+/// step is 0, not 0/0: x and r stay put and the residual reports 0.
+[[nodiscard]] double step(double num, double den) noexcept {
+  return den == 0 ? 0 : num / den;
+}
+
 }  // namespace
 
 SparseSystem make_sparse_system(const CgConfig& cfg) {
@@ -108,11 +115,11 @@ CgResult cg_reference(const CgConfig& cfg) {
       }
       q[i] = acc;
     }
-    const double alpha = rho / dot(p, q);
+    const double alpha = step(rho, dot(p, q));
     for (std::size_t i = 0; i < n; ++i) x[i] += alpha * p[i];
     for (std::size_t i = 0; i < n; ++i) r[i] -= alpha * q[i];
     const double rho_new = dot(r, r);
-    const double beta = rho_new / rho;
+    const double beta = step(rho_new, rho);
     rho = rho_new;
     for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
   }
@@ -261,7 +268,7 @@ CgResult run_cg(machine::Machine& m, const CgConfig& cfg) {
           pq += cpu.read(vp, i) * cpu.read(vq, i);
           cpu.work(2);
         }
-        const double alpha = rho / pq;
+        const double alpha = step(rho, pq);
         double rho_new = 0;
         for (std::size_t i = 0; i < n; ++i) {
           cpu.write(vx, i, cpu.read(vx, i) + alpha * cpu.read(vp, i));
@@ -270,7 +277,7 @@ CgResult run_cg(machine::Machine& m, const CgConfig& cfg) {
           rho_new += ri * ri;
           cpu.work(6);
         }
-        const double beta = rho_new / rho;
+        const double beta = step(rho_new, rho);
         for (std::size_t i = 0; i < n; ++i) {
           cpu.write(vp, i, cpu.read(vr, i) + beta * cpu.read(vp, i));
           cpu.work(3);

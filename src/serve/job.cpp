@@ -151,13 +151,6 @@ void run_ep_job(machine::Machine& m, const JobSpec& s, Json& r) {
 
 nas::CgConfig cg_config(const JobSpec& s) {
   expect_kind(s, {"poststore", "no-prefetch", "column-major"});
-  if (s.n < 3 || s.nnz_per_row < 2) {
-    // Such a system is solved exactly before the last iteration, whose step
-    // then divides 0 by 0.
-    throw std::invalid_argument(
-        "cg needs n >= 3 and nnz_per_row >= 2 (got n " + std::to_string(s.n) +
-        ", nnz_per_row " + std::to_string(s.nnz_per_row) + ")");
-  }
   nas::CgConfig c;
   c.n = s.n;
   c.nnz_per_row = s.nnz_per_row;
@@ -461,9 +454,7 @@ std::string JobSpec::canonical() const {
             // Content-addressed: the preset's bytes, not its path, feed
             // the key — moving the file changes nothing, regenerating it
             // differently misses.
-            const std::vector<std::byte> image = ckpt::read_file(v);
-            add("ckpt",
-                CacheKey{ckpt::fnv1a(image.data(), image.size())}.hex());
+            add("ckpt", CacheKey{ckpt::digest_file(v)}.hex());
           }
         },
         f.member);

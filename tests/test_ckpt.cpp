@@ -23,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ksr/check/checker.hpp"
@@ -463,6 +464,40 @@ TEST(AtomicWrite, CheckpointToBadPathThrowsWithPathAndWritesNothing) {
   m2.restore_from(good);
   EXPECT_TRUE(split2.run_ranked().ranks_valid);
   std::remove(good.c_str());
+}
+
+// ------------------------------------------------------------ content digest
+
+std::uint64_t xxh64_of(std::string_view s) {
+  return ckpt::xxh64(reinterpret_cast<const std::byte*>(s.data()), s.size());
+}
+
+TEST(CkptDigest, Xxh64MatchesPublishedVectors) {
+  EXPECT_EQ(xxh64_of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh64_of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh64_of("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+// The streamed file digest equals the one-shot digest on each side of the
+// 32-byte stripe and of the 64 KiB read buffer.
+TEST(CkptDigest, DigestFileEqualsOneShotAtChunkBoundaries) {
+  const std::string path = ::testing::TempDir() + "ksr_digest_file.bin";
+  std::string bytes(200003, '\0');
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (char& c : bytes) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(x >> 56);
+  }
+  for (std::size_t n : {0u, 1u, 31u, 32u, 33u, 65535u, 65536u, 65537u,
+                        200003u}) {
+    const std::string_view head(bytes.data(), n);
+    ckpt::atomic_write_file(path, head.data(), head.size());
+    EXPECT_EQ(ckpt::digest_file(path), xxh64_of(head)) << n << " bytes";
+  }
+  std::remove(path.c_str());
+  EXPECT_THROW((void)ckpt::digest_file(path), std::runtime_error);
 }
 
 }  // namespace

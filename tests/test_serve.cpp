@@ -363,25 +363,39 @@ TEST(ServeRegistry, NasRowsAtTinySizesFailValidationOrStayFinite) {
   JobSpec sp = small_job("sp");
   sp.n = 1;
   EXPECT_EQ(sp.validate(), "sp needs n >= 2 (got 1)");
-  JobSpec cg = small_job("cg");
-  cg.nnz_per_row = 1;
-  EXPECT_EQ(cg.validate(),
-            "cg needs n >= 3 and nnz_per_row >= 2 (got n 120, nnz_per_row 1)");
+  // CG solves these systems exactly before its last iteration, and then
+  // reports residual 0 instead of dividing 0 by 0.
+  for (unsigned n : {1u, 2u, 3u}) {
+    for (unsigned nnz_per_row : {1u, 2u, 4u}) {
+      JobSpec cg = small_cg(1);
+      cg.n = n;
+      cg.nnz_per_row = nnz_per_row;
+      cg.iters = 30;
+      ASSERT_TRUE(cg.validate().empty()) << cg.validate();
+      std::string err;
+      const Json r = Json::parse(execute(cg).result, &err);
+      ASSERT_TRUE(err.empty()) << err;
+      EXPECT_EQ(r.find("final_residual")->as_double(), 0.0)
+          << "n=" << n << " nnz_per_row=" << nnz_per_row;
+    }
+  }
 }
 
 // A result holding a non-finite number fails the job with a diagnostic
 // naming the field: its bytes, which are not JSON, are never returned or
 // stored.
 TEST(ServeRegistry, NonFiniteResultFailsTheJobAndIsNeverStored) {
-  JobSpec s = small_cg(1);  // CG solves this system exactly, then 0/0
-  s.n = 3;
-  s.nnz_per_row = 4;
-  s.iters = 30;
+  JobSpec s;  // BT's solution diverges past about 13 steps at this size
+  s.workload = "bt";
+  s.procs = 1;
+  s.scale = 64;
+  s.n = 4;
+  s.iters = 20;
   ASSERT_TRUE(s.validate().empty()) << s.validate();
-  const std::string diagnostic = "cg: result field 'final_residual' is ";
+  const std::string diagnostic = "bt: result field 'checksum' is ";
   try {
     (void)execute(s);
-    ADD_FAILURE() << "a NaN residual ran to a result";
+    ADD_FAILURE() << "a NaN checksum ran to a result";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()).find(diagnostic), 0u) << e.what();
     EXPECT_NE(std::string(e.what()).find("not a finite number"),
@@ -718,6 +732,39 @@ TEST(ServeKey, CheckpointPresetIsContentAddressed) {
   std::remove(a.c_str());
   std::remove(a2.c_str());
   std::remove(b.c_str());
+}
+
+// A captured preset with one flipped payload byte keys differently, so it
+// misses and fails loudly at restore; it never hits the intact image's
+// stored result.
+TEST(ServeKey, FlippedPresetByteMissesAndFailsAtRestore) {
+  JobSpec s = small_is();
+  s.restore_from = temp_dir("flipped_preset.ckpt");
+  {
+    auto m = machine::make_machine(s.machine_config(1));
+    run_warmup(s, *m);
+    m->checkpoint_to(s.restore_from);
+  }
+  ServeCore::Options opt;  // memory-only store
+  opt.jobs = 1;
+  ServeCore core(opt);
+  const ServeCore::Response intact = core.submit(s);
+  ASSERT_TRUE(intact.ok) << intact.error;
+  ASSERT_TRUE(core.submit(s).cached);
+
+  std::vector<std::byte> image = ckpt::read_file(s.restore_from);
+  image[ckpt::kHeaderBytes + (image.size() - ckpt::kHeaderBytes) / 2] ^=
+      std::byte{0x01};
+  ckpt::write_file(s.restore_from, image);
+  EXPECT_NE(derive_key(s).hex(), intact.key);
+  const ServeCore::Response flipped = core.submit(s);
+  EXPECT_FALSE(flipped.ok);
+  EXPECT_FALSE(flipped.cached);
+  EXPECT_NE(flipped.error.find("payload fingerprint mismatch"),
+            std::string::npos)
+      << flipped.error;
+  EXPECT_EQ(core.counters().cache.stores, 1u);
+  std::remove(s.restore_from.c_str());
 }
 
 // ---------------------------------------------------------------- caching
