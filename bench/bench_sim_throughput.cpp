@@ -1,6 +1,7 @@
 // Host-side performance of the simulator itself (google-benchmark): event
-// dispatch rate, cache-model access path, ring transactions, a whole
-// barrier episode, and the serve cache's key for a checkpoint preset.
+// dispatch rate (appended and out-of-order resumes), cache-model access
+// path, ring transactions, a whole barrier episode, and the serve cache's
+// key for a checkpoint preset.
 // These are real wall-clock measurements (unlike the paper-table binaries,
 // which report simulated seconds).
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "ksr/serve/job.hpp"
 #include "ksr/sim/engine.hpp"
 #include "ksr/sim/parallel_engine.hpp"
+#include "ksr/sim/rng.hpp"
 #include "ksr/sync/barrier.hpp"
 
 namespace {
@@ -69,6 +71,38 @@ void BM_FiberHandoff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fibers * kSteps);
 }
 BENCHMARK(BM_FiberHandoff)->Arg(2)->Arg(32);
+
+// A hold model: every fiber re-parks by a seeded random wait, so its resume
+// event lands inside the queue instead of behind it (BM_FiberHandoff only
+// ever appends). Args: fibers, then the waits' shape. Shape 0 is a spinning
+// processor's: a fixed 20 ns step, and one time in 64 a 200-400 ns wait,
+// as for a ring transaction. Shape 1 is uniform over 1 us.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto fibers = static_cast<int>(state.range(0));
+  const bool uniform = state.range(1) != 0;
+  constexpr int kSteps = 1000;
+  for (auto _ : state) {
+    sim::Engine eng;
+    for (int f = 0; f < fibers; ++f) {
+      eng.spawn([&eng, f, uniform] {
+        sim::Rng rng(static_cast<std::uint64_t>(f) + 1);
+        for (int i = 0; i < kSteps; ++i) {
+          const sim::Duration d = uniform              ? rng.below(1000)
+                                  : rng.below(64) == 0 ? 200 + rng.below(200)
+                                                       : 20;
+          eng.wait_until(eng.now() + d);
+        }
+      });
+    }
+    eng.run();
+  }
+  state.SetItemsProcessed(state.iterations() * fibers * kSteps);
+}
+BENCHMARK(BM_EventQueueHold)
+    ->Args({32, 0})
+    ->Args({128, 0})
+    ->Args({32, 1})
+    ->Args({128, 1});
 
 void BM_ParallelEngineDispatch(benchmark::State& state) {
   // Conservative-quantum multi-domain dispatch (docs/PARALLEL.md): four

@@ -26,8 +26,9 @@
 // need no host-level synchronization.
 //
 // Host fast path: callback events carry an InlineFn (no allocation for
-// engine-sized captures) in a two-lane 4-ary heap (see event_heap.hpp);
-// fiber-resume events (spawn, wake, wait_until) carry only the fiber id.
+// engine-sized captures) in a sorted-lane event queue with a 4-ary heap
+// overflow (see event_heap.hpp); fiber-resume events (spawn, wake,
+// wait_until) carry only the fiber id.
 // Fiber switches use a hand-rolled register swap instead of swapcontext when
 // KSR_FAST_FIBERS is on (see fiber_context.hpp). None of this changes
 // simulated timing by a cycle.
@@ -227,19 +228,20 @@ class Engine {
     FiberId id = 0;
   };
 
-  // Heap entries are 24 bytes: the callback lives in a slab pool, addressed
-  // by slot, so sifting moves small trivially-copyable records and never
-  // touches (or moves) the callbacks themselves. Slots are recycled through
-  // a freelist — after warm-up the schedule path allocates nothing. A
-  // fiber-resume event owns no slot: `slot` holds kFiberTag | fiber id.
+  // Queue entries are 24 bytes: the callback lives in a slab pool,
+  // addressed by slot, so shifts and sifts move small trivially-copyable
+  // records and never touch (or move) the callbacks themselves. Slots are
+  // recycled through a freelist — after warm-up the schedule path allocates
+  // nothing. A fiber-resume event owns no slot: `slot` holds
+  // kFiberTag | fiber id.
   static constexpr std::uint32_t kFiberTag = 0x8000'0000u;
   struct Event {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  // (t, seq) as one 128-bit key: a branch-free compare lets the heap's
-  // min-child scan compile to conditional moves.
+  // (t, seq) as one 128-bit key: a branch-free compare lets the lane's
+  // binary search and the heap's min-child scan compile to conditional moves.
   struct EventEarlier {
     bool operator()(const Event& a, const Event& b) const noexcept {
       using Key = unsigned __int128;

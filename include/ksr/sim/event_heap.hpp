@@ -4,7 +4,8 @@
 #include <utility>
 #include <vector>
 
-// d-ary min-heap for the engine's event queue.
+// d-ary min-heap: the overflow lane of the engine's event queue (EventQueue
+// below).
 //
 // Replaces std::priority_queue for two reasons. First, priority_queue::top()
 // returns a const reference, forcing a const_cast to move the event out; the
@@ -66,6 +67,29 @@ class DaryHeap {
   // Fill the hole at `hole` with `v`, moving earlier children up.
   void sift_down(std::size_t hole, T v) {
     const std::size_t n = heap_.size();
+    if constexpr (Arity == 4) {
+      // Full nodes: the earliest of four children by a two-round tournament
+      // of index selects, which compile to conditional moves (the winner is
+      // the lowest index among equals, as in the scan below).
+      for (std::size_t first = hole * 4 + 1; first + 4 <= n;
+           first = hole * 4 + 1) {
+        const std::size_t a =
+            first + static_cast<std::size_t>(
+                        earlier_(heap_[first + 1], heap_[first]));
+        const std::size_t b =
+            first + 2 +
+            static_cast<std::size_t>(
+                earlier_(heap_[first + 3], heap_[first + 2]));
+        const std::size_t best = earlier_(heap_[b], heap_[a]) ? b : a;
+        if (!earlier_(heap_[best], v)) {
+          heap_[hole] = std::move(v);
+          return;
+        }
+        heap_[hole] = std::move(heap_[best]);
+        hole = best;
+      }
+    }
+    // A node with fewer children than Arity, or any node of another arity.
     for (;;) {
       const std::size_t first = hole * Arity + 1;
       if (first >= n) break;
@@ -97,20 +121,29 @@ class DaryHeap {
   [[no_unique_address]] Earlier earlier_;
 };
 
-// Two-lane priority queue tuned for discrete-event scheduling.
+// Priority queue tuned for discrete-event scheduling: one sorted lane, with
+// the d-ary heap above as a bounded overflow lane.
 //
 // Most events a simulator schedules arrive in nondecreasing (time, seq)
 // order — each dispatched event schedules things at or after `now`, and the
-// tie-breaking sequence number always grows. A heap pays full-depth
-// sift-downs for exactly that friendly pattern (the tail it re-sifts from
-// the root is usually the maximum). So pushes that are >= the newest element
-// of the sorted lane are appended there in O(1) and popped from its front in
-// O(1); only out-of-order pushes fall back to the d-ary heap. pop_top()
-// merges the two lanes by `Earlier`, so the dispatch order is exactly the
-// total (time, seq) order a single heap would produce — bit-identical runs.
+// tie-breaking sequence number always grows. Those append to the sorted
+// lane in O(1) and pop from its front in O(1). The rest (a spinning fiber
+// re-parking a few ns ahead while a slower one waits far in the future) are
+// placed inside the lane, and whichever side of their position is shorter
+// moves by one slot: the left side down into the dead prefix that pops
+// leave below the lane's head, the right side up. Within kNear of either
+// end the position is found while shifting; further in, by binary search.
+// Only when the shorter side holds more than kReach elements does the event
+// go to the heap lane. pop_top() merges the two lanes by `Earlier`, so the
+// dispatch order is exactly the total (time, seq) order a single heap would
+// produce — bit-identical runs.
 template <typename T, typename Earlier, unsigned Arity = 4>
 class EventQueue {
  public:
+  /// Most elements one in-lane insert moves; an event whose shorter side is
+  /// longer overflows to the heap lane.
+  static constexpr std::size_t kReach = 64;
+
   [[nodiscard]] bool empty() const noexcept {
     return run_head_ == run_.size() && heap_.empty();
   }
@@ -125,45 +158,35 @@ class EventQueue {
       run_.push_back(std::move(v));
     } else if (!earlier_(v, run_.back())) {
       run_.push_back(std::move(v));
-    } else {
+    } else if (!insert_run(v)) {
       heap_.push(std::move(v));
     }
   }
 
   /// The element pop_top() would return. Precondition: !empty().
   [[nodiscard]] const T& top() const noexcept {
-    if (run_head_ == run_.size()) return heap_.top();
-    if (heap_.empty()) return run_[run_head_];
-    const T& r = run_[run_head_];
-    return earlier_(heap_.top(), r) ? heap_.top() : r;
+    return top_in_run() ? run_[run_head_] : heap_.top();
   }
 
   /// Remove and return the earliest element across both lanes.
-  T pop_top() {
-    if (run_head_ == run_.size()) return heap_.pop_top();
-    if (!heap_.empty() && earlier_(heap_.top(), run_[run_head_])) {
-      return heap_.pop_top();
-    }
-    return pop_run();
-  }
+  T pop_top() { return top_in_run() ? pop_run() : heap_.pop_top(); }
 
-  /// push(v) followed by pop_top(): returns `v` itself when it sorts first.
-  /// When the top sits in the heap lane and `v` cannot append to the sorted
-  /// lane, `v` takes the top's place in a single sift-down.
-  T replace_top(T v) {
-    if (empty() || earlier_(v, top())) return v;
-    const bool run_live = run_head_ != run_.size();
-    if (run_live &&
-        (heap_.empty() || !earlier_(heap_.top(), run_[run_head_]))) {
-      T out = pop_run();
+  /// push(v) followed by pop_top(), for a caller that has already compared
+  /// `v` with the top. Precondition: !empty() and top() sorts before `v`.
+  T exchange_top(T v) {
+    if (top_in_run()) {
+      T out = pop_run();  // frees the slot a left shift moves into
       push(std::move(v));
       return out;
     }
-    if (run_live && !earlier_(v, run_.back())) {
-      run_.push_back(std::move(v));
-      return heap_.pop_top();
+    // The top is in the heap lane: `v` joins the sorted lane when it fits
+    // there, else takes the top's place in one sift-down.
+    if (run_head_ == run_.size() || !earlier_(v, run_.back())) {
+      push(std::move(v));
+    } else if (!insert_run(v)) {
+      return heap_.replace_top(std::move(v));
     }
-    return heap_.replace_top(std::move(v));
+    return heap_.pop_top();
   }
 
   void clear() noexcept {
@@ -178,6 +201,15 @@ class EventQueue {
   }
 
  private:
+  // Positions within kNear of either end of the lane are found by the
+  // shifting loop itself: cheaper than a search for the usual few slots.
+  static constexpr std::size_t kNear = 8;
+
+  [[nodiscard]] bool top_in_run() const noexcept {
+    return run_head_ != run_.size() &&
+           (heap_.empty() || !earlier_(heap_.top(), run_[run_head_]));
+  }
+
   T pop_run() {
     T out = std::move(run_[run_head_++]);
     // Reclaim the dead prefix once it dominates the lane (trivial memmove).
@@ -189,8 +221,52 @@ class EventQueue {
     return out;
   }
 
+  // Place `v` inside the live sorted lane by moving the shorter side of its
+  // position one slot; false (nothing moved) when that side is longer than
+  // kReach. Precondition: the lane is live and `v` sorts before its back.
+  bool insert_run(const T& v) {
+    const std::size_t n = run_.size();
+    if (n - run_head_ <= kNear || !earlier_(v, run_[n - 1 - kNear])) {
+      std::size_t i = n - 1;
+      run_.push_back(run_[i]);
+      for (; i > run_head_ && earlier_(v, run_[i - 1]); --i) {
+        run_[i] = run_[i - 1];
+      }
+      run_[i] = v;
+      return true;
+    }
+    if (run_head_ != 0 && earlier_(v, run_[run_head_ + kNear])) {
+      std::size_t i = --run_head_;
+      for (; !earlier_(v, run_[i + 1]); ++i) run_[i] = run_[i + 1];
+      run_[i] = v;
+      return true;
+    }
+    // Binary search for the first element `v` sorts before, halving by
+    // conditional moves: the probes' outcomes are unpredictable.
+    std::size_t pos = run_head_;
+    for (std::size_t m = n - kNear - run_head_; m > 1;) {
+      const std::size_t half = m / 2;
+      pos += earlier_(v, run_[pos + half]) ? 0 : half;
+      m -= half;
+    }
+    pos += static_cast<std::size_t>(!earlier_(v, run_[pos]));
+    const std::size_t left = pos - run_head_;
+    const std::size_t right = n - pos;
+    const auto at = run_.begin() + static_cast<std::ptrdiff_t>(pos);
+    if (left <= right && left <= kReach && run_head_ != 0) {
+      const auto first = run_.begin() + static_cast<std::ptrdiff_t>(run_head_);
+      std::move(first, at, first - 1);
+      *(at - 1) = v;
+      --run_head_;
+      return true;
+    }
+    if (right > kReach) return false;
+    run_.insert(at, v);
+    return true;
+  }
+
   DaryHeap<T, Earlier, Arity> heap_;
-  std::vector<T> run_;        // sorted lane: monotone appends, popped in front
+  std::vector<T> run_;        // sorted lane, popped in front
   std::size_t run_head_ = 0;  // first live element of run_
   [[no_unique_address]] Earlier earlier_;
 };

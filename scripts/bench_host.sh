@@ -52,7 +52,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 if [ "$CHECK" = 1 ]; then
   MIN_TIME=0.05
-  GBENCH_FILTER='--benchmark_filter=BM_(EngineEventDispatch|FiberSwitch|FiberHandoff|RingTransaction|CoherentReadHit)'
+  GBENCH_FILTER='--benchmark_filter=BM_(EngineEventDispatch|FiberSwitch|FiberHandoff|EventQueueHold|RingTransaction|CoherentReadHit)'
 else
   MIN_TIME=1
   GBENCH_FILTER='--benchmark_filter=.'

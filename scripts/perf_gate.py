@@ -30,6 +30,10 @@ GATED = [
     "BM_EngineEventDispatch",
     "BM_FiberSwitch",
     "BM_FiberHandoff",
+    # By full name: the spinning-fiber shape, and the uniform shape whose
+    # slowdown the event queue's kReach bound keeps in check.
+    "BM_EventQueueHold/32/0",
+    "BM_EventQueueHold/128/1",
     "BM_RingTransaction",
     "BM_CoherentReadHit",
 ]

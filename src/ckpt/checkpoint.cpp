@@ -1,5 +1,6 @@
 #include "ksr/ckpt/checkpoint.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
@@ -106,17 +107,24 @@ std::vector<std::byte> read_file(const std::string& path) {
   if (f == nullptr) {
     throw std::runtime_error("checkpoint: cannot open " + path);
   }
-  std::vector<std::byte> image;
-  std::byte chunk[1 << 16];
-  for (;;) {
-    const std::size_t n = std::fread(chunk, 1, sizeof(chunk), f);
-    image.insert(image.end(), chunk, chunk + n);
-    if (n < sizeof(chunk)) break;
+  // Size the image once from the file's length and read it in one call.
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0) {
+    const std::string why = std::strerror(errno);
+    std::fclose(f);
+    throw std::runtime_error("checkpoint: cannot stat " + path + ": " + why);
   }
+  std::vector<std::byte> image(static_cast<std::size_t>(st.st_size));
+  const std::size_t n = std::fread(image.data(), 1, image.size(), f);
   const bool err = std::ferror(f) != 0;
   std::fclose(f);
   if (err) {
     throw std::runtime_error("checkpoint: read error on " + path);
+  }
+  if (n != image.size()) {
+    throw std::runtime_error("checkpoint: short read on " + path + " (" +
+                             std::to_string(n) + " of " +
+                             std::to_string(image.size()) + " bytes)");
   }
   return image;
 }

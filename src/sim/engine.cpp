@@ -202,12 +202,12 @@ void Engine::resume(Fiber& f) {
 }
 
 void Engine::handoff(const Event* own) {
-  // The event the scheduler would dispatch next, with `own` pushed.
-  const Event* next = own;
-  if (!events_.empty() &&
-      (own == nullptr || EventEarlier{}(events_.top(), *own))) {
-    next = &events_.top();
-  }
+  // The event the scheduler would dispatch next, with `own` pushed: the
+  // queue's top (read once) unless `own` sorts first.
+  const Event* top = events_.empty() ? nullptr : &events_.top();
+  const bool self =
+      own != nullptr && (top == nullptr || !EventEarlier{}(*top, *own));
+  const Event* next = self ? own : top;
   if (next == nullptr || (next->slot & kFiberTag) == 0 ||
       next->t >= horizon_ ||
       (!observers_.empty() && observers_.top().t <= next->t) ||
@@ -217,8 +217,8 @@ void Engine::handoff(const Event* own) {
     return;
   }
   // Dispatch `next` exactly as run_until() would, minus the round trip.
-  const Event ev = next == own ? *own
-                   : own != nullptr ? events_.replace_top(*own)
+  const Event ev = self ? *own
+                   : own != nullptr ? events_.exchange_top(*own)
                                     : events_.pop_top();
   now_ = ev.t;
   ++dispatched_;

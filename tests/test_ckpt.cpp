@@ -500,5 +500,28 @@ TEST(CkptDigest, DigestFileEqualsOneShotAtChunkBoundaries) {
   EXPECT_THROW((void)ckpt::digest_file(path), std::runtime_error);
 }
 
+// read_file sizes the image from the file's length: every length on each
+// side of 64 KiB comes back byte for byte, and a missing file throws.
+TEST(CkptReadFile, RoundTripsEveryLengthAndThrowsOnMissingFile) {
+  const std::string path = ::testing::TempDir() + "ksr_read_file.bin";
+  for (std::size_t n : {0u, 1u, 65535u, 65536u, 65537u}) {
+    std::vector<std::byte> image(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      image[i] = static_cast<std::byte>((i * 131 + n) & 0xff);
+    }
+    ckpt::write_file(path, image);
+    EXPECT_EQ(ckpt::read_file(path), image) << n << " bytes";
+  }
+  std::remove(path.c_str());
+  try {
+    (void)ckpt::read_file(path);
+    FAIL() << "reading a missing file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open " + path),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace ksr::machine

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ksr/sim/callback.hpp"
@@ -384,6 +385,12 @@ struct KeyEarlier {
   }
 };
 
+// push(k) then pop_top() on an EventQueue, as Engine::handoff does it.
+Key push_pop(EventQueue<Key, KeyEarlier, 4>& q, Key k) {
+  if (q.empty() || KeyEarlier{}(k, q.top())) return k;
+  return q.exchange_top(k);
+}
+
 // Random interleaving of monotone pushes (the engine's common case),
 // out-of-order pushes, and interspersed pops. Returns the pop order.
 template <typename Queue>
@@ -451,7 +458,7 @@ TEST(EventQueue, ReplaceTopEqualsPushThenPop) {
     }
     reference.push(k);
     const Key want = reference.pop_top();
-    EXPECT_EQ(replaced.replace_top(k).seq, want.seq);
+    EXPECT_EQ(push_pop(replaced, k).seq, want.seq);
     EXPECT_EQ(heap.replace_top(k).seq, want.seq);
   }
   while (!reference.empty()) {
@@ -472,6 +479,221 @@ TEST(EventQueue, MonotonePushesAndSizeBookkeeping) {
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+// ---- EventQueue lane paths, each checked against a plain DaryHeap --------
+//
+// The scenarios below place events at chosen depths of the sorted lane (key
+// times are multiples of 10, so t = 10k + 5 lands between two of them) to
+// drive each path: a linear step near either end, a binary-searched middle
+// insert shifting the shorter side, and the overflow to the heap lane.
+
+using Lanes = EventQueue<Key, KeyEarlier, 4>;
+
+class QueueMirror {
+ public:
+  void push(Time t) {
+    const Key k{t, seq_++};
+    q_.push(k);
+    ref_.push(k);
+    EXPECT_EQ(q_.size(), ref_.size());
+  }
+  void pop(int n = 1) {
+    for (int i = 0; i < n; ++i) {
+      const Key got = q_.pop_top();
+      const Key want = ref_.pop_top();
+      EXPECT_EQ(got.t, want.t);
+      EXPECT_EQ(got.seq, want.seq);
+    }
+  }
+  void replace_top(Time t) {
+    const Key k{t, seq_++};
+    const Key got = push_pop(q_, k);
+    const Key want = ref_.replace_top(k);
+    EXPECT_EQ(got.t, want.t);
+    EXPECT_EQ(got.seq, want.seq);
+  }
+  // Push t = 10, 20, ..., 10 n: an in-order lane.
+  void fill(int n) {
+    for (int i = 1; i <= n; ++i) push(static_cast<Time>(10 * i));
+  }
+  void drain() {
+    while (!ref_.empty()) {
+      ASSERT_FALSE(q_.empty());
+      EXPECT_EQ(q_.top().seq, ref_.top().seq);
+      pop();
+    }
+    EXPECT_TRUE(q_.empty());
+    EXPECT_EQ(q_.size(), 0u);
+  }
+
+ private:
+  Lanes q_;
+  DaryHeap<Key, KeyEarlier, 4> ref_;
+  std::uint64_t seq_ = 0;
+};
+
+TEST(EventQueueLanes, FrontInsertsMoveIntoTheDeadPrefix) {
+  QueueMirror m;
+  m.fill(100);
+  m.pop(20);       // a dead prefix of 20 slots below the head (t = 210)
+  m.push(205);     // before the head: takes the slot below it
+  m.push(215);     // one slot in
+  m.push(245);     // four slots in
+  m.push(207);     // the new head again
+  m.replace_top(209);
+  m.drain();
+}
+
+TEST(EventQueueLanes, MiddleInsertsShiftTheShorterSide) {
+  QueueMirror m;
+  m.fill(200);
+  m.pop(60);     // live t = 610..2000, 140 events, 60 dead slots
+  m.push(815);   // 20 after the head, 120 before the back: left side moves
+  m.push(1805);  // 120 after the head, 20 before the back: right side moves
+  m.push(625);   // a few after the head: the linear step
+  m.push(1995);  // just before the back: the linear step
+  m.replace_top(835);
+  m.replace_top(1815);
+  m.drain();
+}
+
+TEST(EventQueueLanes, OverflowToTheHeapAndBack) {
+  const int half = static_cast<int>(Lanes::kReach) + 40;
+  const Time mid = 10 * static_cast<Time>(half);
+  QueueMirror m;
+  m.fill(2 * half);
+  // Nine events between two lane slots with more than kReach events on
+  // both sides: they go to the heap lane.
+  for (Time dt = 1; dt < 10; ++dt) m.push(mid + dt);
+  m.pop(half);  // through t = mid: the heap lane holds the next nine tops
+  for (Time t = 3010; t <= 5000; t += 10) m.push(t);  // a longer lane
+  m.replace_top(2500);  // the lane's middle: takes the heap top's place
+  m.replace_top(6000);  // appends to the lane
+  m.replace_top(4995);  // near the lane's back
+  m.pop(3);
+  m.push(mid - 5);  // in front of the whole lane, into its dead prefix
+  m.drain();        // the heap's events come back out in order
+}
+
+TEST(EventQueueLanes, InsertsAfterTheLaneIsCompacted) {
+  QueueMirror m;
+  m.fill(10000);
+  m.pop(5000);  // the dead prefix is reclaimed: the head is slot 0 again
+  m.push(50'015);  // one slot in, no dead slot below: right side or heap
+  m.push(99'985);  // near the back
+  m.pop();
+  m.push(50'025);  // one dead slot again
+  for (int i = 0; i < 6000; ++i) {  // past 4096 pops once more
+    m.pop();
+    m.push(100'000 + static_cast<Time>(7 * i));
+  }
+  m.drain();
+}
+
+TEST(EventQueueLanes, HashedTieBreaksMatchTheHeap) {
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0x5eed}}) {
+    SCOPED_TRACE(seed);
+    Lanes q;
+    DaryHeap<Key, KeyEarlier, 4> ref;
+    Rng rng(seed);
+    std::uint64_t c = 0;
+    Time now = 0;
+    // The live count wanders up to a few hundred, so every lane path and
+    // the overflow are taken; set_tie_break_seed() keys ties this way.
+    for (int round = 0; round < 40000; ++round) {
+      const Time t =
+          now + (rng.below(16) == 0 ? rng.below(400) : rng.below(4));
+      const Key k{t, mix64(seed + c++)};
+      const std::uint64_t op = rng.below(100);
+      const bool grow = (round / 4000) % 2 == 0;
+      if (ref.empty() || op < (grow ? 55u : 35u)) {
+        q.push(k);
+        ref.push(k);
+      } else if (op < 70) {
+        const Key got = q.pop_top();
+        const Key want = ref.pop_top();
+        ASSERT_EQ(got.seq, want.seq);
+        now = got.t;
+      } else {
+        const Key got = push_pop(q, k);
+        const Key want = ref.replace_top(k);
+        ASSERT_EQ(got.seq, want.seq);
+        now = got.t;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) ASSERT_EQ(q.pop_top().seq, ref.pop_top().seq);
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+// N fibers re-park by seeded random waits (mostly a few ns, now and then
+// far, sometimes 0 for a same-time tie); the engine must resume them in the
+// order of a reference model that sorts resume events by (time, seq) with
+// the engine's sequence numbering and tie-break hash.
+TEST(EngineDispatch, SeededRandomWaitsMatchSortedReference) {
+  constexpr std::uint32_t kFibers = 48;
+  constexpr int kSteps = 300;
+  auto wait_of = [](Rng& rng) -> Duration {
+    const std::uint64_t r = rng.below(32);
+    return r == 0 ? 200 + rng.below(2000) : r < 4 ? 0 : 1 + rng.below(6);
+  };
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{0x5eed}}) {
+    SCOPED_TRACE(seed);
+    std::vector<std::pair<Time, std::uint32_t>> got;
+    Engine eng;
+    eng.set_tie_break_seed(seed);
+    for (std::uint32_t f = 0; f < kFibers; ++f) {
+      eng.spawn([&eng, &got, &wait_of, f] {
+        Rng rng(f + 1);
+        for (int i = 0; i < kSteps; ++i) {
+          got.emplace_back(eng.now(), f);
+          eng.wait_until(eng.now() + wait_of(rng));
+        }
+      });
+    }
+    eng.run();
+
+    // The model: spawn events take sequence numbers 0..N-1, each wait the
+    // next one; a fiber's last resume only returns from its body.
+    struct Ev {
+      Time t;
+      std::uint64_t seq;
+      std::uint32_t fiber;
+    };
+    auto later = [](const Ev& a, const Ev& b) {
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    };
+    std::uint64_t c = 0;
+    auto key = [&] {
+      const std::uint64_t n = c++;
+      return seed == 0 ? n : mix64(seed + n);
+    };
+    std::vector<Ev> heap;
+    std::vector<Rng> rngs;
+    std::vector<int> steps(kFibers, 0);
+    for (std::uint32_t f = 0; f < kFibers; ++f) {
+      rngs.emplace_back(f + 1);
+      heap.push_back(Ev{0, key(), f});
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    std::vector<std::pair<Time, std::uint32_t>> want;
+    std::uint64_t dispatched = 0;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const Ev ev = heap.back();
+      heap.pop_back();
+      ++dispatched;
+      if (steps[ev.fiber]++ == kSteps) continue;
+      want.emplace_back(ev.t, ev.fiber);
+      heap.push_back(Ev{ev.t + wait_of(rngs[ev.fiber]), key(), ev.fiber});
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(eng.events_dispatched(), dispatched);
+    EXPECT_EQ(dispatched, std::uint64_t{kFibers} * (kSteps + 1));
+  }
 }
 
 }  // namespace
