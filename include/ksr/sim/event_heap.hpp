@@ -67,29 +67,6 @@ class DaryHeap {
   // Fill the hole at `hole` with `v`, moving earlier children up.
   void sift_down(std::size_t hole, T v) {
     const std::size_t n = heap_.size();
-    if constexpr (Arity == 4) {
-      // Full nodes: the earliest of four children by a two-round tournament
-      // of index selects, which compile to conditional moves (the winner is
-      // the lowest index among equals, as in the scan below).
-      for (std::size_t first = hole * 4 + 1; first + 4 <= n;
-           first = hole * 4 + 1) {
-        const std::size_t a =
-            first + static_cast<std::size_t>(
-                        earlier_(heap_[first + 1], heap_[first]));
-        const std::size_t b =
-            first + 2 +
-            static_cast<std::size_t>(
-                earlier_(heap_[first + 3], heap_[first + 2]));
-        const std::size_t best = earlier_(heap_[b], heap_[a]) ? b : a;
-        if (!earlier_(heap_[best], v)) {
-          heap_[hole] = std::move(v);
-          return;
-        }
-        heap_[hole] = std::move(heap_[best]);
-        hole = best;
-      }
-    }
-    // A node with fewer children than Arity, or any node of another arity.
     for (;;) {
       const std::size_t first = hole * Arity + 1;
       if (first >= n) break;

@@ -107,24 +107,26 @@ std::vector<std::byte> read_file(const std::string& path) {
   if (f == nullptr) {
     throw std::runtime_error("checkpoint: cannot open " + path);
   }
-  // Size the image once from the file's length and read it in one call.
+  // Size the image once from a regular file's length and read it in one
+  // call, then read on to end of file: a pipe reports no length, and a file
+  // may have grown since the fstat.
   struct stat st {};
   if (::fstat(::fileno(f), &st) != 0) {
     const std::string why = std::strerror(errno);
     std::fclose(f);
     throw std::runtime_error("checkpoint: cannot stat " + path + ": " + why);
   }
-  std::vector<std::byte> image(static_cast<std::size_t>(st.st_size));
-  const std::size_t n = std::fread(image.data(), 1, image.size(), f);
+  std::vector<std::byte> image(
+      S_ISREG(st.st_mode) ? static_cast<std::size_t>(st.st_size) : 0);
+  image.resize(std::fread(image.data(), 1, image.size(), f));
+  std::byte chunk[1 << 16];
+  for (std::size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) {
+    image.insert(image.end(), chunk, chunk + n);
+  }
   const bool err = std::ferror(f) != 0;
   std::fclose(f);
   if (err) {
     throw std::runtime_error("checkpoint: read error on " + path);
-  }
-  if (n != image.size()) {
-    throw std::runtime_error("checkpoint: short read on " + path + " (" +
-                             std::to_string(n) + " of " +
-                             std::to_string(image.size()) + " bytes)");
   }
   return image;
 }

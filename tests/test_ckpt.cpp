@@ -24,6 +24,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "ksr/check/checker.hpp"
@@ -521,6 +522,36 @@ TEST(CkptReadFile, RoundTripsEveryLengthAndThrowsOnMissingFile) {
               std::string::npos)
         << e.what();
   }
+}
+
+// A FIFO reports no length, so read_file must read on to end of file.
+TEST(CkptReadFile, ReadsAPipeToEndOfFile) {
+  const std::string path = ::testing::TempDir() + "ksr_read_file.fifo";
+  for (std::size_t n : {0u, 1u, 200003u}) {
+    std::remove(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+    std::vector<std::byte> image(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      image[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+    }
+    // Opening a FIFO blocks until the other end opens too.
+    std::thread writer([&path, &image] {
+      std::FILE* w = std::fopen(path.c_str(), "wb");
+      if (w == nullptr) return;
+      std::fwrite(image.data(), 1, image.size(), w);
+      std::fclose(w);
+    });
+    std::vector<std::byte> got;
+    try {
+      got = ckpt::read_file(path);
+    } catch (...) {
+      writer.join();
+      throw;
+    }
+    writer.join();
+    EXPECT_EQ(got, image) << n << " bytes";
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
