@@ -8,12 +8,6 @@ Inputs (all produced by scripts/bench_host.sh):
                   form records the entry under "alias" instead of the bench
                   name on the line (used for the --jobs 1 serial baseline,
                   whose bench name collides with the parallel run).
-  --campaign SPEC "alias=FILE.jsonl" (repeatable): a `ksrsim campaign` result
-                  database (docs/SERVING.md). Folded in as a paper_bench
-                  entry whose events_dispatched is the sum over the
-                  campaign's jobs — directly comparable to the equivalent
-                  direct sweep's fingerprint — plus per-job points keyed
-                  <workload>_p<procs>.
   --mode MODE     "quick" or "full" (recorded verbatim)
   --out FILE      where to write the merged JSON
 
@@ -145,55 +139,10 @@ def parse_host(spec: str) -> dict:
     return {name: entry}
 
 
-def parse_campaign(spec: str) -> dict:
-    alias, sep, path = spec.partition("=")
-    if not sep:
-        raise SystemExit(
-            f"report.py: --campaign needs alias=FILE.jsonl, got '{spec}'")
-    total_events = 0
-    jobs = 0
-    points = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for n, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise SystemExit(
-                        f"report.py: {path}:{n}: bad campaign record: {e}")
-                result = rec.get("result")
-                if not isinstance(result, dict):
-                    # Failed jobs carry an "error" member instead; a report
-                    # built from a half-failed campaign would be misleading.
-                    raise SystemExit(
-                        f"report.py: {path}:{n}: job has no result "
-                        f"({rec.get('error', 'missing result object')})")
-                spec_obj = rec.get("spec", {})
-                jobs += 1
-                events = int(result.get("events_dispatched", 0))
-                total_events += events
-                key = f"{spec_obj.get('workload')}_p{spec_obj.get('procs')}"
-                points[key] = {
-                    "events_dispatched": events,
-                    "seconds": result.get("seconds"),
-                    "cache_key": rec.get("key"),
-                }
-    except OSError as e:
-        raise SystemExit(f"report.py: cannot read campaign db {path}: {e}")
-    if jobs == 0:
-        raise SystemExit(f"report.py: no campaign records in {path}")
-    return {alias: {"events_dispatched": total_events, "jobs": jobs,
-                    "points": points}}
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--gbench", required=True)
     ap.add_argument("--host", action="append", default=[])
-    ap.add_argument("--campaign", action="append", default=[])
     ap.add_argument("--mode", default="full")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
@@ -202,8 +151,6 @@ def main() -> int:
               "microbench": parse_gbench(args.gbench), "paper_bench": {}}
     for path in args.host:
         report["paper_bench"].update(parse_host(path))
-    for spec in args.campaign:
-        report["paper_bench"].update(parse_campaign(spec))
 
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)

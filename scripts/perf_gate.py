@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Host-performance regression gate.
 
-Compares a fresh google-benchmark JSON (scripts/bench_host.sh --check) against
-the committed baseline report (BENCH_host.json at the repository root) and
-fails if a gated microbench slowed down past the tolerance:
+Runs the gated microbenches of a build's bench_sim_throughput and compares
+them against the committed baseline report (BENCH_host.json at the
+repository root); fails if a gated microbench slowed down past the
+tolerance:
 
-    perf_gate.py --gbench TMP/gbench.json [--baseline BENCH_host.json]
+    perf_gate.py --build-dir build [--baseline BENCH_host.json]
 
-For every gated bench present in BOTH files, the fresh items_per_second must
-be at least MIN_RATIO x the baseline's. The default tolerance is deliberately
-loose (0.5: flag halvings, ignore noise) because CI containers are slow,
-share cores, and differ from the machine that wrote the baseline; tighten via
-the KSR_PERF_GATE_MIN_RATIO environment variable when the host is quiet.
+For every gated bench, the fresh items_per_second must be at least
+MIN_RATIO x the baseline's. The default tolerance is deliberately loose
+(0.5: flag halvings, ignore noise) because CI containers are slow, share
+cores, and differ from the machine that wrote the baseline; tighten via the
+KSR_PERF_GATE_MIN_RATIO environment variable when the host is quiet.
 
-Missing baseline file or missing entries are a SKIP, not a failure — the
-gate must not brick CI on a fresh clone or after a bench rename. Only the
+A gated name the binary does not report fails the gate. A missing baseline
+file, or a name missing from it, is a SKIP, not a failure — the gate must
+not brick CI on a fresh clone or before a baseline is re-recorded. Only the
 standard library is used.
 """
 from __future__ import annotations
@@ -22,16 +24,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 
-# The simulator's hot loops, in the order they dominate wall time. Keep this
-# list short: every entry is a potential false positive on a noisy host.
+# The simulator's hot loops, in the order they dominate wall time, by full
+# google-benchmark name (arguments included). Keep this list short: every
+# entry is a potential false positive on a noisy host.
 GATED = [
     "BM_EngineEventDispatch",
     "BM_FiberSwitch",
-    "BM_FiberHandoff",
-    # By full name: the spinning-fiber shape, and the uniform shape whose
-    # slowdown the event queue's kReach bound keeps in check.
+    "BM_FiberHandoff/32",
+    # The spinning-fiber shape, and the uniform shape whose slowdown the
+    # event queue's kReach bound keeps in check.
     "BM_EventQueueHold/32/0",
     "BM_EventQueueHold/128/1",
     "BM_RingTransaction",
@@ -39,30 +43,26 @@ GATED = [
 ]
 
 
-def load_rates(path: str, microbench_key: bool) -> dict[str, float]:
+def run_gated(build_dir: str) -> dict[str, float]:
+    binary = os.path.join(build_dir, "bench", "bench_sim_throughput")
+    cmd = [binary, f"--benchmark_filter=^({'|'.join(GATED)})$",
+           "--benchmark_min_time=0.05", "--benchmark_format=json"]
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(f"perf_gate.py: cannot read {path}: {e}")
-    out: dict[str, float] = {}
-    if microbench_key:  # BENCH_host.json report schema
-        for name, entry in data.get("microbench", {}).items():
-            if "items_per_second" in entry:
-                out[name] = float(entry["items_per_second"])
-    else:  # raw google-benchmark schema
-        for b in data.get("benchmarks", []):
-            if b.get("run_type") == "aggregate":
-                continue
-            if "items_per_second" in b:
-                out[b["name"]] = float(b["items_per_second"])
-    return out
+        out = subprocess.run(cmd, check=True, capture_output=True,
+                             text=True).stdout
+        data = json.loads(out)
+    except (OSError, subprocess.CalledProcessError,
+            json.JSONDecodeError) as e:
+        raise SystemExit(f"perf_gate.py: {binary} failed: {e}")
+    return {b["name"]: float(b["items_per_second"])
+            for b in data.get("benchmarks", [])
+            if b.get("run_type") != "aggregate" and "items_per_second" in b}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--gbench", required=True,
-                    help="fresh google-benchmark JSON output")
+    ap.add_argument("--build-dir", required=True,
+                    help="build tree holding bench/bench_sim_throughput")
     ap.add_argument("--baseline", default="BENCH_host.json",
                     help="committed baseline report (default: BENCH_host.json)")
     args = ap.parse_args()
@@ -70,25 +70,25 @@ def main() -> int:
     if not os.path.exists(args.baseline):
         print(f"perf_gate.py: no baseline {args.baseline} — skipping gate")
         return 0
+    try:
+        with open(args.baseline, encoding="utf-8") as f:
+            base = json.load(f).get("microbench", {})
+    except (OSError, json.JSONDecodeError) as e:
+        raise SystemExit(f"perf_gate.py: cannot read {args.baseline}: {e}")
     min_ratio = float(os.environ.get("KSR_PERF_GATE_MIN_RATIO", "0.5"))
-    fresh = load_rates(args.gbench, microbench_key=False)
-    base = load_rates(args.baseline, microbench_key=True)
+    fresh = run_gated(args.build_dir)
 
     failures = []
     checked = 0
     for name in GATED:
-        # Raw gbench names carry /min_time: etc. suffixes in some configs;
-        # match on the exact name first, then on a prefix.
         fresh_rate = fresh.get(name)
+        base_rate = base.get(name, {}).get("items_per_second", 0)
         if fresh_rate is None:
-            cands = [v for k, v in fresh.items() if k.split("/")[0] == name]
-            fresh_rate = cands[0] if cands else None
-        base_rate = base.get(name)
-        if base_rate is None:
-            cands = [v for k, v in base.items() if k.split("/")[0] == name]
-            base_rate = cands[0] if cands else None
-        if fresh_rate is None or base_rate is None or base_rate <= 0:
-            print(f"perf_gate.py: {name}: no comparable data — skipped")
+            print(f"perf_gate.py: {name}: not reported by bench_sim_throughput")
+            failures.append(name)
+            continue
+        if base_rate <= 0:
+            print(f"perf_gate.py: {name}: no baseline — skipped")
             continue
         checked += 1
         ratio = fresh_rate / base_rate
@@ -100,8 +100,7 @@ def main() -> int:
             failures.append(name)
 
     if failures:
-        print(f"perf_gate.py: FAILED — regressed: {', '.join(failures)}",
-              file=sys.stderr)
+        print(f"perf_gate.py: FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
     print(f"perf_gate.py: OK ({checked} bench(es) within tolerance)")
     return 0

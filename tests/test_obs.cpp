@@ -14,6 +14,7 @@
 #include "ksr/obs/metrics.hpp"
 #include "ksr/obs/session.hpp"
 #include "ksr/obs/tracer.hpp"
+#include "ksr/serve/json.hpp"
 #include "ksr/sim/stats.hpp"
 #include "ksr/study/table.hpp"
 #include "ksr/sync/barrier.hpp"
@@ -188,6 +189,14 @@ TEST(Session, MergesJobsInSubmissionOrder) {
   EXPECT_LT(a, b);
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
   EXPECT_NE(json.find("],\"displayTimeUnit\":\"ns\"}"), std::string::npos);
+  // The merged file loads as one JSON document with a non-empty event list.
+  std::string err;
+  const serve::Json doc = serve::Json::parse(json, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const serve::Json* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_TRUE(events->is_array());
+  EXPECT_FALSE(events->items().empty());
   std::remove(path.c_str());
 }
 
