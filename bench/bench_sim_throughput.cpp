@@ -1,7 +1,7 @@
 // Host-side performance of the simulator itself (google-benchmark): event
 // dispatch rate (appended and out-of-order resumes), cache-model access
-// path, ring transactions, a whole barrier episode, and the serve cache's
-// key for a checkpoint preset.
+// path and page eviction, ring transactions, a whole barrier episode, and
+// the serve cache's key for a checkpoint preset.
 // These are real wall-clock measurements (unlike the paper-table binaries,
 // which report simulated seconds).
 #include <benchmark/benchmark.h>
@@ -167,6 +167,32 @@ void BM_LocalCacheTouch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LocalCacheTouch);
+
+// Page allocation under eviction pressure at IS's 1/64-scale geometry
+// (2 sets x 16 ways): every touch is a new page, so every touch past the
+// first 32 evicts. One page in 8 takes its sub-page Atomic and releases it
+// 32 pages later, so a few ways of each set are locked and the victim draw
+// skips them.
+void BM_LocalCacheEvict(benchmark::State& state) {
+  cache::LocalCache lc(cache::LocalCache::Config{2 * 16 * mem::kPageBytes, 16});
+  sim::Rng rng(1);
+  const auto sp_of = [](mem::PageId pg) {
+    return pg * mem::kSubPagesPerPage + pg % mem::kSubPagesPerPage;
+  };
+  mem::PageId pg = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lc.touch(
+        sp_of(pg),
+        pg % 8 == 0 ? cache::LineState::kAtomic : cache::LineState::kShared,
+        rng));
+    if (pg >= 32 && pg % 8 == 0) {
+      lc.set_state(sp_of(pg - 32), cache::LineState::kShared);
+    }
+    ++pg;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LocalCacheEvict);
 
 void BM_RingTransaction(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 
+#include "ksr/cache/set_index.hpp"
 #include "ksr/cache/state.hpp"
 #include "ksr/mem/geometry.hpp"
 #include "ksr/sim/rng.hpp"
@@ -41,17 +44,23 @@ class LocalCache {
     std::array<LineState, mem::kSubPagesPerPage> evicted_states{};
   };
 
+  /// One frame's sub-page states, by index within the page.
+  using PageStates = std::span<const LineState, mem::kSubPagesPerPage>;
+
   LocalCache() : LocalCache(Config{}) {}
   explicit LocalCache(const Config& cfg)
       : ways_(cfg.ways),
-        sets_(cfg.capacity_bytes / (cfg.ways * mem::kPageBytes)),
-        frames_(sets_ * ways_) {}
+        set_of_(cfg.capacity_bytes / (cfg.ways * mem::kPageBytes)),
+        lock_words_((ways_ + 7) / 8),
+        stride_(ways_ + lock_words_ + ways_ * kStateWords),
+        words_(set_of_.sets() * stride_) {}
 
   [[nodiscard]] Lookup lookup(mem::SubPageId sp) const noexcept {
     const mem::PageId pg = mem::page_of_subpage(sp);
-    const Frame* f = find(pg);
-    if (f == nullptr) return {};
-    return {true, f->sp[index_in_page(sp)]};
+    const std::size_t set = set_of_(pg);
+    const std::size_t w = find(set, pg);
+    if (w == ways_) return {};
+    return {true, states(set, w)[index_in_page(sp)]};
   }
 
   /// Ensure a frame exists for the page of `sp` (allocating/evicting if
@@ -59,16 +68,17 @@ class LocalCache {
   PageAlloc touch(mem::SubPageId sp, LineState st, sim::Rng& rng) {
     ++gen_;
     const mem::PageId pg = mem::page_of_subpage(sp);
+    const std::size_t set = set_of_(pg);
     PageAlloc out;
-    Frame* f = find(pg);
-    if (f == nullptr) {
+    std::size_t w = find(set, pg);
+    if (w == ways_) {
       out.allocated = true;
-      f = victim(pg, rng, out);
-      f->tag = pg;
-      f->valid = true;
-      f->sp.fill(LineState::kInvalid);
+      w = victim(set, rng, out);
+      tags(set)[w] = pg | kValid;
+      locks(set)[w] = 0;
+      std::fill_n(states(set, w), mem::kSubPagesPerPage, LineState::kInvalid);
     }
-    f->sp[index_in_page(sp)] = st;
+    put(set, w, index_in_page(sp), st);
     return out;
   }
 
@@ -76,8 +86,10 @@ class LocalCache {
   /// absent (e.g. already evicted).
   void set_state(mem::SubPageId sp, LineState st) noexcept {
     ++gen_;
-    Frame* f = find(mem::page_of_subpage(sp));
-    if (f != nullptr) f->sp[index_in_page(sp)] = st;
+    const mem::PageId pg = mem::page_of_subpage(sp);
+    const std::size_t set = set_of_(pg);
+    const std::size_t w = find(set, pg);
+    if (w != ways_) put(set, w, index_in_page(sp), st);
   }
 
   /// Monotone counter bumped on every state mutation (touch, set_state,
@@ -86,15 +98,30 @@ class LocalCache {
   [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
 
   [[nodiscard]] LineState state(mem::SubPageId sp) const noexcept {
-    const Frame* f = find(mem::page_of_subpage(sp));
-    return f ? f->sp[index_in_page(sp)] : LineState::kInvalid;
+    return lookup(sp).state;
   }
 
+  /// Number of Atomic sub-pages in the frame of page `pg` (0 if absent).
+  [[nodiscard]] unsigned atomic_subpages(mem::PageId pg) const noexcept {
+    const std::size_t set = set_of_(pg);
+    const std::size_t w = find(set, pg);
+    return w == ways_ ? 0u : locks(set)[w];
+  }
+
+  /// Invalidate every frame. A cleared frame keeps its tag (the checkpoint
+  /// image reports it with valid=false). Frames that are already invalid
+  /// hold only Invalid states, so they are left untouched and an unused
+  /// part of the storage stays out of resident memory.
   void clear() noexcept {
     ++gen_;
-    for (auto& f : frames_) {
-      f.valid = false;
-      f.sp.fill(LineState::kInvalid);
+    for (std::size_t set = 0; set < set_of_.sets(); ++set) {
+      for (std::size_t w = 0; w < ways_; ++w) {
+        if ((tags(set)[w] & kValid) == 0) continue;
+        tags(set)[w] &= ~kValid;
+        locks(set)[w] = 0;
+        std::fill_n(states(set, w), mem::kSubPagesPerPage,
+                    LineState::kInvalid);
+      }
     }
   }
 
@@ -103,38 +130,48 @@ class LocalCache {
   /// order, so simulated behaviour must never depend on it.
   template <typename F>
   void for_each_subpage(F&& f) const {
-    for (const Frame& fr : frames_) {
-      if (!fr.valid) continue;
-      for (std::size_t i = 0; i < fr.sp.size(); ++i) {
-        if (fr.sp[i] != LineState::kInvalid) {
-          f(static_cast<mem::SubPageId>(fr.tag * mem::kSubPagesPerPage + i),
-            fr.sp[i]);
+    for_each_frame([&f](mem::PageId tag, bool valid, PageStates st) {
+      if (!valid) return;
+      for (std::size_t i = 0; i < st.size(); ++i) {
+        if (st[i] != LineState::kInvalid) {
+          f(static_cast<mem::SubPageId>(tag * mem::kSubPagesPerPage + i),
+            st[i]);
         }
       }
-    }
+    });
   }
 
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
+  [[nodiscard]] std::size_t sets() const noexcept { return set_of_.sets(); }
   [[nodiscard]] unsigned ways() const noexcept { return static_cast<unsigned>(ways_); }
 
   /// --- Checkpoint support (docs/CHECKPOINT.md). ---
   /// Positional frame access: storage order is part of machine state
   /// (victim() prefers the first invalid way), so restore is by slot index.
-  [[nodiscard]] std::size_t frame_count() const noexcept { return frames_.size(); }
+  /// Slot `i` is way `i % ways()` of set `i / ways()`.
+  [[nodiscard]] std::size_t frame_count() const noexcept {
+    return set_of_.sets() * ways_;
+  }
 
-  /// Visit every frame slot in storage order as f(tag, valid, states) where
-  /// `states` is the per-sub-page LineState array.
+  /// Visit every frame slot in storage order as f(tag, valid, states).
   template <typename F>
   void for_each_frame(F&& f) const {
-    for (const Frame& fr : frames_) f(fr.tag, fr.valid, fr.sp);
+    for (std::size_t set = 0; set < set_of_.sets(); ++set) {
+      for (std::size_t w = 0; w < ways_; ++w) {
+        const std::uint64_t t = tags(set)[w];
+        f(static_cast<mem::PageId>(t & ~kValid), (t & kValid) != 0,
+          PageStates(states(set, w), mem::kSubPagesPerPage));
+      }
+    }
   }
 
   void restore_frame(std::size_t i, mem::PageId tag, bool valid,
                      const std::array<LineState, mem::kSubPagesPerPage>& sp) noexcept {
-    Frame& f = frames_[i];
-    f.tag = tag;
-    f.valid = valid;
-    f.sp = sp;
+    const std::size_t set = i / ways_;
+    const std::size_t w = i % ways_;
+    tags(set)[w] = (tag & ~kValid) | (valid ? kValid : 0);
+    std::copy(sp.begin(), sp.end(), states(set, w));
+    locks(set)[w] = static_cast<std::uint8_t>(
+        std::count(sp.begin(), sp.end(), LineState::kAtomic));
   }
 
   void restore_generation(std::uint64_t gen) noexcept { gen_ = gen; }
@@ -144,64 +181,77 @@ class LocalCache {
   }
 
  private:
-  struct Frame {
-    mem::PageId tag = 0;
-    bool valid = false;
-    std::array<LineState, mem::kSubPagesPerPage> sp{};
-  };
+  // Storage: one ZeroedArray of words, set-major. Each set is `ways` tag
+  // words, then `ways` lock counts (one byte each, padded to a word), then
+  // `ways` runs of 128 sub-page states. A tag word is the page id with bit
+  // 63 as the valid bit (page ids are Sva / 16 KiB, so the bit is free): a
+  // lookup is one compare per way, and a cleared frame keeps its tag. The
+  // lock count is the frame's number of Atomic sub-pages, kept by every
+  // state write, so victim() reads one byte per way. An all-zero set is
+  // empty.
+  static constexpr std::uint64_t kValid = 1ull << 63;
+  static constexpr std::size_t kStateWords =
+      mem::kSubPagesPerPage * sizeof(LineState) / sizeof(std::uint64_t);
 
-  [[nodiscard]] std::size_t set_of(mem::PageId pg) const noexcept {
-    return static_cast<std::size_t>(pg) % sets_;
+  [[nodiscard]] std::uint64_t* tags(std::size_t set) const noexcept {
+    return words_.data() + set * stride_;
+  }
+  [[nodiscard]] std::uint8_t* locks(std::size_t set) const noexcept {
+    return reinterpret_cast<std::uint8_t*>(tags(set) + ways_);
+  }
+  [[nodiscard]] LineState* states(std::size_t set, std::size_t w) const noexcept {
+    return reinterpret_cast<LineState*>(tags(set) + ways_ + lock_words_) +
+           w * mem::kSubPagesPerPage;
   }
 
-  Frame* find(mem::PageId pg) noexcept {
-    const std::size_t set = set_of(pg);
+  /// Way holding page `pg` in `set`, or ways_ if none.
+  [[nodiscard]] std::size_t find(std::size_t set, mem::PageId pg) const noexcept {
+    const std::uint64_t key = pg | kValid;
+    const std::uint64_t* t = tags(set);
     for (std::size_t w = 0; w < ways_; ++w) {
-      Frame& f = frames_[set * ways_ + w];
-      if (f.valid && f.tag == pg) return &f;
+      if (t[w] == key) return w;
     }
-    return nullptr;
-  }
-  const Frame* find(mem::PageId pg) const noexcept {
-    return const_cast<LocalCache*>(this)->find(pg);
+    return ways_;
   }
 
-  Frame* victim(mem::PageId pg, sim::Rng& rng, PageAlloc& out) noexcept {
-    const std::size_t set = set_of(pg);
+  void put(std::size_t set, std::size_t w, std::size_t i, LineState st) noexcept {
+    LineState& s = states(set, w)[i];
+    std::uint8_t& lk = locks(set)[w];
+    lk = static_cast<std::uint8_t>(lk + (st == LineState::kAtomic) -
+                                   (s == LineState::kAtomic));
+    s = st;
+  }
+
+  std::size_t victim(std::size_t set, sim::Rng& rng, PageAlloc& out) noexcept {
+    const std::uint64_t* t = tags(set);
     for (std::size_t w = 0; w < ways_; ++w) {
-      Frame& f = frames_[set * ways_ + w];
-      if (!f.valid) return &f;
+      if ((t[w] & kValid) == 0) return w;
     }
     // Random replacement, but never evict a page holding an Atomic
     // (locked) sub-page — the hardware keeps locked lines resident.
+    const std::uint8_t* lk = locks(set);
     std::size_t candidates[64];
     std::size_t n = 0;
     for (std::size_t w = 0; w < ways_ && n < 64; ++w) {
-      const Frame& f = frames_[set * ways_ + w];
-      bool locked = false;
-      for (const LineState s : f.sp) {
-        if (s == LineState::kAtomic) {
-          locked = true;
-          break;
-        }
-      }
-      if (!locked) candidates[n++] = w;
+      if (lk[w] == 0) candidates[n++] = w;
     }
     const std::size_t pick =
         n > 0 ? candidates[rng.below(n)] : rng.below(ways_);
-    Frame& f = frames_[set * ways_ + pick];
     out.evicted = true;
-    out.evicted_page = f.tag;
-    out.evicted_states = f.sp;
-    return &f;
+    out.evicted_page = t[pick] & ~kValid;
+    std::copy_n(states(set, pick), mem::kSubPagesPerPage,
+                out.evicted_states.begin());
+    return pick;
   }
 
   std::size_t ways_;
-  std::size_t sets_;
-  // 288 KiB per cell at the full KSR-1 geometry, most of it never touched
+  SetIndex set_of_;
+  std::size_t lock_words_;  // words holding one set's lock counts
+  std::size_t stride_;      // words per set
+  // 274 KiB per cell at the full KSR-1 geometry, most of it never touched
   // by a run: ZeroedArray keeps the untouched part out of resident memory
-  // and construction free of page faults. An all-zero Frame is empty.
-  sim::ZeroedArray<Frame> frames_;
+  // and construction free of page faults.
+  sim::ZeroedArray<std::uint64_t> words_;
   std::uint64_t gen_ = 0;
 };
 

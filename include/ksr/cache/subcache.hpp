@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ksr/cache/set_index.hpp"
 #include "ksr/mem/geometry.hpp"
 #include "ksr/sim/rng.hpp"
 
@@ -33,8 +34,8 @@ class SubCache {
   SubCache() : SubCache(Config{}) {}
   explicit SubCache(const Config& cfg)
       : ways_(cfg.ways),
-        sets_(cfg.capacity_bytes / (cfg.ways * mem::kBlockBytes)),
-        frames_(sets_ * ways_) {}
+        set_of_(cfg.capacity_bytes / (cfg.ways * mem::kBlockBytes)),
+        frames_(set_of_.sets() * ways_) {}
 
   /// Touch the sub-block containing `a`; allocate block / fill sub-block as
   /// needed. Purely functional bookkeeping — the caller charges time.
@@ -42,7 +43,7 @@ class SubCache {
     const mem::BlockId blk = mem::block_of(a);
     const std::size_t sub =
         (a / mem::kSubBlockBytes) % mem::kSubBlocksPerBlock;
-    const std::size_t set = static_cast<std::size_t>(blk) % sets_;
+    const std::size_t set = set_of_(blk);
     Frame* frame = find(blk, set);
     Access out;
     if (frame == nullptr) {
@@ -69,7 +70,7 @@ class SubCache {
   /// True if the sub-block containing `a` is resident (no state change).
   [[nodiscard]] bool contains(mem::Sva a) const noexcept {
     const mem::BlockId blk = mem::block_of(a);
-    const std::size_t set = static_cast<std::size_t>(blk) % sets_;
+    const std::size_t set = set_of_(blk);
     for (std::size_t w = 0; w < ways_; ++w) {
       const Frame& f = frames_[set * ways_ + w];
       if (f.valid && f.tag == blk) {
@@ -86,7 +87,7 @@ class SubCache {
     ++gen_;
     const mem::Sva base = mem::subpage_base(sp);
     const mem::BlockId blk = mem::block_of(base);
-    const std::size_t set = static_cast<std::size_t>(blk) % sets_;
+    const std::size_t set = set_of_(blk);
     for (std::size_t w = 0; w < ways_; ++w) {
       Frame& f = frames_[set * ways_ + w];
       if (f.valid && f.tag == blk) {
@@ -105,7 +106,7 @@ class SubCache {
   /// cache evicts a page containing it).
   void invalidate_block(mem::BlockId blk) noexcept {
     ++gen_;
-    const std::size_t set = static_cast<std::size_t>(blk) % sets_;
+    const std::size_t set = set_of_(blk);
     for (std::size_t w = 0; w < ways_; ++w) {
       Frame& f = frames_[set * ways_ + w];
       if (f.valid && f.tag == blk) {
@@ -121,7 +122,7 @@ class SubCache {
     for (auto& f : frames_) f = Frame{};
   }
 
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
+  [[nodiscard]] std::size_t sets() const noexcept { return set_of_.sets(); }
   [[nodiscard]] unsigned ways() const noexcept { return static_cast<unsigned>(ways_); }
 
   /// --- Checkpoint support (docs/CHECKPOINT.md). ---
@@ -177,7 +178,7 @@ class SubCache {
   }
 
   std::size_t ways_;
-  std::size_t sets_;
+  SetIndex set_of_;
   std::vector<Frame> frames_;
 };
 

@@ -72,6 +72,8 @@ class CoherentMachine : public Machine {
     std::uint64_t placeholders = 0;
     int owner = -1;
     bool atomic = false;
+    bool exists = false;        // the sub-page has a directory entry
+    unsigned resident_leaf = 0;  // leaf the data last lived on
   };
   [[nodiscard]] DirView dir_view(mem::SubPageId sp) const;
   [[nodiscard]] cache::CellMask dir_holders(mem::SubPageId sp) const;
@@ -209,6 +211,61 @@ class CoherentMachine : public Machine {
   /// leaf_count are not available in the base constructor.
   void ensure_topology();
 
+  /// One home leaf's directory entries, plus a page index: for every page
+  /// with an entry in this shard, which of its 128 sub-pages have one. An
+  /// eviction fix-up visits just those entries instead of probing for all
+  /// 128. Entries are never erased singly, so the index only grows between
+  /// clear()s.
+  class DirShard {
+   public:
+    [[nodiscard]] DirEntry* find(mem::SubPageId sp) noexcept {
+      return entries_.find(sp);
+    }
+    [[nodiscard]] const DirEntry* find(mem::SubPageId sp) const noexcept {
+      return entries_.find(sp);
+    }
+    /// Insert-or-find; a new entry is recorded in the page index.
+    [[nodiscard]] DirEntry& get(mem::SubPageId sp) {
+      const std::size_t before = entries_.size();
+      DirEntry& e = entries_[sp];
+      if (entries_.size() != before) {
+        const std::size_t i = sp % mem::kSubPagesPerPage;
+        pages_[mem::page_of_subpage(sp)].bits[i / 64] |= 1ull << (i % 64);
+      }
+      return e;
+    }
+    /// Visit the existing entries of `page` in ascending sub-page order.
+    template <typename F>
+    void for_each_in_page(mem::PageId page, F&& f) {
+      const PageEntries* pe = pages_.find(page);
+      if (pe == nullptr) return;
+      const mem::SubPageId first = page * mem::kSubPagesPerPage;
+      for (unsigned word = 0; word < 2; ++word) {
+        for (std::uint64_t b = pe->bits[word]; b != 0; b &= b - 1) {
+          f(*entries_.find(first + word * 64 +
+                           static_cast<unsigned>(__builtin_ctzll(b))));
+        }
+      }
+    }
+    /// Every entry in hash order (host-side audits and checkpoints only).
+    template <typename F>
+    void for_each(F&& f) const {
+      entries_.for_each(f);
+    }
+    void clear() noexcept {
+      entries_.clear();
+      pages_.clear();
+    }
+
+   private:
+    struct PageEntries {
+      std::uint64_t bits[2] = {0, 0};  // bit i: sub-page i has an entry
+    };
+    static_assert(mem::kSubPagesPerPage == 128);
+    cache::FlatMap<mem::SubPageId, DirEntry> entries_;
+    cache::FlatMap<mem::PageId, PageEntries> pages_;
+  };
+
   [[nodiscard]] DirEntry* dir_find(mem::SubPageId sp) noexcept {
     if (dir_shards_.empty()) return nullptr;
     return dir_shards_[home_leaf(sp)].find(sp);
@@ -222,7 +279,7 @@ class CoherentMachine : public Machine {
   }
   /// Insert-or-find in the home shard (topology must be initialized).
   [[nodiscard]] DirEntry& dir_entry(mem::SubPageId sp) {
-    return dir_shards_[home_leaf(sp)][sp];
+    return dir_shards_[home_leaf(sp)].get(sp);
   }
   /// Host-side sweep over every entry in every shard (audits only; shard
   /// then hash order, so simulated behaviour must never depend on it).
@@ -333,7 +390,7 @@ class CoherentMachine : public Machine {
   }
 
   std::vector<Cell> cells_;
-  std::vector<cache::FlatMap<mem::SubPageId, DirEntry>> dir_shards_;
+  std::vector<DirShard> dir_shards_;  // [leaf_count()], by home leaf
   std::vector<ShardStats> shard_stats_;  // [leaf_count()], by home leaf
   std::vector<cache::CellMask> leaf_masks_;
   bool multi_domain_ = false;

@@ -275,10 +275,6 @@ struct MachineConfig {
     return (to + kRing1Positions - from) % kRing1Positions;
   }
 
-  [[nodiscard]] sim::Duration cycles(std::uint64_t n) const noexcept {
-    return n * cycle_ns;
-  }
-
   void validate() const {
     if (nproc == 0) throw std::invalid_argument("MachineConfig: nproc == 0");
     if (cycle_ns == 0 || ring_hop_ns == 0) {

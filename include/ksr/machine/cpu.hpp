@@ -49,7 +49,7 @@ class Cpu {
 
   /// Pure local compute: `n` CPU cycles (scales with the machine's clock,
   /// i.e. it is twice as fast on the KSR-2).
-  void work(std::uint64_t n);
+  void work(std::uint64_t n) { tick_cycles(n); }
 
   /// Advance the local clock by raw nanoseconds (clock-independent delays).
   void idle_ns(sim::Duration d) { local_now_ += d; }
@@ -122,8 +122,7 @@ class Cpu {
   void bind_engine(sim::Engine& e) noexcept { eng_ = &e; }
 
  protected:
-  Cpu(Machine& m, unsigned id, cache::PerfMonitor& pmon, sim::Rng& rng)
-      : machine_(m), id_(id), pmon_(&pmon), rng_(&rng) {}
+  Cpu(Machine& m, unsigned id, cache::PerfMonitor& pmon, sim::Rng& rng);
 
   /// Charge the timing model for one access touching [a, a+bytes).
   /// Implemented per machine kind; may block the fiber.
@@ -133,8 +132,16 @@ class Cpu {
   virtual void do_prefetch(mem::Sva a, bool exclusive) = 0;
   virtual void do_post_store(mem::Sva a) = 0;
 
-  /// Yield if any event is pending earlier than the local clock.
-  void lazy_sync();
+  /// Yield if any event is pending earlier than the local clock. Every
+  /// access runs this, so the single-domain test is inline; the first call
+  /// before bind_engine() and every multi-domain call take lazy_sync_slow().
+  void lazy_sync() {
+    if (eng_ != nullptr && !multi_domain_) {
+      if (eng_->next_event_time() < local_now_) eng_->wait_until(local_now_);
+      return;
+    }
+    lazy_sync_slow();
+  }
   /// Park until the global clock catches up to the local clock (required
   /// before interacting with the interconnect).
   void hard_sync();
@@ -144,7 +151,7 @@ class Cpu {
   /// Wake this Cpu's fiber at time `t` (callable from completion callbacks).
   void wake_at(sim::Time t);
 
-  void tick_cycles(std::uint64_t n);
+  void tick_cycles(std::uint64_t n) { local_now_ += n * cycle_ns_; }
   void tick_ns(sim::Duration d) { local_now_ += d; }
 
   void range(mem::Sva base, std::size_t bytes, Op op);
@@ -153,11 +160,16 @@ class Cpu {
   /// first use when Machine::run has not bound one yet).
   [[nodiscard]] sim::Engine& eng();
 
+  /// lazy_sync() in full, with the multi-domain horizon rule.
+  void lazy_sync_slow();
+
   Machine& machine_;
   unsigned id_;
   cache::PerfMonitor* pmon_;
   sim::Rng* rng_;
   sim::Engine* eng_ = nullptr;  // this cell's domain engine (bind_engine)
+  sim::Duration cycle_ns_;      // machine_.config().cycle_ns
+  bool multi_domain_;           // machine_.multi_domain()
   sim::Time local_now_ = 0;
   sim::Time epoch_ = 0;
   sim::FiberId fiber_ = 0;

@@ -53,8 +53,8 @@ struct CampaignOutcome {
 /// database:
 ///   <out_prefix>.jsonl  one line per job: index, key, spec, result —
 ///                       deterministic bytes, identical for cold and
-///                       resumed runs (bench/report.py --campaign folds it
-///                       into BENCH_host.json)
+///                       resumed runs (ctest golden_digests: scripts/
+///                       golden.sh runs each preset twice and compares)
 ///   <out_prefix>.csv    index,workload,machine,procs,scale,key,
 ///                       events_dispatched,seconds
 /// Both files are written temp-then-atomic-rename at the end of the run.

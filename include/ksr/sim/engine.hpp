@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -136,7 +137,10 @@ class Engine {
   [[nodiscard]] FiberId current_fiber() const noexcept;
 
   /// Earliest pending event time, or the sentinel Time maximum when idle.
-  [[nodiscard]] Time next_event_time() const noexcept;
+  [[nodiscard]] Time next_event_time() const noexcept {
+    return events_.empty() ? std::numeric_limits<Time>::max()
+                           : events_.top().t;
+  }
 
   /// Number of spawned fibers whose bodies have not yet returned.
   [[nodiscard]] std::size_t live_fibers() const noexcept { return live_fibers_; }

@@ -40,6 +40,8 @@ GATED = [
     "BM_EventQueueHold/128/1",
     "BM_RingTransaction",
     "BM_CoherentReadHit",
+    # Page allocation with eviction and locked ways (IS's 1/64 geometry).
+    "BM_LocalCacheEvict",
 ]
 
 

@@ -19,7 +19,9 @@ namespace ksr::machine {
 class CoherentCpu final : public Cpu {
  public:
   CoherentCpu(CoherentMachine& m, unsigned cell)
-      : Cpu(m, cell, m.cells_[cell].pmon, m.cells_[cell].prog_rng), cm_(m) {}
+      : Cpu(m, cell, m.cells_[cell].pmon, m.cells_[cell].prog_rng),
+        cm_(m),
+        cell_(&m.cells_[cell]) {}
 
  protected:
   void access(mem::Sva a, std::size_t bytes, Op op) override {
@@ -39,9 +41,7 @@ class CoherentCpu final : public Cpu {
  private:
   using Acquire = CoherentMachine::Acquire;
 
-  [[nodiscard]] CoherentMachine::Cell& cell() noexcept {
-    return cm_.cells_[id_];
-  }
+  [[nodiscard]] CoherentMachine::Cell& cell() noexcept { return *cell_; }
   [[nodiscard]] const MachineConfig& cfg() const noexcept {
     return machine_.config();
   }
@@ -78,6 +78,7 @@ class CoherentCpu final : public Cpu {
   void fill_subcache(mem::Sva a);
 
   CoherentMachine& cm_;
+  CoherentMachine::Cell* cell_;  // cm_.cells_[id_]; cells_ never resizes
 
   // One-entry MRU in front of the sub-cache hit check: remembers the last
   // sub-block that hit, revalidated in O(1) against the cache generation
@@ -660,8 +661,7 @@ void CoherentMachine::ckpt_save(ckpt::Writer& w) const {
     w.u64(c.sub.generation());
     w.u64(c.local.frame_count());
     c.local.for_each_frame(
-        [&w](mem::PageId tag, bool valid,
-             const std::array<cache::LineState, mem::kSubPagesPerPage>& sp) {
+        [&w](mem::PageId tag, bool valid, cache::LocalCache::PageStates sp) {
           w.u64(tag);
           w.boolean(valid);
           for (const cache::LineState s : sp) {
@@ -754,7 +754,7 @@ void CoherentMachine::ckpt_load(ckpt::Reader& r) {
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
       const mem::SubPageId sp = r.u64();
-      DirEntry& e = shard[sp];
+      DirEntry& e = shard.get(sp);
       load_mask(r, e.holders);
       load_mask(r, e.placeholders);
       e.owner = static_cast<std::int16_t>(r.i64());
@@ -796,7 +796,8 @@ void CoherentMachine::topo_snapshot(obs::topo::Snapshot& s) const {
 CoherentMachine::DirView CoherentMachine::dir_view(mem::SubPageId sp) const {
   const auto* e = dir_find(sp);
   if (e == nullptr) return {};
-  return {e->holders.word0(), e->placeholders.word0(), e->owner, e->atomic};
+  return {e->holders.word0(), e->placeholders.word0(), e->owner, e->atomic,
+          true, e->resident_leaf};
 }
 
 cache::CellMask CoherentMachine::dir_holders(mem::SubPageId sp) const {
@@ -856,21 +857,18 @@ bool CoherentMachine::insert_line(unsigned cell, mem::SubPageId sp,
 
 void CoherentMachine::evict_fixup(unsigned cell, mem::PageId page) {
   const mem::SubPageId first = page * mem::kSubPagesPerPage;
-  auto& shard = dir_shards_[home_leaf(first)];  // one home per page
-  for (mem::SubPageId sp = first; sp < first + mem::kSubPagesPerPage; ++sp) {
-    DirEntry* pe = shard.find(sp);
-    if (pe == nullptr) continue;
-    DirEntry& e = *pe;
-    e.holders.clear(cell);
-    e.placeholders.clear(cell);
-    if (e.owner == static_cast<std::int16_t>(cell)) {
-      e.owner = -1;
-      e.atomic = false;  // evicting a locked line would be a program bug
-    }
-    if (e.holders.none()) {
-      e.resident_leaf = static_cast<std::uint8_t>(leaf_of(cell));
-    }
-  }
+  const auto leaf = static_cast<std::uint8_t>(leaf_of(cell));
+  // One home per page; the page index yields its entries in index order.
+  dir_shards_[home_leaf(first)].for_each_in_page(
+      page, [cell, leaf](DirEntry& e) {
+        e.holders.clear(cell);
+        e.placeholders.clear(cell);
+        if (e.owner == static_cast<std::int16_t>(cell)) {
+          e.owner = -1;
+          e.atomic = false;  // evicting a locked line would be a program bug
+        }
+        if (e.holders.none()) e.resident_leaf = leaf;
+      });
 }
 
 void CoherentMachine::on_page_evicted(unsigned cell, mem::PageId page) {

@@ -112,13 +112,15 @@ void Machine::topo_snapshot(obs::topo::Snapshot& s) const {
   }
 }
 
+Cpu::Cpu(Machine& m, unsigned id, cache::PerfMonitor& pmon, sim::Rng& rng)
+    : machine_(m),
+      id_(id),
+      pmon_(&pmon),
+      rng_(&rng),
+      cycle_ns_(m.config().cycle_ns),
+      multi_domain_(m.multi_domain()) {}
+
 unsigned Cpu::nproc() const noexcept { return machine_.nproc(); }
-
-void Cpu::work(std::uint64_t n) { tick_cycles(n); }
-
-void Cpu::tick_cycles(std::uint64_t n) {
-  local_now_ += machine_.config().cycles(n);
-}
 
 sim::Engine& Cpu::eng() {
   if (eng_ == nullptr) {
@@ -127,7 +129,7 @@ sim::Engine& Cpu::eng() {
   return *eng_;
 }
 
-void Cpu::lazy_sync() {
+void Cpu::lazy_sync_slow() {
   sim::Engine& e = eng();
   if (e.next_event_time() < local_now_) {
     e.wait_until(local_now_);

@@ -250,10 +250,6 @@ void Engine::wake(FiberId id, Time t) {
 
 FiberId Engine::current_fiber() const noexcept { return current_->id; }
 
-Time Engine::next_event_time() const noexcept {
-  return events_.empty() ? std::numeric_limits<Time>::max() : events_.top().t;
-}
-
 void Engine::run() {
   run_until(std::numeric_limits<Time>::max());
   finish_run();

@@ -3,9 +3,11 @@
 // random-replacement behaviour the SP experiments depend on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ksr/cache/flat_map.hpp"
@@ -93,6 +95,31 @@ TEST(SubCache, ScaledConfigShrinksSets) {
   EXPECT_EQ(sc.sets(), 4u);
 }
 
+// A set count that is not a power of two (a scaled_by(3) geometry) selects
+// sets by remainder, exactly as `block % sets` does: every block lands in
+// a slot of its own set, and blocks of one residue only evict each other.
+TEST(SubCache, NonPowerOfTwoSetsPlaceByRemainder) {
+  SubCache sc(SubCache::Config{3 * 2 * mem::kBlockBytes, 2});
+  ASSERT_EQ(sc.sets(), 3u);
+  sim::Rng rng(5);
+  for (mem::BlockId blk = 0; blk < 6; ++blk) {
+    EXPECT_TRUE(sc.access(blk * mem::kBlockBytes, rng).block_allocated);
+  }
+  std::size_t slot = 0;
+  sc.for_each_frame([&](mem::BlockId tag, std::uint32_t, bool valid) {
+    EXPECT_TRUE(valid);
+    EXPECT_EQ(tag % 3, slot / 2) << "slot " << slot;
+    ++slot;
+  });
+  EXPECT_EQ(slot, 6u);
+  // Block 7 (residue 1) evicts 1 or 4 and leaves the other residues alone.
+  EXPECT_TRUE(sc.access(7 * mem::kBlockBytes, rng).block_evicted);
+  for (const mem::BlockId blk : {0u, 3u, 2u, 5u, 7u}) {
+    EXPECT_TRUE(sc.contains(blk * mem::kBlockBytes)) << "block " << blk;
+  }
+  EXPECT_NE(sc.contains(1 * mem::kBlockBytes), sc.contains(4 * mem::kBlockBytes));
+}
+
 // Property: presence is always a subset of what was accessed.
 TEST(SubCache, NeverContainsWhatWasNeverAccessed) {
   SubCache sc;
@@ -129,6 +156,7 @@ TEST(LocalCache, TouchAllocatesPageWithInvalidSiblings) {
   EXPECT_TRUE(pa.allocated);
   EXPECT_FALSE(pa.evicted);
   EXPECT_EQ(lc.state(sp), LineState::kShared);
+  EXPECT_EQ(lc.atomic_subpages(mem::page_of_subpage(sp)), 0u);
   // Sibling sub-pages of the same page are placeholders (frame present,
   // state Invalid).
   const mem::SubPageId sibling = sp + 1;
@@ -170,6 +198,9 @@ TEST(LocalCache, SetStateOnAbsentPageIsNoOp) {
   EXPECT_EQ(lc.state(424242), LineState::kInvalid);
 }
 
+// The frame's Atomic count follows every state write: into and out of
+// Atomic through set_state and touch, repeated writes of the same state,
+// and writes to other sub-pages of the page.
 TEST(LocalCache, StateTransitionsStick) {
   LocalCache lc;
   sim::Rng rng(1);
@@ -177,20 +208,163 @@ TEST(LocalCache, StateTransitionsStick) {
   lc.set_state(5, LineState::kAtomic);
   EXPECT_EQ(lc.state(5), LineState::kAtomic);
   EXPECT_TRUE(writable(lc.state(5)));
+  EXPECT_EQ(lc.atomic_subpages(0), 1u);
+  lc.set_state(5, LineState::kAtomic);
+  EXPECT_EQ(lc.atomic_subpages(0), 1u);
+  (void)lc.touch(6, LineState::kAtomic, rng);
+  EXPECT_EQ(lc.atomic_subpages(0), 2u);
+  (void)lc.touch(6, LineState::kExclusive, rng);
+  EXPECT_EQ(lc.atomic_subpages(0), 1u);
+  lc.set_state(7, LineState::kShared);
+  EXPECT_EQ(lc.atomic_subpages(0), 1u);
   lc.set_state(5, LineState::kInvalid);
   EXPECT_FALSE(readable(lc.state(5)));
   EXPECT_TRUE(lc.lookup(5).page_present);  // placeholder remains
+  EXPECT_EQ(lc.atomic_subpages(0), 0u);
+  lc.set_state(424242, LineState::kAtomic);  // absent page: no count
+  EXPECT_EQ(lc.atomic_subpages(mem::page_of_subpage(424242)), 0u);
 }
 
+// clear() invalidates every frame but keeps its tag: the checkpoint image
+// reports each old tag with valid=false and all-Invalid states, and the
+// Atomic counts are zero.
 TEST(LocalCache, ClearDropsEverything) {
-  LocalCache lc;
+  LocalCache lc(LocalCache::Config{4 * mem::kPageBytes, 2});  // 2 sets
   sim::Rng rng(1);
-  (void)lc.touch(5, LineState::kExclusive, rng);
+  (void)lc.touch(5, LineState::kExclusive, rng);  // page 0: set 0, way 0
+  (void)lc.touch(3 * mem::kSubPagesPerPage + 1, LineState::kAtomic, rng);
+  ASSERT_EQ(lc.atomic_subpages(3), 1u);
   lc.clear();
   EXPECT_FALSE(lc.lookup(5).page_present);
+  EXPECT_EQ(lc.atomic_subpages(3), 0u);
+  std::vector<std::pair<mem::PageId, bool>> frames;
+  lc.for_each_frame([&](mem::PageId tag, bool valid, LocalCache::PageStates st) {
+    frames.emplace_back(tag, valid);
+    for (const LineState s : st) EXPECT_EQ(s, LineState::kInvalid);
+  });
+  const std::vector<std::pair<mem::PageId, bool>> want = {
+      {0, false}, {0, false}, {3, false}, {0, false}};
+  EXPECT_EQ(frames, want);
+  // Page 3 (set 1) returns to its first invalid way with a zero count.
+  (void)lc.touch(3 * mem::kSubPagesPerPage, LineState::kShared, rng);
+  EXPECT_EQ(lc.atomic_subpages(3), 0u);
+}
+
+// restore_frame recounts the Atomic sub-pages of the states it is given,
+// for a valid and for an invalid slot.
+TEST(LocalCache, RestoreFrameRecountsLocks) {
+  LocalCache lc(LocalCache::Config{2 * mem::kPageBytes, 2});  // 1 set
+  std::array<LineState, mem::kSubPagesPerPage> st{};
+  st[0] = LineState::kAtomic;
+  st[9] = LineState::kAtomic;
+  st[10] = LineState::kExclusive;
+  lc.restore_frame(1, 7, true, st);
+  EXPECT_EQ(lc.atomic_subpages(7), 2u);
+  EXPECT_EQ(lc.state(7 * mem::kSubPagesPerPage + 10), LineState::kExclusive);
+  st.fill(LineState::kInvalid);
+  lc.restore_frame(1, 7, true, st);
+  EXPECT_EQ(lc.atomic_subpages(7), 0u);
+  lc.restore_frame(0, 4, false, st);
+  EXPECT_FALSE(lc.lookup(4 * mem::kSubPagesPerPage).page_present);
+  std::vector<std::pair<mem::PageId, bool>> frames;
+  lc.for_each_frame([&](mem::PageId tag, bool valid, LocalCache::PageStates) {
+    frames.emplace_back(tag, valid);
+  });
+  const std::vector<std::pair<mem::PageId, bool>> want = {{4, false},
+                                                          {7, true}};
+  EXPECT_EQ(frames, want);
+}
+
+// Property: a frame holding an Atomic sub-page is never the victim while
+// some way of its set is unlocked; with every way locked the fallback draws
+// rng.below(ways) over all of them, as the policy always has.
+TEST(LocalCache, LockedFramesAreNeverVictimsWhileAWayIsUnlocked) {
+  LocalCache lc(LocalCache::Config{2 * 16 * mem::kPageBytes, 16});  // 2 x 16
+  sim::Rng rng(21);
+  sim::Rng draw(22);
+  std::set<mem::PageId> locked;
+  for (mem::PageId pg = 0; pg < 4000; ++pg) {
+    // Every fifth page gets a locked sub-page; about one in three locked
+    // pages is released again after a while.
+    const bool lock = pg % 5 == 0;
+    const mem::SubPageId sp = pg * mem::kSubPagesPerPage + pg % 128;
+    const auto pa =
+        lc.touch(sp, lock ? LineState::kAtomic : LineState::kShared, rng);
+    ASSERT_TRUE(pa.allocated);
+    if (pa.evicted) {
+      std::size_t unlocked_in_set = 0;
+      lc.for_each_frame([&](mem::PageId tag, bool valid, LocalCache::PageStates) {
+        if (valid && tag % 2 == pg % 2 && tag != pg && !locked.contains(tag)) {
+          ++unlocked_in_set;
+        }
+      });
+      if (locked.contains(pa.evicted_page)) {
+        // Only legal when every other way of the set was locked as well.
+        EXPECT_EQ(unlocked_in_set, 0u) << "page " << pg;
+        locked.erase(pa.evicted_page);
+      }
+    }
+    if (lock) locked.insert(pg);
+    if (lock && draw.below(3) == 0 && !locked.empty()) {
+      const mem::PageId rel = *locked.begin();
+      lc.set_state(rel * mem::kSubPagesPerPage + rel % 128, LineState::kShared);
+      locked.erase(rel);
+    }
+    for (const mem::PageId l : locked) {
+      ASSERT_EQ(lc.atomic_subpages(l), 1u) << "page " << l;
+    }
+  }
+}
+
+TEST(LocalCache, AllLockedFallbackDrawsOverEveryWay) {
+  LocalCache lc(LocalCache::Config{4 * mem::kPageBytes, 4});  // 1 set x 4
+  sim::Rng rng(7);
+  for (mem::PageId pg = 0; pg < 4; ++pg) {
+    (void)lc.touch(pg * mem::kSubPagesPerPage + 3, LineState::kAtomic, rng);
+  }
+  // Filling invalid ways draws nothing, so a copy of the stream predicts
+  // the fallback's pick: way k holds page k.
+  sim::Rng ref = rng;
+  for (mem::PageId pg = 4; pg < 12; ++pg) {
+    const std::size_t way = ref.below(4);
+    mem::PageId expect = 0;
+    std::size_t slot = 0;
+    lc.for_each_frame([&](mem::PageId tag, bool, LocalCache::PageStates) {
+      if (slot++ == way) expect = tag;
+    });
+    const auto pa =
+        lc.touch(pg * mem::kSubPagesPerPage + 3, LineState::kAtomic, rng);
+    ASSERT_TRUE(pa.evicted);
+    EXPECT_EQ(pa.evicted_page, expect) << "page " << pg;
+    EXPECT_EQ(pa.evicted_states[3], LineState::kAtomic);
+    EXPECT_EQ(lc.atomic_subpages(pg), 1u);
+  }
 }
 
 // Property: with W ways per set, at most W pages of one set are resident.
+// A set count that is not a power of two selects sets by remainder, exactly
+// as `page % sets` does.
+TEST(LocalCache, NonPowerOfTwoSetsPlaceByRemainder) {
+  LocalCache lc(LocalCache::Config{3 * 16 * mem::kPageBytes, 16});
+  ASSERT_EQ(lc.sets(), 3u);
+  sim::Rng rng(3);
+  for (mem::PageId pg = 0; pg < 48; ++pg) {
+    EXPECT_FALSE(lc.touch(pg * mem::kSubPagesPerPage, LineState::kShared, rng)
+                     .evicted);
+  }
+  std::size_t slot = 0;
+  lc.for_each_frame([&](mem::PageId tag, bool valid, LocalCache::PageStates) {
+    EXPECT_TRUE(valid);
+    EXPECT_EQ(tag % 3, slot / 16) << "slot " << slot;
+    ++slot;
+  });
+  EXPECT_EQ(slot, 48u);
+  // Page 50 (residue 2) evicts a page of residue 2 only.
+  const auto pa = lc.touch(50 * mem::kSubPagesPerPage, LineState::kShared, rng);
+  ASSERT_TRUE(pa.evicted);
+  EXPECT_EQ(pa.evicted_page % 3, 2u);
+}
+
 TEST(LocalCache, AssociativityBound) {
   LocalCache lc(LocalCache::Config{64 * mem::kPageBytes, 4});  // 16 sets
   sim::Rng rng(11);

@@ -3,7 +3,10 @@
 // poststore, prefetch, and determinism.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "ksr/machine/ksr_machine.hpp"
 
@@ -287,6 +290,123 @@ TEST(Coherence, AtomicLineSurvivesEvictionPressure) {
     cpu.release_subpage(lock.addr(0));  // must not throw
   });
   EXPECT_FALSE(m.dir_view(mem::subpage_of(lock.addr(0))).atomic);
+}
+
+// Eviction fix-up on a sparsely populated page: 16 of its 128 sub-pages
+// have directory entries, four of them held by nobody (their holder on the
+// other leaf evicted them). When cell 0 evicts the page, every entry must
+// end as a brute-force sweep over all 128 sub-pages predicts — including
+// the resident_leaf rewrite of the four entries cell 0 never held. A
+// machine restored from a checkpoint taken before the eviction must end
+// with the same directory, so the page index is rebuilt from the image.
+TEST(Coherence, EvictionFixupOfASparsePageMatchesAFullSweep) {
+  const MachineConfig cfg = MachineConfig::ksr1(64).scaled_by(1u << 20);
+  struct Arrays {
+    SharedArray<std::uint8_t> page;
+    SharedArray<double> stream;
+  };
+  const auto alloc = [](KsrMachine& m) {
+    return Arrays{m.alloc<std::uint8_t>("page", mem::kPageBytes),
+                  m.alloc<double>("stream", 128 * mem::kPageBytes / 8)};
+  };
+  const auto on = [](KsrMachine& m, unsigned cell, auto&& body) {
+    m.run([&](Cpu& cpu) {
+      if (cpu.id() == cell) body(cpu);
+    });
+  };
+  const auto stream = [](Cpu& cpu, const Arrays& a, std::size_t half) {
+    const std::size_t n = a.stream.size() / 2;
+    cpu.read_range(a.stream.addr(half * n), n * sizeof(double));
+  };
+  const auto sp_of = [](const Arrays& a, unsigned i) {
+    return mem::subpage_of(a.page.addr(i * mem::kSubPageBytes));
+  };
+
+  KsrMachine m(cfg);
+  Arrays a = alloc(m);
+  const std::vector<unsigned> orphaned = {3, 50, 90, 127};
+  const std::vector<unsigned> owned = {0,  7,  8,  20,  33,  64,
+                                       65, 77, 100, 101, 110, 126};
+  on(m, 32, [&](Cpu& cpu) {  // leaf 1: touch four sub-pages, then evict
+    for (const unsigned i : orphaned) {
+      cpu.write(a.page, i * mem::kSubPageBytes, 1);
+    }
+    stream(cpu, a, 0);
+  });
+  for (const unsigned i : orphaned) {
+    const auto v = m.dir_view(sp_of(a, i));
+    ASSERT_TRUE(v.exists);
+    ASSERT_EQ(v.holders, 0u) << "sub-page " << i;
+    ASSERT_EQ(v.resident_leaf, 1u);
+  }
+  on(m, 0, [&](Cpu& cpu) {
+    for (const unsigned i : owned) {
+      cpu.write(a.page, i * mem::kSubPageBytes, 2);
+    }
+  });
+  on(m, 1, [&](Cpu& cpu) {
+    for (const unsigned i : {7u, 64u, 100u}) {
+      (void)cpu.read(a.page, i * mem::kSubPageBytes);
+    }
+  });
+  on(m, 33, [&](Cpu& cpu) {
+    for (const unsigned i : {8u, 110u}) {
+      (void)cpu.read(a.page, i * mem::kSubPageBytes);
+    }
+  });
+  const std::vector<std::byte> image = m.checkpoint();
+
+  // The reference: today's entries with cell 0's eviction applied by a
+  // lookup of each of the 128 sub-pages.
+  struct Entry {
+    bool exists;
+    cache::CellMask holders, placeholders;
+    int owner;
+    bool atomic;
+    unsigned resident_leaf;
+    bool operator==(const Entry&) const = default;
+  };
+  const auto entries = [&](const KsrMachine& mm) {
+    std::vector<Entry> out;
+    for (unsigned i = 0; i < mem::kSubPagesPerPage; ++i) {
+      const mem::SubPageId sp = sp_of(a, i);
+      const auto v = mm.dir_view(sp);
+      out.push_back({v.exists, mm.dir_holders(sp), mm.dir_placeholders(sp),
+                     v.owner, v.atomic, v.resident_leaf});
+    }
+    return out;
+  };
+  std::vector<Entry> want = entries(m);
+  unsigned present = 0;
+  for (Entry& e : want) {
+    if (!e.exists) continue;
+    ++present;
+    e.holders.clear(0);
+    e.placeholders.clear(0);
+    if (e.owner == 0) {
+      e.owner = -1;
+      e.atomic = false;
+    }
+    if (e.holders.none()) e.resident_leaf = 0;
+  }
+  ASSERT_EQ(present, orphaned.size() + owned.size());
+
+  on(m, 0, [&](Cpu& cpu) { stream(cpu, a, 1); });
+  for (const unsigned i : owned) {  // cell 0 no longer holds the page
+    EXPECT_EQ(m.cell_line_state(0, sp_of(a, i)), cache::LineState::kInvalid);
+  }
+  EXPECT_TRUE(entries(m) == want);
+  for (const unsigned i : orphaned) {
+    EXPECT_EQ(m.dir_view(sp_of(a, i)).resident_leaf, 0u) << "sub-page " << i;
+  }
+
+  KsrMachine r(cfg);
+  Arrays ra = alloc(r);
+  r.restore(image);
+  on(r, 0, [&](Cpu& cpu) { stream(cpu, ra, 1); });
+  EXPECT_TRUE(entries(r) == want);
+  EXPECT_EQ(r.parallel_engine().events_dispatched(),
+            m.parallel_engine().events_dispatched());
 }
 
 TEST(Coherence, ResetMemorySystemForgetsEverything) {
