@@ -3,41 +3,38 @@
 // the Symmetry bus — the experiment those papers ran on their machines,
 // brought to the machine this paper studies.
 #include "ksr/study/sweep.hpp"
-#include "ksr/sync/spinlocks.hpp"
+#include "ksr/sync/locks.hpp"
 
 namespace {
 
 using namespace ksr;         // NOLINT
 using namespace ksr::study;  // NOLINT
 
-double time_lock(machine::Machine& m, sync::SpinLockKind kind, int ops) {
-  auto lock = sync::make_spinlock(m, kind);
-  double t = 0;
-  m.run([&](machine::Cpu& cpu) {
-    for (int i = 0; i < ops; ++i) {
-      lock->acquire(cpu);
-      cpu.work(300);  // short critical section
-      lock->release(cpu);
-      cpu.work(600 + cpu.rng().below(600));
-    }
-    if (cpu.seconds() > t) t = cpu.seconds();
-  });
-  return t / ops * 1e6;  // microseconds per acquire/release pair
-}
+// The Anderson/MCS-style spin-lock kinds, in table order.
+constexpr sync::LockKind kKinds[] = {
+    sync::LockKind::kTestAndSet, sync::LockKind::kTestAndSetBackoff,
+    sync::LockKind::kTicket, sync::LockKind::kAnderson,
+    sync::LockKind::kMcsQueue};
+
+// A short critical section and a jittered think time, so the lock is
+// contended but hand-off overhead, not the hold, dominates.
+constexpr sync::LockSection kShortSection{300, 600, 600};
 
 void sweep(Study& study, const std::string& title, const std::string& tag,
            const machine::MachineConfig& base_cfg,
            const std::vector<unsigned>& procs, int ops, bool csv) {
-  const auto kinds = sync::all_spinlock_kinds();
   std::vector<std::function<double(Job&)>> jobs;
-  for (sync::SpinLockKind kind : kinds) {
+  for (sync::LockKind kind : kKinds) {
     for (unsigned p : procs) {
       machine::MachineConfig cfg = base_cfg;
       cfg.nproc = p;
       jobs.emplace_back([cfg, kind, ops,
                          label = tag + " " + std::string(to_string(kind)) +
                                  " p=" + std::to_string(p)](Job& job) {
-        return time_lock(job.machine(cfg, label), kind, ops);
+        // Microseconds per acquire/release pair.
+        return sync::lock_seconds(job.machine(cfg, label), kind, ops,
+                                  kShortSection) /
+               ops * 1e6;
       });
     }
   }
@@ -47,7 +44,7 @@ void sweep(Study& study, const std::string& title, const std::string& tag,
   for (unsigned p : procs) headers.push_back(std::to_string(p));
   TextTable t(headers);
   std::size_t j = 0;
-  for (sync::SpinLockKind kind : kinds) {
+  for (sync::LockKind kind : kKinds) {
     std::vector<std::string> row{std::string(to_string(kind))};
     for (std::size_t i = 0; i < procs.size(); ++i) {
       row.push_back(TextTable::num(cells[j++], 1));

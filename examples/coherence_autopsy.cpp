@@ -40,7 +40,7 @@ int main(int argc, char** argv) try {
   episode_us *= 1e6;
 
   std::printf("%s barrier, %u processors — one episode, %.1f us\n\n",
-              std::string(barrier->name()).c_str(), procs, episode_us);
+              std::string(to_string(kind)).c_str(), procs, episode_us);
   std::printf("%10s  %-10s %-16s %8s %6s %10s\n", "t (ns)", "category",
               "event", "subject", "actor", "detail");
   for (const auto& e : tracer) {

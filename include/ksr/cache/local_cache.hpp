@@ -38,10 +38,9 @@ class LocalCache {
   struct PageAlloc {
     bool allocated = false;  // a new frame was claimed
     bool evicted = false;    // ...displacing a valid page
+    // The displaced page; the coherence layer removes this cell from the
+    // copy sets of its sub-pages (through the directory's page index).
     mem::PageId evicted_page = 0;
-    // States of the 128 sub-pages of the evicted page (by index within the
-    // page); the coherence layer removes this cell from their copy sets.
-    std::array<LineState, mem::kSubPagesPerPage> evicted_states{};
   };
 
   /// One frame's sub-page states, by index within the page.
@@ -239,8 +238,6 @@ class LocalCache {
         n > 0 ? candidates[rng.below(n)] : rng.below(ways_);
     out.evicted = true;
     out.evicted_page = t[pick] & ~kValid;
-    std::copy_n(states(set, pick), mem::kSubPagesPerPage,
-                out.evicted_states.begin());
     return pick;
   }
 

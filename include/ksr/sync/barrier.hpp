@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ksr/machine/machine.hpp"
+#include "ksr/sync/trace.hpp"
 
 // The nine barrier implementations of Fig. 4 / Fig. 5 (paper §3.2.2):
 //
@@ -79,23 +80,11 @@ class Barrier {
   /// Block until every cell of the machine has arrived. When a tracer is
   /// attached to the cpu's machine, the episode is bracketed with
   /// sync/barrier-arrive + barrier-depart events (subject = this cpu's
-  /// episode number, detail of the depart = episode duration in ns); with no
-  /// tracer attached this is one null test around do_arrive().
+  /// traced episode number, detail of the depart = episode duration in ns).
   void arrive(machine::Cpu& cpu) {
-    obs::Tracer* tr = cpu.machine().tracer_for_cell(cpu.id());
-    if (tr == nullptr) {
-      do_arrive(cpu);
-      return;
-    }
-    const std::uint32_t episode = ++episode_[cpu.id()];
-    const sim::Time t0 = cpu.now();
-    tr->log(t0, obs::kCatSync, obs::kEvBarrierArrive, episode, cpu.id());
-    do_arrive(cpu);
-    tr->log(cpu.now(), obs::kCatSync, obs::kEvBarrierDepart, episode, cpu.id(),
-            static_cast<std::int64_t>(cpu.now() - t0));
+    traced(cpu, obs::kEvBarrierArrive, obs::kEvBarrierDepart,
+           [&] { return ++episode_[cpu.id()]; }, [&] { do_arrive(cpu); });
   }
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
  protected:
   explicit Barrier(unsigned nproc) : episode_(nproc, 0) {}

@@ -1,45 +1,92 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <memory>
 #include <string_view>
-#include <vector>
 
 #include "ksr/machine/machine.hpp"
 #include "ksr/sync/padded.hpp"
+#include "ksr/sync/trace.hpp"
 
-// The two lock families compared in §3.2.1 / Fig. 3.
+// The locks of §3.2.1 / Fig. 3 — the naive hardware lock and the paper's
+// read-write ticket lock — and the classic spin-lock alternatives of
+// Anderson [1] and Mellor-Crummey/Scott [13], which the paper cites and
+// builds its read-write lock from:
+//
+//   test&set            — one hot sub-page, hardware Atomic state per try;
+//   test&set w/ backoff — same, with bounded exponential backoff;
+//   ticket              — FCFS; spins on a hot "now serving" counter
+//                         (read-snarfing makes the refresh cheap on KSR);
+//   Anderson array      — FCFS; each waiter spins on its OWN slot
+//                         (one sub-page per slot: no hot spot);
+//   MCS queue           — FCFS; waiters form a linked queue, each spinning
+//                         on a flag in its own sub-page; O(1) traffic per
+//                         hand-off even without coherent broadcast.
 namespace ksr::sync {
+
+/// Every lock the simulator models: the paper's two, then the spin-lock
+/// family.
+enum class LockKind {
+  kHardware, kReadWrite, kTestAndSet, kTestAndSetBackoff, kTicket, kAnderson,
+  kMcsQueue
+};
+
+/// The table label of `k`: hardware, read-write, test&set,
+/// test&set+backoff, ticket, anderson, mcs-queue.
+[[nodiscard]] std::string_view to_string(LockKind k) noexcept;
+
+/// The kind a command-line spelling names:
+/// hw|rw|tas|tas-backoff|ticket|anderson|mcs-queue. Throws
+/// std::invalid_argument listing every spelling on an unknown name.
+[[nodiscard]] LockKind lock_kind_named(std::string_view name);
+
+/// An exclusive lock. With a tracer attached, acquisition is bracketed with
+/// sync/lock-acquire (start of the attempt) and lock-acquired (lock held;
+/// detail = wait ns); release logs lock-release once the lock is free.
+class Lock {
+ public:
+  virtual ~Lock() = default;
+  Lock(const Lock&) = delete;
+  Lock& operator=(const Lock&) = delete;
+
+  void acquire(machine::Cpu& cpu) {
+    traced(cpu, obs::kEvLockAcquire, obs::kEvLockAcquired,
+           [] { return std::uint64_t{0}; }, [&] { do_acquire(cpu); });
+  }
+  void release(machine::Cpu& cpu) {
+    do_release(cpu);
+    trace_event(cpu, obs::kEvLockRelease, 0);
+  }
+
+ protected:
+  Lock() = default;
+
+  virtual void do_acquire(machine::Cpu& cpu) = 0;
+  virtual void do_release(machine::Cpu& cpu) = 0;
+};
 
 /// The naive hardware lock: get_subpage held for the whole critical section.
 /// No FCFS guarantee (losers retry over the ring); forward progress only.
-class HardwareLock {
+class HardwareLock final : public Lock {
  public:
   explicit HardwareLock(machine::Machine& m, std::string_view name = "hwlock")
       : word_(m, name, 1) {}
 
-  void acquire(machine::Cpu& cpu) {
-    obs::Tracer* tr = cpu.machine().tracer_for_cell(cpu.id());
-    if (tr == nullptr) {
-      cpu.get_subpage(word_.addr(0));
-      return;
-    }
-    const sim::Time t0 = cpu.now();
-    tr->log(t0, obs::kCatSync, obs::kEvLockAcquire, 0, cpu.id());
+ private:
+  void do_acquire(machine::Cpu& cpu) override {
     cpu.get_subpage(word_.addr(0));
-    tr->log(cpu.now(), obs::kCatSync, obs::kEvLockAcquired, 0, cpu.id(),
-            static_cast<std::int64_t>(cpu.now() - t0));
   }
-  void release(machine::Cpu& cpu) {
+  void do_release(machine::Cpu& cpu) override {
     cpu.release_subpage(word_.addr(0));
-    if (obs::Tracer* tr = cpu.machine().tracer_for_cell(cpu.id())) {
-      tr->log(cpu.now(), obs::kCatSync, obs::kEvLockRelease, 0, cpu.id());
-    }
   }
 
- private:
   Padded<std::uint32_t> word_;
 };
+
+/// Build an exclusive lock of `kind` sized for all cells of `m`. Throws
+/// std::invalid_argument for kReadWrite, which is TicketRwLock.
+[[nodiscard]] std::unique_ptr<Lock> make_lock(machine::Machine& m,
+                                              LockKind kind);
 
 /// The paper's software read-write lock: a modified Anderson ticket lock.
 /// Tickets are granted atomically (via get_subpage on the metadata
@@ -88,25 +135,25 @@ class TicketRwLock {
   bool use_poststore_;
 };
 
-/// Every lock the Fig. 3 workload can time: the paper's two (the hardware
-/// lock and the ticket read-write lock), then the spin-lock family of
-/// ksr/sync/spinlocks.hpp in SpinLockKind's order.
-enum class LockKind {
-  kHardware, kReadWrite, kTestAndSet, kTestAndSetBackoff, kTicket, kAnderson,
-  kMcsQueue
+/// The shape of one lock_seconds operation, in cycles: hold the lock for
+/// `hold`, then wait `delay` plus a uniform draw below `jitter` (no draw
+/// when 0) before the next request.
+struct LockSection {
+  std::uint64_t hold = 0;
+  std::uint64_t delay = 0;
+  std::uint64_t jitter = 0;
 };
 
-/// The kind a command-line spelling names:
-/// hw|rw|tas|tas-backoff|ticket|anderson|mcs-queue. Throws
-/// std::invalid_argument listing every spelling on an unknown name.
-[[nodiscard]] LockKind lock_kind_named(std::string_view name);
+/// Paper footnote 4: the lock is held for 3000 local operations and
+/// requests are 10000 apart (2 cycles each).
+inline constexpr LockSection kFig3Section{3000 * 2, 10000 * 2, 0};
 
-/// The Fig. 3 experiment (paper footnote 4): simulated seconds until every
-/// cell of `m` has done `ops` operations on one lock of `kind`, each holding
-/// it for 3000 local operations and waiting 10000 before the next request.
+/// Simulated seconds until every cell of `m` has done `ops` operations of
+/// `shape` on one lock of `kind` (the Fig. 3 experiment with kFig3Section).
 /// A kReadWrite operation is a read with probability `read_pct`%, else a
 /// write; the other kinds ignore `read_pct`.
 [[nodiscard]] double lock_seconds(machine::Machine& m, LockKind kind, int ops,
+                                  const LockSection& shape,
                                   unsigned read_pct = 0);
 
 }  // namespace ksr::sync

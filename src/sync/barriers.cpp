@@ -50,8 +50,6 @@ class CounterBarrier final : public Barrier {
     spin_until(cpu, [&] { return cpu.read(meta_, 1) >= e; });
   }
 
-  [[nodiscard]] std::string_view name() const override { return "counter"; }
-
  private:
   unsigned nproc_;
   mem::SharedArray<std::uint32_t> meta_;
@@ -71,7 +69,6 @@ class TreeBarrier final : public Barrier {
         nproc_(m.nproc()),
         global_flag_(global_flag),
         post_(use_poststore && m.config().has_poststore),
-        label_(label),
         epoch_(m.nproc(), 0) {
     // Level sizes: n, ceil(n/2), ... 1.
     unsigned width = nproc_;
@@ -139,13 +136,10 @@ class TreeBarrier final : public Barrier {
     }
   }
 
-  [[nodiscard]] std::string_view name() const override { return label_; }
-
  private:
   unsigned nproc_;
   bool global_flag_;
   bool post_;
-  std::string label_;
   std::vector<unsigned> level_offset_;
   std::vector<unsigned> fanin_;
   Padded<std::uint32_t> counters_;
@@ -180,10 +174,6 @@ class DisseminationBarrier final : public Barrier {
     }
   }
 
-  [[nodiscard]] std::string_view name() const override {
-    return "dissemination";
-  }
-
  private:
   unsigned nproc_;
   unsigned rounds_;
@@ -207,7 +197,6 @@ class TournamentBarrier final : public Barrier {
         rounds_(log2_ceil(m.nproc())),
         global_flag_(global_flag),
         post_(use_poststore && m.config().has_poststore),
-        label_(label),
         arrival_(m, std::string(label) + ".arr",
                  static_cast<std::size_t>(m.nproc()) * std::max(rounds_, 1u),
                  std::max(rounds_, 1u)),
@@ -257,14 +246,11 @@ class TournamentBarrier final : public Barrier {
     }
   }
 
-  [[nodiscard]] std::string_view name() const override { return label_; }
-
  private:
   unsigned nproc_;
   unsigned rounds_;
   bool global_flag_;
   bool post_;
-  std::string label_;
   Padded<std::uint32_t> arrival_;
   Padded<std::uint32_t> wakeup_;
   Padded<std::uint32_t> global_;
@@ -286,7 +272,6 @@ class McsBarrier final : public Barrier {
         nproc_(m.nproc()),
         global_flag_(global_flag),
         post_(use_poststore && m.config().has_poststore),
-        label_(label),
         // One sub-page per tree node; the node's 4 child bytes are PACKED at
         // its start. (Deliberately not one byte per sub-page.)
         childnotready_(m.alloc<std::uint8_t>(
@@ -335,13 +320,10 @@ class McsBarrier final : public Barrier {
     }
   }
 
-  [[nodiscard]] std::string_view name() const override { return label_; }
-
  private:
   unsigned nproc_;
   bool global_flag_;
   bool post_;
-  std::string label_;
   mem::SharedArray<std::uint8_t> childnotready_;
   Padded<std::uint32_t> wakeup_;
   Padded<std::uint32_t> global_;
@@ -363,8 +345,6 @@ class SystemBarrier final : public Barrier {
     inner_.arrive(cpu);
     cpu.work(80);  // library exit
   }
-
-  [[nodiscard]] std::string_view name() const override { return "system"; }
 
  private:
   TreeBarrier inner_;

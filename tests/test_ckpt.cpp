@@ -538,7 +538,8 @@ TEST(CkptReadFile, ReadsAPipeToEndOfFile) {
     std::thread writer([&path, &image] {
       std::FILE* w = std::fopen(path.c_str(), "wb");
       if (w == nullptr) return;
-      std::fwrite(image.data(), 1, image.size(), w);
+      // An empty vector's data() may be null, which fwrite must not get.
+      if (!image.empty()) std::fwrite(image.data(), 1, image.size(), w);
       std::fclose(w);
     });
     std::vector<std::byte> got;

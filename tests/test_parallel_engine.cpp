@@ -204,8 +204,8 @@ TEST(ParallelEngine, SetupPhaseSendSeedsDestinationDirectly) {
 // ------------------------------------------------- degenerate shapes
 
 TEST(ParallelEngine, SingleDomainMatchesPlainEngine) {
-  auto workload = [](sim::Engine& eng) {
-    int sink = 0;
+  int sink = 0;  // outlives the callbacks, which run after workload returns
+  auto workload = [&sink](sim::Engine& eng) {
     for (int i = 0; i < 200; ++i) {
       eng.at(static_cast<sim::Time>(i) * 3, [&sink] { ++sink; });
     }

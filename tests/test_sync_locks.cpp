@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "ksr/machine/ksr_machine.hpp"
@@ -176,18 +175,31 @@ TEST(LockShape, ReadSharingBeatsExclusiveSerialization) {
 }
 
 TEST(LockKindNamed, ParsesEveryCliSpelling) {
-  const std::pair<const char*, LockKind> table[] = {
-      {"hw", LockKind::kHardware},
-      {"rw", LockKind::kReadWrite},
-      {"tas", LockKind::kTestAndSet},
-      {"tas-backoff", LockKind::kTestAndSetBackoff},
-      {"ticket", LockKind::kTicket},
-      {"anderson", LockKind::kAnderson},
-      {"mcs-queue", LockKind::kMcsQueue}};
-  for (const auto& [name, kind] : table) {
-    EXPECT_EQ(lock_kind_named(name), kind) << name;
+  struct Row {
+    const char* spelling;
+    LockKind kind;
+    const char* label;
+  };
+  const Row table[] = {
+      {"hw", LockKind::kHardware, "hardware"},
+      {"rw", LockKind::kReadWrite, "read-write"},
+      {"tas", LockKind::kTestAndSet, "test&set"},
+      {"tas-backoff", LockKind::kTestAndSetBackoff, "test&set+backoff"},
+      {"ticket", LockKind::kTicket, "ticket"},
+      {"anderson", LockKind::kAnderson, "anderson"},
+      {"mcs-queue", LockKind::kMcsQueue, "mcs-queue"}};
+  for (const auto& [spelling, kind, label] : table) {
+    EXPECT_EQ(lock_kind_named(spelling), kind) << spelling;
+    EXPECT_EQ(to_string(kind), label) << spelling;
   }
   EXPECT_THROW((void)lock_kind_named("test&set"), std::invalid_argument);
+}
+
+// make_lock builds the exclusive kinds; the read-write lock has its own API.
+TEST(MakeLock, ReadWriteKindIsRejected) {
+  KsrMachine m(MachineConfig::ksr1(2));
+  EXPECT_THROW((void)make_lock(m, LockKind::kReadWrite),
+               std::invalid_argument);
 }
 
 // Every kind times the same workload: more cells contending for one lock
@@ -199,7 +211,8 @@ TEST(LockSeconds, EveryKindSlowsWithContention) {
         LockKind::kMcsQueue}) {
     machine::KsrMachine one(machine::MachineConfig::ksr1(1));
     machine::KsrMachine four(machine::MachineConfig::ksr1(4));
-    EXPECT_LT(lock_seconds(one, kind, 5), lock_seconds(four, kind, 5))
+    EXPECT_LT(lock_seconds(one, kind, 5, kFig3Section),
+              lock_seconds(four, kind, 5, kFig3Section))
         << static_cast<int>(kind);
   }
 }

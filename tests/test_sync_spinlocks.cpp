@@ -1,4 +1,5 @@
-// Correctness of the classic spin-lock family on all machine models:
+// Correctness of every exclusive lock (the hardware lock and the classic
+// spin-lock family) through the Lock interface on all machine models:
 // mutual exclusion under contention (parameterized sweep), FCFS for the
 // queue-based locks, and the qualitative traffic ordering on the ring.
 #include <gtest/gtest.h>
@@ -6,7 +7,7 @@
 #include <string>
 
 #include "ksr/machine/factory.hpp"
-#include "ksr/sync/spinlocks.hpp"
+#include "ksr/sync/locks.hpp"
 
 namespace ksr::sync {
 namespace {
@@ -16,7 +17,7 @@ using machine::MachineConfig;
 using machine::MachineKind;
 
 struct Param {
-  SpinLockKind kind;
+  LockKind kind;
   MachineKind machine;
   unsigned nproc;
 };
@@ -47,7 +48,7 @@ class SpinLockCorrectness : public testing::TestWithParam<Param> {};
 TEST_P(SpinLockCorrectness, MutualExclusionAndNoLostUpdates) {
   const Param p = GetParam();
   auto m = machine::make_machine(config_for(p.machine, p.nproc));
-  auto lock = make_spinlock(*m, p.kind);
+  auto lock = make_lock(*m, p.kind);
   auto data = m->alloc<int>("data", 2);  // counter + in-section flag
   bool overlap = false;
   constexpr int kOps = 12;
@@ -70,7 +71,9 @@ TEST_P(SpinLockCorrectness, MutualExclusionAndNoLostUpdates) {
 std::vector<Param> params_for(MachineKind machine,
                               std::initializer_list<unsigned> procs) {
   std::vector<Param> out;
-  for (SpinLockKind k : all_spinlock_kinds()) {
+  for (LockKind k : {LockKind::kHardware, LockKind::kTestAndSet,
+                     LockKind::kTestAndSetBackoff, LockKind::kTicket,
+                     LockKind::kAnderson, LockKind::kMcsQueue}) {
     for (unsigned p : procs) out.push_back({k, machine, p});
   }
   return out;
@@ -88,11 +91,11 @@ INSTANTIATE_TEST_SUITE_P(
     testing::ValuesIn(params_for(MachineKind::kButterfly, {4u})), param_name);
 
 // FCFS: ticket, Anderson and MCS-queue grant strictly in arrival order.
-class SpinLockFcfs : public testing::TestWithParam<SpinLockKind> {};
+class SpinLockFcfs : public testing::TestWithParam<LockKind> {};
 
 TEST_P(SpinLockFcfs, GrantsInArrivalOrder) {
   machine::KsrMachine m(MachineConfig::ksr1(5));
-  auto lock = make_spinlock(m, GetParam());
+  auto lock = make_lock(m, GetParam());
   auto order = m.alloc<int>("order", 8);
   m.run([&](Cpu& cpu) {
     cpu.work(30000 * (cpu.id() + 1));  // unambiguous staggered arrivals
@@ -110,10 +113,10 @@ TEST_P(SpinLockFcfs, GrantsInArrivalOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(QueueLocks, SpinLockFcfs,
-                         testing::Values(SpinLockKind::kTicket,
-                                         SpinLockKind::kAnderson,
-                                         SpinLockKind::kMcsQueue),
-                         [](const testing::TestParamInfo<SpinLockKind>& i) {
+                         testing::Values(LockKind::kTicket,
+                                         LockKind::kAnderson,
+                                         LockKind::kMcsQueue),
+                         [](const testing::TestParamInfo<LockKind>& i) {
                            std::string n{to_string(i.param)};
                            for (auto& c : n) {
                              if (!isalnum(static_cast<unsigned char>(c))) {
@@ -126,9 +129,9 @@ INSTANTIATE_TEST_SUITE_P(QueueLocks, SpinLockFcfs,
 // Qualitative claim behind the MCS paper: per-hand-off interconnect traffic
 // is bounded for queue locks but grows with waiters for naive test&set.
 TEST(SpinLockTraffic, QueueLockBeatsNaiveTasUnderContention) {
-  auto ring_requests = [](SpinLockKind kind) {
+  auto ring_requests = [](LockKind kind) {
     machine::KsrMachine m(MachineConfig::ksr1(8));
-    auto lock = make_spinlock(m, kind);
+    auto lock = make_lock(m, kind);
     const auto res = m.run([&](Cpu& cpu) {
       for (int i = 0; i < 10; ++i) {
         lock->acquire(cpu);
@@ -139,8 +142,8 @@ TEST(SpinLockTraffic, QueueLockBeatsNaiveTasUnderContention) {
     });
     return res.pmon.ring_requests + res.pmon.ring_nacks;
   };
-  EXPECT_LT(ring_requests(SpinLockKind::kMcsQueue),
-            ring_requests(SpinLockKind::kTestAndSet));
+  EXPECT_LT(ring_requests(LockKind::kMcsQueue),
+            ring_requests(LockKind::kTestAndSet));
 }
 
 }  // namespace

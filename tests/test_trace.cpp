@@ -1,14 +1,17 @@
 // Event-tracer tests: ring and coherence activity is captured with the
-// right categories, timestamps are monotone, CSV renders with the drop
-// footer, over-capacity logging is accounted (not silent), category masks
-// filter, and an untraced machine behaves identically (timing unchanged).
+// right categories, timestamps are monotone, barrier episodes and lock
+// acquisitions are bracketed, CSV renders with the drop footer,
+// over-capacity logging is accounted (not silent), category masks filter,
+// and an untraced machine behaves identically (timing unchanged).
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/obs/tracer.hpp"
 #include "ksr/sync/barrier.hpp"
+#include "ksr/sync/locks.hpp"
 
 namespace ksr {
 namespace {
@@ -76,6 +79,32 @@ TEST(Trace, BarrierEpisodesAreBracketed) {
   for (const obs::Tracer::Record& r : tracer) {
     if (r.cat == obs::kCatSync && r.ev == obs::kEvBarrierDepart) {
       EXPECT_GE(r.detail, 0);
+    }
+  }
+}
+
+// Locks log through the same bracket: lock-acquire, lock-acquired (detail =
+// the wait since that cpu's acquire) and lock-release per operation.
+TEST(Trace, LockAcquisitionsAreBracketed) {
+  for (const sync::LockKind kind :
+       {sync::LockKind::kHardware, sync::LockKind::kReadWrite,
+        sync::LockKind::kAnderson}) {
+    KsrMachine m(MachineConfig::ksr1(4));
+    obs::Tracer tracer;
+    m.attach_tracer(&tracer);
+    (void)sync::lock_seconds(m, kind, 5, sync::kFig3Section, 50);
+    // 5 operations x 4 cpus each.
+    EXPECT_EQ(tracer.count("sync", "lock-acquire"), 20u);
+    EXPECT_EQ(tracer.count("sync", "lock-acquired"), 20u);
+    EXPECT_EQ(tracer.count("sync", "lock-release"), 20u);
+    std::vector<sim::Time> start(4, 0);
+    for (const obs::Tracer::Record& r : tracer) {
+      if (r.cat != obs::kCatSync) continue;
+      if (r.ev == obs::kEvLockAcquire) start[r.actor] = r.t;
+      if (r.ev == obs::kEvLockAcquired) {
+        EXPECT_EQ(r.detail, static_cast<std::int64_t>(r.t - start[r.actor]))
+            << to_string(kind);
+      }
     }
   }
 }
