@@ -17,7 +17,7 @@ class BusMachine final : public CoherentMachine {
   explicit BusMachine(const MachineConfig& cfg)
       : CoherentMachine(cfg),
         bus_(std::make_unique<net::Bus>(
-            engine_, net::Bus::Config{cfg.bus_transaction_ns})) {}
+            engine_of(0), net::Bus::Config{cfg.bus_transaction_ns})) {}
 
   [[nodiscard]] net::Bus& bus() noexcept { return *bus_; }
 

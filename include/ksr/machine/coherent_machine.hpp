@@ -295,7 +295,7 @@ class CoherentMachine : public Machine {
 
   /// Domain owning `sp`'s home shard (0 on a single-domain machine).
   [[nodiscard]] unsigned home_domain(mem::SubPageId sp) const noexcept {
-    return multi_domain_ ? cfg_.domain_of_leaf(home_leaf(sp)) : 0;
+    return domain_of_leaf(home_leaf(sp));
   }
 
   /// Leaf a request from `cell` for `sp` rides to. Transport timing only:
@@ -308,7 +308,7 @@ class CoherentMachine : public Machine {
   /// Per-transition checker hooks fire only single-domain (multi-domain
   /// commits happen on several threads; audits run at quiescence instead).
   [[nodiscard]] bool hooks_on() const noexcept {
-    return checker_ != nullptr && !multi_domain_;
+    return checker_ != nullptr && !multi_domain();
   }
 
   // ---- The directory protocol (both modes; docs/PARALLEL.md) ----
@@ -393,7 +393,6 @@ class CoherentMachine : public Machine {
   std::vector<DirShard> dir_shards_;  // [leaf_count()], by home leaf
   std::vector<ShardStats> shard_stats_;  // [leaf_count()], by home leaf
   std::vector<cache::CellMask> leaf_masks_;
-  bool multi_domain_ = false;
   check::InvariantChecker* checker_ = nullptr;
 };
 

@@ -116,11 +116,6 @@ class Cpu {
     fiber_ = fid;
   }
 
-  /// Internal: bind this Cpu to its domain's engine (Machine::run does this
-  /// before spawning the fiber; every sync primitive below then schedules
-  /// on the owning domain's queue).
-  void bind_engine(sim::Engine& e) noexcept { eng_ = &e; }
-
  protected:
   Cpu(Machine& m, unsigned id, cache::PerfMonitor& pmon, sim::Rng& rng);
 
@@ -133,14 +128,14 @@ class Cpu {
   virtual void do_post_store(mem::Sva a) = 0;
 
   /// Yield if any event is pending earlier than the local clock. Every
-  /// access runs this, so the single-domain test is inline; the first call
-  /// before bind_engine() and every multi-domain call take lazy_sync_slow().
+  /// access runs this, so it is inline; on a multi-domain machine a call
+  /// that does not yield goes on to horizon_sync().
   void lazy_sync() {
-    if (eng_ != nullptr && !multi_domain_) {
-      if (eng_->next_event_time() < local_now_) eng_->wait_until(local_now_);
-      return;
+    if (eng_->next_event_time() < local_now_) {
+      eng_->wait_until(local_now_);
+    } else if (multi_domain_) {
+      horizon_sync();
     }
-    lazy_sync_slow();
   }
   /// Park until the global clock catches up to the local clock (required
   /// before interacting with the interconnect).
@@ -156,20 +151,21 @@ class Cpu {
 
   void range(mem::Sva base, std::size_t bytes, Op op);
 
-  /// The engine owning this cell's domain (machine.cpp resolves it on
-  /// first use when Machine::run has not bound one yet).
-  [[nodiscard]] sim::Engine& eng();
+  /// The engine owning this cell's domain (bound at construction).
+  [[nodiscard]] sim::Engine& eng() const noexcept { return *eng_; }
 
-  /// lazy_sync() in full, with the multi-domain horizon rule.
-  void lazy_sync_slow();
+  /// The multi-domain half of lazy_sync(): yield once the local clock
+  /// passes the current quantum's horizon.
+  void horizon_sync();
 
   Machine& machine_;
   unsigned id_;
   cache::PerfMonitor* pmon_;
   sim::Rng* rng_;
-  sim::Engine* eng_ = nullptr;  // this cell's domain engine (bind_engine)
-  sim::Duration cycle_ns_;      // machine_.config().cycle_ns
-  bool multi_domain_;           // machine_.multi_domain()
+  unsigned domain_;          // machine_.domain_of_cell(id_)
+  sim::Engine* eng_;         // machine_.engine_of(domain_)
+  sim::Duration cycle_ns_;   // machine_.config().cycle_ns
+  bool multi_domain_;        // machine_.multi_domain()
   sim::Time local_now_ = 0;
   sim::Time epoch_ = 0;
   sim::FiberId fiber_ = 0;

@@ -57,21 +57,14 @@ class KsrMachine final : public CoherentMachine {
   /// Registers the leaf rings and level-1 ring for the I6 liveness audit.
   void attach_checker(check::InvariantChecker* checker) override;
 
-  [[nodiscard]] NetSnapshot net_snapshot() const override {
-    NetSnapshot s;
-    for (const auto& r : leaf_rings_) fold_ring(s, *r);
-    if (ring1_) fold_ring(s, *ring1_);
-    return s;
-  }
-
-  /// Domain-local slice: only the leaf rings owned by domain `d` (the
-  /// level-1 ring exists single-domain only and belongs to domain 0).
+  /// Domain `d`'s leaf rings, plus the level-1 ring for domain 0 (it
+  /// exists single-domain only).
   [[nodiscard]] NetSnapshot net_snapshot_of(unsigned d) const override {
-    if (!multi_domain()) return d == 0 ? net_snapshot() : NetSnapshot{};
     NetSnapshot s;
     for (unsigned l = 0; l < leaf_rings_.size(); ++l) {
       if (domain_of_leaf(l) == d) fold_ring(s, *leaf_rings_[l]);
     }
+    if (ring1_ && d == 0) fold_ring(s, *ring1_);
     return s;
   }
 
@@ -95,10 +88,6 @@ class KsrMachine final : public CoherentMachine {
       Acquire kind, bool crossed_leaf) const override;
 
  private:
-  [[nodiscard]] unsigned domain_of_leaf(unsigned leaf) const noexcept {
-    return multi_domain() ? cfg_.domain_of_leaf(leaf) : 0;
-  }
-
   static void fold_ring(NetSnapshot& s, const net::SlottedRing& r) noexcept {
     const net::SlottedRing::Stats& st = r.stats();
     s.in_flight += st.in_flight;

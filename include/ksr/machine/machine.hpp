@@ -55,6 +55,14 @@ struct NetSnapshot {
   std::uint64_t packets = 0;          // cumulative injected packets
   std::uint64_t retries = 0;          // cumulative failed slot grabs
   sim::Duration inject_wait_ns = 0;   // cumulative slot-wait time
+
+  void add(const NetSnapshot& o) noexcept {
+    in_flight += o.in_flight;
+    slots += o.slots;
+    packets += o.packets;
+    retries += o.retries;
+    inject_wait_ns += o.inject_wait_ns;
+  }
 };
 
 /// Everything measured during one run() call.
@@ -70,7 +78,7 @@ class Machine {
   using Program = std::function<void(Cpu&)>;
 
   explicit Machine(const MachineConfig& cfg)
-      : cfg_(cfg), par_(domain_plan(cfg_)), engine_(par_.domain(0)) {
+      : cfg_(cfg), par_(domain_plan(cfg_)) {
     cfg_.validate();
     par_.set_tie_break_seed(cfg_.sched_fuzz_seed);
   }
@@ -81,12 +89,12 @@ class Machine {
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] unsigned nproc() const noexcept { return cfg_.nproc; }
 
-  /// Domain 0's serial engine. Single-domain machines (the default) put
-  /// every component here; multi-domain ring machines use engine_of() per
-  /// leaf-ring owner and keep this as the coordinator-side default.
-  [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
+  /// Domain 0's serial engine: engine_of(0), kept for callers outside the
+  /// simulator that read domain 0's counters. Components name their domain.
+  [[nodiscard]] sim::Engine& engine() { return engine_of(0); }
 
-  /// The serial engine owning domain `d`.
+  /// The serial engine owning domain `d` (a single-domain machine is the
+  /// one-domain case: every component lives on engine_of(0)).
   [[nodiscard]] sim::Engine& engine_of(unsigned d) { return par_.domain(d); }
 
   /// How many domains this machine actually runs (1 unless a ring machine
@@ -97,6 +105,12 @@ class Machine {
   /// single-domain machines).
   [[nodiscard]] unsigned domain_of_cell(unsigned cell) const noexcept {
     return par_.domains() == 1 ? 0 : cfg_.domain_of_cell(cell);
+  }
+
+  /// Domain owning leaf ring `leaf` and its directory shard (always 0 on
+  /// single-domain machines).
+  [[nodiscard]] unsigned domain_of_leaf(unsigned leaf) const noexcept {
+    return par_.domains() == 1 ? 0 : cfg_.domain_of_leaf(leaf);
   }
 
   /// True when the machine runs more than one domain: the coherence
@@ -163,28 +177,34 @@ class Machine {
   /// for domain 0 (and for single-domain machines), domain d's private
   /// shard otherwise. Null whenever no tracer is attached.
   [[nodiscard]] obs::Tracer* tracer_of(unsigned d) const noexcept {
-    if (d == 0 || tracer_shards_.empty()) return tracer_;
+    if (tracer_shards_.empty() || d == 0) return tracer_;
     return tracer_shards_[d - 1].get();
   }
 
   /// Shorthand for tracer_of(domain_of_cell(cell)) — the sync primitives
   /// and per-cpu stall sites log through this so a record is always written
-  /// by the thread advancing the logging cell's domain.
+  /// by the thread advancing the logging cell's domain. Shards exist only
+  /// with a tracer attached, so an untraced call does no domain arithmetic.
   [[nodiscard]] obs::Tracer* tracer_for_cell(unsigned cell) const noexcept {
+    if (tracer_shards_.empty()) return tracer_;
     return tracer_of(domain_of_cell(cell));
   }
 
-  /// Instantaneous interconnect counters (see NetSnapshot). Read-only and
-  /// side-effect free, so the obs::MetricsRegistry sampler may call it from
-  /// the engine's observer lane.
-  [[nodiscard]] virtual NetSnapshot net_snapshot() const { return {}; }
-
-  /// Domain-local slice of net_snapshot(): only interconnect owned by
-  /// domain `d` (its leaf rings). The mode-B metrics sampler calls this
-  /// from domain d's observer lane, so it must touch no other domain's
-  /// state. Default: everything is domain 0's.
+  /// Instantaneous interconnect counters owned by domain `d` (its leaf
+  /// rings; see NetSnapshot). Read-only and side-effect free: the
+  /// obs::MetricsRegistry sampler calls it from domain d's observer lane,
+  /// so it must touch no other domain's state. Default: no interconnect.
   [[nodiscard]] virtual NetSnapshot net_snapshot_of(unsigned d) const {
-    return d == 0 ? net_snapshot() : NetSnapshot{};
+    (void)d;
+    return {};
+  }
+
+  /// The whole machine's interconnect counters: net_snapshot_of summed
+  /// over every domain. Host-side only (reads every domain's state).
+  [[nodiscard]] NetSnapshot net_snapshot() const {
+    NetSnapshot s;
+    for (unsigned d = 0; d < domains(); ++d) s.add(net_snapshot_of(d));
+    return s;
   }
 
   /// Fill `s` with this machine's topology counters (docs/OBSERVABILITY.md).
@@ -255,7 +275,6 @@ class Machine {
 
   MachineConfig cfg_;
   sim::ParallelEngine par_;
-  sim::Engine& engine_;  // = par_.domain(0); keeps subclass call sites flat
   mem::Heap heap_;
   obs::Tracer* tracer_ = nullptr;
   // Mode-B observer shards for domains 1..D-1 (domain 0 logs straight to

@@ -20,9 +20,9 @@
 // event queue or events_dispatched()).
 namespace ksr::obs {
 
-/// One point of the interval time series. Single-domain samples cover the
-/// whole machine (domain == 0); multi-domain samples cover one domain's
-/// cells and rings only, taken on that domain's own engine (mode B).
+/// One point of the interval time series: one domain's cells and rings,
+/// taken on that domain's own engine (a single-domain machine's one domain
+/// is the whole machine).
 struct MetricsSample {
   sim::Time t = 0;
   unsigned domain = 0;
@@ -37,16 +37,17 @@ class MetricsRegistry {
   /// Start sampling `m` every `period_ns` of simulated time. Call before
   /// Machine::run() (a restore() may come in between: the chain is armed
   /// when the run starts); the sampling chain ends with the run. A registry
-  /// observes exactly one machine. On a multi-domain machine (mode B) one
-  /// observer chain runs per domain, on that domain's engine, reading only
-  /// domain-owned state (its cells' pmon + its rings) — no cross-domain
-  /// read, no host race, and the merged series is bit-identical at any
-  /// --sim-threads because every sample is (simulated time, domain)-keyed.
+  /// observes exactly one machine. One observer chain runs per domain, on
+  /// that domain's engine, reading only domain-owned state (its cells' pmon
+  /// + its rings) — no cross-domain read, no host race, and the merged
+  /// series is bit-identical at any --sim-threads because every sample is
+  /// (simulated time, domain)-keyed.
   void attach(machine::Machine& m, sim::Duration period_ns = kDefaultPeriodNs);
 
-  /// Take the final sample at the machine's current simulated time (the
-  /// observer lane drops samples past the last event, so the tail interval
-  /// is captured here). Call after Machine::run().
+  /// Take each domain's final sample at its engine's current simulated time
+  /// (the observer lane drops samples past the last event, so the tail
+  /// interval is captured here) and merge the domains' series in (time,
+  /// domain) order into samples(). Call after Machine::run().
   void finish();
 
   [[nodiscard]] const std::vector<MetricsSample>& samples() const noexcept {
@@ -56,24 +57,21 @@ class MetricsRegistry {
   /// Interval time series as CSV: per-interval deltas of the interconnect
   /// counters plus instantaneous slot utilization. `label`, when non-empty,
   /// is prepended as a first "job" column (the SweepRunner merge format);
-  /// `header` controls whether the header row is emitted. Single-domain
-  /// output is byte-identical to the seed format; multi-domain output adds
-  /// a `domain` column after time_ns, with deltas tracked per domain lane.
+  /// `header` controls whether the header row is emitted. Deltas are
+  /// tracked per domain lane; multi-domain output adds a `domain` column
+  /// after time_ns (single-domain output keeps the seed format).
   void write_csv(std::ostream& os, std::string_view label = {},
                  bool header = true) const;
 
  private:
-  void sample_now();
-  void arm();
   void sample_domain(unsigned d);
   void arm_domain(unsigned d);
 
   machine::Machine* machine_ = nullptr;
   sim::Duration period_ = kDefaultPeriodNs;
-  bool multi_ = false;
   unsigned domains_ = 1;
-  std::vector<MetricsSample> samples_;  // mode A; mode B merged at finish()
-  std::vector<std::vector<MetricsSample>> domain_samples_;  // mode B, per d
+  std::vector<MetricsSample> samples_;  // merged at finish()
+  std::vector<std::vector<MetricsSample>> domain_samples_;  // per domain
 };
 
 }  // namespace ksr::obs

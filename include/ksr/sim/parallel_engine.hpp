@@ -48,12 +48,9 @@
 // never *what* it computes.
 //
 // Degenerate shapes (all bit-identical to the general case):
-//   * domains == 1, threads == 1 — run() is exactly domain(0).run(): the
-//     serial engine inline, zero quantum/barrier overhead (the perf gate
-//     covers this path).
-//   * domains == 1, threads > 1 — the single domain runs to completion on
-//     a worker thread in one quantum (no Δ constraint exists without a
-//     second domain).
+//   * domains == 1 — run() is exactly domain(0).run() at any thread count
+//     (threads clamp to domains): the serial engine inline, zero
+//     quantum/barrier overhead (the perf gate covers this path).
 //   * an empty domain simply arrives at every barrier without dispatching.
 namespace ksr::sim {
 
@@ -75,7 +72,8 @@ class ParallelEngine {
   [[nodiscard]] unsigned domains() const noexcept {
     return static_cast<unsigned>(engines_.size());
   }
-  /// Effective host thread count (after resolving threads == 0).
+  /// Effective host thread count (after resolving threads == 0 and
+  /// clamping to domains()).
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
   [[nodiscard]] Duration quantum_ns() const noexcept { return cfg_.quantum_ns; }
 

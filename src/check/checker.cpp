@@ -55,7 +55,7 @@ void InvariantChecker::reset() {
 
 void InvariantChecker::on_transition(Ev ev, unsigned cell, mem::SubPageId sp) {
   ++stats_.transitions;
-  const sim::Time now = m_.engine().now();
+  const sim::Time now = m_.parallel_engine().now();
   trail_[trail_next_] = TrailEvent{now, ev, cell, sp};
   trail_next_ = (trail_next_ + 1) % trail_.size();
   if (trail_len_ < trail_.size()) ++trail_len_;
@@ -229,7 +229,7 @@ void InvariantChecker::audit_all() {
   // Multi-domain runs audit only at quiescent points — no per-transition
   // hooks record exclusive grants in between, so a surviving freeze record
   // would flag perfectly legal writes. Start from live state instead.
-  if (m_.multi_domain_) frozen_.clear();
+  if (m_.multi_domain()) frozen_.clear();
   m_.dir_for_each(
       [this](mem::SubPageId sp, const machine::CoherentMachine::DirEntry&) {
         audit_subpage(sp);
@@ -325,7 +325,8 @@ void InvariantChecker::fail(const std::string& invariant, unsigned cell,
                             const std::string& detail) const {
   std::ostringstream os;
   os << "ALLCACHE invariant violated: " << invariant << " — " << detail
-     << "\n  at t=" << m_.engine().now() << " ns, cpu=" << cell << "\n"
+     << "\n  at t=" << m_.parallel_engine().now() << " ns, cpu=" << cell
+     << "\n"
      << describe_subpage(sp) << trail_to_string();
   throw ViolationError(os.str());
 }

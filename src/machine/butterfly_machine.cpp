@@ -77,7 +77,7 @@ class ButterflyCpu final : public Cpu {
     ++pmon().ring_requests;
     bm_.net_->transact(id_, home, [this](sim::Duration w) {
       pmon().inject_wait_ns += w;
-      wake_at(machine_.engine().now());
+      wake_at(eng().now());
     });
     block_until_woken();
     pmon().ring_time_ns += local_now_ - t0;
@@ -95,7 +95,7 @@ ButterflyMachine::ButterflyMachine(const MachineConfig& cfg) : Machine(cfg) {
   nc.ports = cfg_.nproc;
   nc.link_ns = cfg_.butterfly_link_ns;
   nc.memory_ns = cfg_.butterfly_memory_ns;
-  net_ = std::make_unique<net::Butterfly>(engine_, nc);
+  net_ = std::make_unique<net::Butterfly>(engine_of(0), nc);
   cells_.reserve(cfg_.nproc);
   std::uint64_t seed = 0xB0FF1E5ull;
   for (unsigned i = 0; i < cfg_.nproc; ++i) {

@@ -50,7 +50,7 @@ class CoherentCpu final : public Cpu {
   /// single-domain) — the gate between the synchronous protocol path and
   /// the boundary-channel message path.
   [[nodiscard]] bool home_is_local(mem::SubPageId sp) const {
-    return cm_.home_domain(sp) == machine_.domain_of_cell(id_);
+    return !multi_domain_ || cm_.home_domain(sp) == domain_;
   }
 
   void access_one(mem::Sva a, Op op);
@@ -214,7 +214,7 @@ void CoherentCpu::ring_leg(mem::SubPageId sp, unsigned target_leaf) {
   auto& c = cell();
   ++c.pmon.ring_requests;
   c.pmon.inject_wait_ns += wait;
-  if (obs::Tracer* tr = cm_.tracer_for_cell(id_); tr != nullptr && wait != 0) {
+  if (obs::Tracer* tr = cm_.tracer_of(domain_); tr != nullptr && wait != 0) {
     // Stall attribution: this cpu lost `wait` ns to slot contention.
     tr->log(eng().now(), obs::kCatStall, obs::kEvInjectWait, sp, id_,
             static_cast<std::int64_t>(wait));
@@ -275,7 +275,7 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
       CoherentMachine* cm = &cm_;
       CoherentMachine::Decision* rp = &d;
       const unsigned me = id_;
-      const unsigned dr = machine_.domain_of_cell(id_);
+      const unsigned dr = domain_;
       const sim::FiberId fid = fiber_;
       machine_.parallel_engine().send(
           dr, cm_.home_domain(sp), machine_.parallel_engine().horizon(),
@@ -289,7 +289,7 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
       tick_ns(cm_.transaction_overhead_ns(kind, crossed));
       if (d.page_alloc) tick_ns(cfg().page_alloc_ns);
       c.pmon.ring_time_ns += local_now_ - t0;
-      if (obs::Tracer* tr = cm_.tracer_for_cell(id_)) {
+      if (obs::Tracer* tr = cm_.tracer_of(domain_)) {
         // Stall attribution: total time this cpu spent in the transaction.
         tr->log(eng().now(), obs::kCatStall, obs::kEvRemoteAcquire,
                 sp, id_, static_cast<std::int64_t>(local_now_ - t0));
@@ -307,7 +307,7 @@ void CoherentCpu::remote_acquire(mem::SubPageId sp, Acquire kind,
     const sim::Duration base = cfg().atomic_backoff_ns
                                << (consecutive_nacks - 1);
     const sim::Duration nap = base + cell().rng.below(base);
-    if (obs::Tracer* tr = cm_.tracer_for_cell(id_)) {
+    if (obs::Tracer* tr = cm_.tracer_of(domain_)) {
       tr->log(eng().now(), obs::kCatStall, obs::kEvNackBackoff, sp,
               id_, static_cast<std::int64_t>(nap));
     }
@@ -381,7 +381,7 @@ void CoherentCpu::do_release_subpage(mem::Sva a) {
   hard_sync();
   CoherentMachine* cm = &cm_;
   const unsigned me = id_;
-  const unsigned dr = machine_.domain_of_cell(id_);
+  const unsigned dr = domain_;
   const unsigned dh = cm_.home_domain(sp);
   cm_.transport(me, sp, cm_.leaf_of(me), [cm, me, dr, dh, sp](sim::Duration) {
     cm->parallel_engine().send(dr, dh, cm->parallel_engine().horizon(),
@@ -497,7 +497,7 @@ void CoherentCpu::do_post_store(mem::Sva a) {
   }
   // Remote home: ride our own ring to the ARD, then cross (fire and forget
   // — the issuer never waits on a poststore).
-  const unsigned dr = machine_.domain_of_cell(id_);
+  const unsigned dr = domain_;
   const unsigned dh = cm_.home_domain(sp);
   cm_.transport(me, sp, cm_.leaf_of(me),
                 [cm, me, dr, dh, sp](sim::Duration w) {
@@ -515,7 +515,6 @@ void CoherentCpu::do_post_store(mem::Sva a) {
 // ---------------------------------------------------------------------------
 
 CoherentMachine::CoherentMachine(const MachineConfig& cfg) : Machine(cfg) {
-  multi_domain_ = Machine::multi_domain();
   cells_.reserve(cfg_.nproc);
   std::uint64_t seed =
       0xA11CAC8Eull ^ (static_cast<std::uint64_t>(cfg_.nproc) << 32);
@@ -812,7 +811,7 @@ cache::CellMask CoherentMachine::dir_placeholders(mem::SubPageId sp) const {
 
 unsigned CoherentMachine::target_leaf(unsigned cell, mem::SubPageId sp,
                                       bool poststore) const {
-  if (multi_domain_) return home_leaf(sp);
+  if (multi_domain()) return home_leaf(sp);
   const unsigned my = leaf_of(cell);
   static const DirEntry kUntouched{};
   const DirEntry* pe = dir_find(sp);

@@ -53,12 +53,10 @@ KsrMachine::KsrMachine(const MachineConfig& cfg) : CoherentMachine(cfg) {
     // Each ring lives on the engine of the domain owning its leaf: all of
     // its events then dispatch on that domain's thread (single-domain maps
     // every leaf to engine 0, exactly the seed shape).
-    sim::Engine& eng =
-        multi_domain_ ? engine_of(cfg_.domain_of_leaf(l)) : engine_;
     leaf_rings_.push_back(std::make_unique<net::SlottedRing>(
-        eng, rc, "ring0." + std::to_string(l)));
+        engine_of(domain_of_leaf(l)), rc, "ring0." + std::to_string(l)));
   }
-  if (multi && !multi_domain_) {
+  if (multi && !multi_domain()) {
     // The explicit level-1 ring exists only single-domain; a multi-domain
     // run models level-1 transit analytically (transport/home_transport)
     // because one shared ring object would serialize every domain thread.
@@ -71,7 +69,7 @@ KsrMachine::KsrMachine(const MachineConfig& cfg) : CoherentMachine(cfg) {
       rc.phase = static_cast<unsigned>(sim::splitmix64(phase_seed) %
                                        rc.positions);
     }
-    ring1_ = std::make_unique<net::SlottedRing>(engine_, rc, "ring1");
+    ring1_ = std::make_unique<net::SlottedRing>(engine_of(0), rc, "ring1");
   }
   traffic_shards_.assign(
       domains(), std::vector<std::uint64_t>(
@@ -176,7 +174,7 @@ void KsrMachine::transport(unsigned cell, mem::SubPageId sp,
     return;
   }
   const unsigned ard_pos = cfg_.cells_per_leaf;  // ARD interface index
-  if (multi_domain_) {
+  if (multi_domain()) {
     // Same-domain cross-leaf hop: own ring to the ARD, an analytic level-1
     // circulation (the shared ring1 object cannot be touched from domain
     // threads), then the target leaf ring from its ARD. Only ever called
@@ -226,11 +224,11 @@ void KsrMachine::home_transport(unsigned from_leaf, unsigned home,
   // the home leaf ring entered at its ARD. Runs on the home domain's
   // engine — so the cross-domain leg lands in the home domain's traffic
   // shard.
-  ++traffic_shards_[cfg_.domain_of_leaf(home)]
+  ++traffic_shards_[domain_of_leaf(home)]
                    [static_cast<std::size_t>(from_leaf) * leaf_count() + home];
   const unsigned ard_pos = cfg_.cells_per_leaf;
   const unsigned sr = mem::subring_of(sp);
-  sim::Engine& eng = engine_of(cfg_.domain_of_leaf(home));
+  sim::Engine& eng = engine_of(domain_of_leaf(home));
   const sim::Duration l1 =
       static_cast<sim::Duration>(MachineConfig::kRing1Positions) *
       cfg_.ring1_hop_ns;

@@ -1,6 +1,7 @@
 #include "ksr/machine/machine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -16,9 +17,8 @@ sim::ParallelEngine::Config Machine::domain_plan(const MachineConfig& cfg) {
   pc.quantum_ns = cfg.sim_quantum_ns();
   if (cfg.requested_domains() <= 1) return pc;
   if (!cfg.supports_partition()) {
-    static bool warned_kind = false;
-    if (!warned_kind) {
-      warned_kind = true;
+    static std::atomic<bool> warned_kind{false};
+    if (!warned_kind.exchange(true)) {
       std::fprintf(stderr,
                    "warning: cells_per_domain=%u requests %u domains, but "
                    "%s machines serialize on a shared medium and run "
@@ -31,9 +31,8 @@ sim::ParallelEngine::Config Machine::domain_plan(const MachineConfig& cfg) {
   // Ring machines partition by whole leaf rings: a directory shard is owned
   // by exactly one domain, so a domain boundary can never split a leaf.
   if (cfg.cells_per_leaf != 0 && cfg.cells_per_domain % cfg.cells_per_leaf != 0) {
-    static bool warned_round = false;
-    if (!warned_round) {
-      warned_round = true;
+    static std::atomic<bool> warned_round{false};
+    if (!warned_round.exchange(true)) {
       std::fprintf(stderr,
                    "warning: cells_per_domain=%u is not a multiple of "
                    "cells_per_leaf=%u; rounding up to %u cells (%u whole "
@@ -89,11 +88,9 @@ void Machine::merge_tracer_shards() {
 void Machine::topo_snapshot(obs::topo::Snapshot& s) const {
   s.domains = par_.domains();
   s.quantum_ns = static_cast<std::uint64_t>(par_.quantum_ns());
+  // The quantum loop only runs multi-domain (a single domain runs inline
+  // and counts no quanta); its counts are pure simulated data.
   if (s.domains <= 1) return;
-  // The quantum loop only runs multi-domain; single-domain paths (serial
-  // inline, or one unbounded quantum on a pool thread) count quanta
-  // differently per --sim-threads, so reporting them would break the
-  // byte-equality contract. Multi-domain counts are pure simulated data.
   s.quanta = par_.quanta();
   s.boundary_packets = par_.boundary_packets();
   const auto& stats = par_.channel_stats();
@@ -117,35 +114,24 @@ Cpu::Cpu(Machine& m, unsigned id, cache::PerfMonitor& pmon, sim::Rng& rng)
       id_(id),
       pmon_(&pmon),
       rng_(&rng),
+      domain_(m.domain_of_cell(id)),
+      eng_(&m.engine_of(domain_)),
       cycle_ns_(m.config().cycle_ns),
       multi_domain_(m.multi_domain()) {}
 
 unsigned Cpu::nproc() const noexcept { return machine_.nproc(); }
 
-sim::Engine& Cpu::eng() {
-  if (eng_ == nullptr) {
-    eng_ = &machine_.engine_of(machine_.domain_of_cell(id_));
-  }
-  return *eng_;
-}
-
-void Cpu::lazy_sync_slow() {
-  sim::Engine& e = eng();
-  if (e.next_event_time() < local_now_) {
-    e.wait_until(local_now_);
-    return;
-  }
-  // Multi-domain: a cache hit is only safe to take without yielding while
-  // the local clock stays inside the conservative quantum. Cross-domain
-  // traffic (an invalidation of the very line being spun on, say) merges
-  // into this domain's queue at the quantum barrier, and the engine can
-  // only reach that barrier when this fiber parks. Without this bound a
-  // hit-spinning fiber runs its local clock arbitrarily far ahead and
-  // never observes remote writes. The strict `>` matches the single-domain
-  // rule above: an event at exactly local_now_ is not waited for.
-  if (machine_.multi_domain() &&
-      local_now_ > machine_.parallel_engine().horizon()) {
-    e.wait_until(local_now_);
+void Cpu::horizon_sync() {
+  // A cache hit is only safe to take without yielding while the local
+  // clock stays inside the conservative quantum. Cross-domain traffic (an
+  // invalidation of the very line being spun on, say) merges into this
+  // domain's queue at the quantum barrier, and the engine can only reach
+  // that barrier when this fiber parks. Without this bound a hit-spinning
+  // fiber runs its local clock arbitrarily far ahead and never observes
+  // remote writes. The strict `>` matches lazy_sync's event rule: an event
+  // at exactly local_now_ is not waited for.
+  if (local_now_ > machine_.parallel_engine().horizon()) {
+    eng_->wait_until(local_now_);
   }
 }
 
@@ -356,10 +342,7 @@ RunResult Machine::run(const std::vector<Program>& programs) {
   // Domain engines may sit at different times after a previous run; start
   // every fiber at the latest of them so no domain is asked to schedule in
   // its past.
-  sim::Time epoch = engine_.now();
-  for (unsigned d = 1; d < par_.domains(); ++d) {
-    epoch = std::max(epoch, par_.domain(d).now());
-  }
+  const sim::Time epoch = par_.now();
 
   std::vector<cache::PerfMonitor> pmon_before(nproc());
   for (unsigned i = 0; i < nproc(); ++i) pmon_before[i] = cell_pmon(i);
@@ -371,9 +354,8 @@ RunResult Machine::run(const std::vector<Program>& programs) {
   for (unsigned i = 0; i < nproc(); ++i) {
     Cpu* cpu = cpus[i].get();
     const Program* body = &programs[i];
-    sim::Engine& eng = engine_of(domain_of_cell(i));
-    cpu->bind_engine(eng);
-    const sim::FiberId fid = eng.spawn([cpu, body] { (*body)(*cpu); }, epoch);
+    const sim::FiberId fid = engine_of(domain_of_cell(i))
+                                 .spawn([cpu, body] { (*body)(*cpu); }, epoch);
     cpu->begin_run(epoch, fid);
   }
   par_.run();

@@ -7,21 +7,6 @@
 
 namespace ksr::obs {
 
-void MetricsRegistry::sample_now() {
-  MetricsSample s;
-  s.t = machine_->engine().now();
-  s.pmon = machine_->total_pmon();
-  s.net = machine_->net_snapshot();
-  samples_.push_back(s);
-}
-
-void MetricsRegistry::arm() {
-  machine_->engine().observe_in(period_, [this] {
-    sample_now();
-    arm();
-  });
-}
-
 void MetricsRegistry::sample_domain(unsigned d) {
   MetricsSample s;
   s.t = machine_->engine_of(d).now();
@@ -43,34 +28,21 @@ void MetricsRegistry::arm_domain(unsigned d) {
 void MetricsRegistry::attach(machine::Machine& m, sim::Duration period_ns) {
   machine_ = &m;
   period_ = period_ns ? period_ns : kDefaultPeriodNs;
-  if (m.multi_domain()) {
-    // Mode B: one observer chain per domain, on that domain's engine,
-    // reading only domain-owned state (its cells' pmon, its rings). Each
-    // chain is deterministic on the simulated clock; finish() merges the
-    // per-domain series in (time, domain) order.
-    multi_ = true;
-    domains_ = m.domains();
-    domain_samples_.assign(domains_, {});
-  }
+  // One observer chain per domain, on that domain's engine, reading only
+  // domain-owned state (its cells' pmon, its rings). Each chain is
+  // deterministic on the simulated clock; finish() merges the per-domain
+  // series in (time, domain) order.
+  domains_ = m.domains();
+  domain_samples_.assign(domains_, {});
   // Armed when the first run starts, so a restore() between attach and
   // run finds the engines quiescent and the chain starts on its clock.
   m.before_next_run([this] {
-    if (!multi_) {
-      arm();
-      return;
-    }
     for (unsigned d = 0; d < domains_; ++d) arm_domain(d);
   });
 }
 
 void MetricsRegistry::finish() {
   if (machine_ == nullptr) return;
-  if (!multi_) {
-    if (samples_.empty() || samples_.back().t != machine_->engine().now()) {
-      sample_now();
-    }
-    return;
-  }
   // Tail sample per domain (the observer lane drops samples past a
   // domain's last event), then the (time, domain)-ordered merge.
   for (unsigned d = 0; d < domains_; ++d) {
@@ -91,18 +63,20 @@ void MetricsRegistry::finish() {
 
 void MetricsRegistry::write_csv(std::ostream& os, std::string_view label,
                                 bool header) const {
+  // Single-domain output keeps the seed format: no domain column.
+  const bool multi = domains_ > 1;
   if (header) {
     if (!label.empty()) os << "job,";
     os << "time_ns,";
-    if (multi_) os << "domain,";
+    if (multi) os << "domain,";
     os << "slot_util,d_ring_requests,d_ring_nacks,nack_rate,"
           "d_inject_wait_ns,wait_per_req_ns,d_localcache_misses,"
           "d_invalidations,d_snarfs\n";
   }
-  // One delta lane per domain (mode A only ever touches lane 0): every
-  // sample covers one domain's counters, so deltas are per-domain too.
-  std::vector<cache::PerfMonitor> prev_pmon(multi_ ? domains_ : 1);
-  std::vector<machine::NetSnapshot> prev_net(multi_ ? domains_ : 1);
+  // One delta lane per domain: every sample covers one domain's counters,
+  // so deltas are per-domain too.
+  std::vector<cache::PerfMonitor> prev_pmon(domains_);
+  std::vector<machine::NetSnapshot> prev_net(domains_);
   char buf[64];
   auto ratio = [&buf](std::uint64_t num, std::uint64_t den) {
     std::snprintf(buf, sizeof buf, "%.6f",
@@ -111,14 +85,14 @@ void MetricsRegistry::write_csv(std::ostream& os, std::string_view label,
     return std::string(buf);
   };
   for (const MetricsSample& s : samples_) {
-    cache::PerfMonitor& pp = prev_pmon[multi_ ? s.domain : 0];
-    machine::NetSnapshot& pn = prev_net[multi_ ? s.domain : 0];
+    cache::PerfMonitor& pp = prev_pmon[s.domain];
+    machine::NetSnapshot& pn = prev_net[s.domain];
     const std::uint64_t d_req = s.pmon.ring_requests - pp.ring_requests;
     const std::uint64_t d_nack = s.pmon.ring_nacks - pp.ring_nacks;
     const sim::Duration d_wait = s.net.inject_wait_ns - pn.inject_wait_ns;
     if (!label.empty()) os << label << ',';
     os << s.t << ',';
-    if (multi_) os << s.domain << ',';
+    if (multi) os << s.domain << ',';
     os << ratio(s.net.in_flight, s.net.slots) << ',' << d_req
        << ',' << d_nack << ',' << ratio(d_nack, d_req) << ',' << d_wait << ','
        << ratio(d_wait, d_req) << ','

@@ -31,9 +31,10 @@ ParallelEngine::ParallelEngine(const Config& cfg) : cfg_(cfg) {
   threads_ = cfg_.threads == 0
                  ? std::max(1u, std::thread::hardware_concurrency())
                  : cfg_.threads;
-  // Pool slots beyond domains()+1 could never hold work: slots 0..threads-2
-  // are workers, the last slot is the coordinator's own share.
-  threads_ = std::min(threads_, cfg_.domains + 1);
+  // Domain d belongs to slot d % threads: slots beyond domains() could
+  // never hold work, so every slot (the coordinator's last one included)
+  // holds a domain, and a one-domain engine always runs inline.
+  threads_ = std::min(threads_, cfg_.domains);
   engines_.reserve(cfg_.domains);
   for (unsigned d = 0; d < cfg_.domains; ++d) {
     engines_.push_back(std::make_unique<Engine>());
@@ -112,9 +113,7 @@ void ParallelEngine::send(unsigned src, unsigned dst, Time t, InlineFn fn) {
   }
   // Conservative lookahead rule: a boundary event produced inside quantum k
   // must not land before quantum k+1 — otherwise its destination may have
-  // already executed past t concurrently. With a single domain the quantum
-  // is unbounded, so every mid-run send is a violation by definition (use
-  // domain(0).at directly instead).
+  // already executed past t concurrently.
   if (t < horizon_) {
     throw std::logic_error(
         "ParallelEngine::send: lookahead violation — boundary event at t=" +
@@ -194,9 +193,7 @@ void ParallelEngine::run_quantum_phase() {
     }
     cv_work_.notify_all();
     // The coordinator advances the last slot's domains itself rather than
-    // idling at the barrier. With one domain and threads > 1 this share is
-    // empty, which is deliberate: the whole simulation then runs on worker
-    // 0, exercising the cross-thread fiber path end to end.
+    // idling at the barrier.
     advance_slot(threads_ - 1);
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] { return arrived_ == threads_ - 1; });
@@ -270,7 +267,7 @@ void ParallelEngine::merge_channels() {
 }
 
 void ParallelEngine::run() {
-  if (domains() == 1 && threads_ == 1) {
+  if (domains() == 1) {
     // Serial inline path: byte-for-byte the plain Engine, no quantum loop,
     // no barrier, no pool — zero overhead over PR 1 (perf gate).
     engines_[0]->run();
@@ -285,11 +282,8 @@ void ParallelEngine::run() {
       if (next == kNever) break;
       // The quantum containing the earliest pending event; events landing
       // exactly on a quantum edge kΔ belong to [kΔ, (k+1)Δ) — the horizon
-      // is exclusive, matching run_until(). A single domain has no
-      // cross-domain latency bound, so it runs in one unbounded quantum.
-      horizon_ = domains() == 1
-                     ? kNever
-                     : (next / cfg_.quantum_ns + 1) * cfg_.quantum_ns;
+      // is exclusive, matching run_until().
+      horizon_ = (next / cfg_.quantum_ns + 1) * cfg_.quantum_ns;
       run_quantum_phase();
       ++quanta_;
       for (unsigned d = 0; d < domains(); ++d) {

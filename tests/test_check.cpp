@@ -49,7 +49,8 @@ class MutableMachine : public CoherentMachine {
     (void)cell;
     (void)sp;
     (void)target_leaf;
-    engine_.at(engine_.now() + 200, [done = std::move(done)] { done(0); });
+    sim::Engine& e = engine_of(0);
+    e.at(e.now() + 200, [done = std::move(done)] { done(0); });
   }
   [[nodiscard]] sim::Duration transaction_overhead_ns(
       Acquire kind, bool crossed_leaf) const override {

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "ksr/host/sweep_runner.hpp"
+#include "ksr/machine/bus_machine.hpp"
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/is.hpp"
 #include "ksr/study/sweep.hpp"
@@ -144,6 +145,33 @@ TEST(SweepRunner, TwoMachineSweepIsBitIdenticalAcrossJobCounts) {
   }
 }
 
+// Machine::domain_plan's once-only warnings are process-wide state: sweep
+// jobs building refused (bus) and leaf-rounded (ring) partitions at the
+// same time must not race on them (tsan_host_runner runs this).
+TEST(SweepRunner, ConcurrentDomainPlanWarningsAreRaceFree) {
+  using ksr::machine::MachineConfig;
+  SweepRunner runner(4);
+  std::vector<std::function<unsigned()>> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.emplace_back([] {
+      ksr::machine::BusMachine m(
+          MachineConfig::symmetry(8).with_cells_per_domain(4));
+      return m.domains();
+    });
+    jobs.emplace_back([] {
+      // 48 cells per domain round up to two 32-cell leaves: 2 domains.
+      ksr::machine::KsrMachine m(
+          MachineConfig::ksr1(128).scaled_by(64).with_cells_per_domain(48));
+      return m.domains();
+    });
+  }
+  const std::vector<unsigned> domains = runner.run(jobs);
+  ASSERT_EQ(domains.size(), jobs.size());
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    EXPECT_EQ(domains[i], i % 2 == 0 ? 1u : 2u) << "job " << i;
+  }
+}
+
 // Regression for a stale-worker race: run_indexed must not return until
 // every pool thread has left the batch, or a late-waking worker could invoke
 // the previous (already destroyed) task and steal indices from the next
@@ -240,7 +268,7 @@ HarnessRun harness_sweep(unsigned jobs) {
       is.log2_buckets = 7;
       EXPECT_TRUE(ksr::nas::run_is(m, is).ranks_valid) << label;
       return Counts{m.parallel_engine().events_dispatched(),
-                    m.engine().events_dispatched()};
+                    m.engine_of(0).events_dispatched()};
     };
   };
   HarnessRun out;

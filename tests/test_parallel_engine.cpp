@@ -220,7 +220,7 @@ TEST(ParallelEngine, SingleDomainMatchesPlainEngine) {
   for (unsigned threads : {1u, 4u}) {
     sim::ParallelEngine::Config cfg;
     cfg.domains = 1;
-    cfg.threads = threads;  // threads > 1: runs whole-sim on a worker thread
+    cfg.threads = threads;  // clamps to 1: a one-domain engine runs inline
     sim::ParallelEngine pe(cfg);
     pe.domain(0).set_tie_break_seed(0);
     workload(pe.domain(0));
@@ -228,6 +228,8 @@ TEST(ParallelEngine, SingleDomainMatchesPlainEngine) {
     EXPECT_EQ(pe.events_dispatched(), plain.events_dispatched())
         << "threads=" << threads;
     EXPECT_EQ(pe.domain(0).now(), plain.now()) << "threads=" << threads;
+    EXPECT_EQ(pe.threads(), 1u);
+    EXPECT_EQ(pe.quanta(), 0u);
   }
 }
 

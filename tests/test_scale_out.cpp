@@ -8,6 +8,9 @@
 //    single-domain fallback), produce sim_threads-independent results, and
 //    keep migratory / atomic / poststore semantics across a domain boundary;
 //  - full I1-I6 audits pass after multi-domain and 1088-cell runs;
+//  - one net-snapshot path: the machine-wide snapshot is the sum of the
+//    per-domain ones, and the metrics tail samples sit on each domain's
+//    clock, single-domain (with the level-1 ring) and multi-domain;
 //  - the cross-mode oracle: a registry row gives the same semantic result
 //    in mode A and mode B, within a pinned simulated-time ceiling, and its
 //    mode-B run pins the page-granular eviction traffic.
@@ -23,6 +26,7 @@
 #include "ksr/machine/factory.hpp"
 #include "ksr/machine/ksr_machine.hpp"
 #include "ksr/nas/is.hpp"
+#include "ksr/obs/metrics.hpp"
 #include "ksr/obs/topo.hpp"
 #include "ksr/obs/tracer.hpp"
 #include "ksr/serve/job.hpp"
@@ -649,6 +653,80 @@ TEST(ScaleOut, Audit1088CellsMultiDomain) {
   touch_all_cells(m, 1088);
   EXPECT_NO_THROW(checker.audit_all());
   m.attach_checker(nullptr);
+}
+
+// ------------------------------------------------- one net-snapshot path
+
+// After an IS run, net_snapshot() is the field-wise sum of every domain's
+// net_snapshot_of(d), the domains' slots add up to every ring's (the
+// level-1 ring's counted once, in domain 0), and the metrics registry's
+// tail sample for each domain sits at that domain engine's clock.
+void expect_one_net_path(const machine::MachineConfig& cfg, unsigned domains,
+                         bool has_ring1) {
+  machine::KsrMachine m(cfg);
+  ASSERT_EQ(m.domains(), domains);
+  ASSERT_EQ(m.level1_ring() != nullptr, has_ring1);
+  obs::MetricsRegistry reg;
+  reg.attach(m);
+  nas::IsConfig is;
+  is.log2_keys = 10;
+  is.log2_buckets = 7;
+  ASSERT_TRUE(run_is(m, is).ranks_valid);
+  reg.finish();
+
+  machine::NetSnapshot sum;
+  for (unsigned d = 0; d < m.domains(); ++d) {
+    const machine::NetSnapshot p = m.net_snapshot_of(d);
+    EXPECT_GT(p.packets, 0u) << "domain " << d;
+    sum.in_flight += p.in_flight;
+    sum.slots += p.slots;
+    sum.packets += p.packets;
+    sum.retries += p.retries;
+    sum.inject_wait_ns += p.inject_wait_ns;
+  }
+  const machine::NetSnapshot all = m.net_snapshot();
+  EXPECT_EQ(all.in_flight, sum.in_flight);
+  EXPECT_EQ(all.slots, sum.slots);
+  EXPECT_EQ(all.packets, sum.packets);
+  EXPECT_EQ(all.retries, sum.retries);
+  EXPECT_EQ(all.inject_wait_ns, sum.inject_wait_ns);
+
+  std::uint64_t ring_slots = 0;
+  std::uint64_t ring_packets = 0;
+  for (unsigned l = 0; l < m.leaf_count(); ++l) {
+    ring_slots += m.leaf_ring(l).slot_count();
+    ring_packets += m.leaf_ring(l).stats().packets;
+  }
+  if (has_ring1) {
+    EXPECT_GT(m.level1_ring()->stats().packets, 0u);
+    ring_slots += m.level1_ring()->slot_count();
+    ring_packets += m.level1_ring()->stats().packets;
+  }
+  EXPECT_EQ(all.slots, ring_slots);
+  EXPECT_EQ(all.packets, ring_packets);
+
+  // The merged series is (time, domain)-ordered; each domain's last
+  // sample is its tail sample.
+  std::vector<const obs::MetricsSample*> tail(m.domains(), nullptr);
+  for (const obs::MetricsSample& s : reg.samples()) {
+    ASSERT_LT(s.domain, m.domains());
+    tail[s.domain] = &s;
+  }
+  for (unsigned d = 0; d < m.domains(); ++d) {
+    ASSERT_NE(tail[d], nullptr) << "domain " << d;
+    EXPECT_EQ(tail[d]->t, m.engine_of(d).now()) << "domain " << d;
+  }
+}
+
+TEST(NetSnapshot, SingleDomainTwoLeavesSumsDomainsWithRing1) {
+  expect_one_net_path(machine::MachineConfig::ksr1(64), 1, true);
+}
+
+TEST(NetSnapshot, FourDomainsSumToTheMachine) {
+  expect_one_net_path(machine::MachineConfig::ksr1(128)
+                          .with_cells_per_domain(32)
+                          .with_sim_threads(4),
+                      4, false);
 }
 
 }  // namespace

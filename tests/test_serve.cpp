@@ -553,7 +553,7 @@ TEST(ServeFingerprint, ModeBJobCountsEveryDomain) {
   ASSERT_EQ(m->domains(), 2u);
   const JobOutcome out = run_workload(spec, *m);
   EXPECT_EQ(out.events, m->parallel_engine().events_dispatched());
-  EXPECT_GT(out.events, m->engine().events_dispatched());
+  EXPECT_GT(out.events, m->engine_of(0).events_dispatched());
   std::string err;
   const Json r = Json::parse(out.result, &err);
   ASSERT_TRUE(err.empty()) << err;
